@@ -1,39 +1,11 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, in numpy.
 
 Two kernel families live here: the per-matrix evaluation of the fixed
 catalog of permutation-invariant polynomials, and windowed co-occurrence
-pair counting over an encoded corpus.  The jitted path is used by default
-when numba imports; set ``LINGMAT_NUMBA=0`` to force the numpy/python
-fallback (a performance toggle only -- results may differ in the last few
-floating-point ulps because summation order differs between the paths).
-
-``benchmarks/bench_kernels.py`` compares both implementations.
+pair counting over an integer-encoded corpus.
 """
 
-import os
-
 import numpy as np
-
-_flag = os.environ.get("LINGMAT_NUMBA", "1").strip().lower()
-NUMBA_REQUESTED = _flag not in ("0", "false", "off", "no")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USE_NUMBA = NUMBA_REQUESTED and HAVE_NUMBA
 
 #: Fixed catalog order shared with :mod:`lingmat.invariants`.
 CATALOG_ORDER = (
@@ -114,103 +86,24 @@ def catalog_values_numpy(m, with_cycles=True):
     return out
 
 
-@njit(cache=True, nogil=True)
-def _catalog_values_jit(m, with_cycles):
-    n = m.shape[0]
-    t1 = 0.0
-    q2 = 0.0
-    q3 = 0.0
-    q4 = 0.0
-    for i in range(n):
-        v = m[i, i]
-        t1 += v
-        q2 += v * v
-        q3 += v * v * v
-        q4 += v * v * v * v
-    s = 0.0
-    f2 = 0.0
-    f3 = 0.0
-    f4 = 0.0
-    tr2 = 0.0
-    rr = 0.0
-    cc = 0.0
-    dr = 0.0
-    dc = 0.0
-    cr = 0.0
-    dg2 = 0.0
-    sg2 = 0.0
-    dg = 0.0
-    h = 0.0
-    f22 = 0.0
-    r = np.zeros(n)
-    c = np.zeros(n)
-    g = np.zeros(n)
-    for i in range(n):
-        for j in range(n):
-            v = m[i, j]
-            w = m[j, i]
-            s += v
-            f2 += v * v
-            f3 += v * v * v
-            f4 += v * v * v * v
-            tr2 += v * w
-            f22 += v * v * w * w
-            h += m[i, i] * m[j, j] * v * w
-            r[i] += v
-            c[j] += v
-            g[i] += v * w
-    for i in range(n):
-        rr += r[i] * r[i]
-        cc += c[i] * c[i]
-        dr += m[i, i] * r[i]
-        dc += m[i, i] * c[i]
-        cr += c[i] * r[i]
-        dg2 += m[i, i] * g[i]
-        sg2 += g[i] * g[i]
-        dg += m[i, i] * m[i, i] * g[i]
+def context_counts(left, right, lo, hi, rows, cid, window, size):
+    """Counts of ``rows + cid[p]`` over the context positions of anchors.
 
-    out = np.zeros(19)
-    out[0] = t1
-    out[1] = s - t1
-    out[2] = q2
-    out[3] = f2 - q2
-    out[4] = tr2 - q2
-    out[5] = t1 * t1 - q2
-    out[6] = dr - q2
-    out[7] = dc - q2
-    out[8] = cr - dr - dc - tr2 + 2.0 * q2
-    out[9] = rr - 2.0 * dr - f2 + 2.0 * q2
-    out[10] = cc - 2.0 * dc - f2 + 2.0 * q2
-    out[11] = s * t1 - t1 * t1 - dr - dc + 2.0 * q2
-    out[12] = (s * s - 2.0 * s * t1 - rr - cc - 2.0 * cr
-               + t1 * t1 + f2 + tr2 + 4.0 * dr + 4.0 * dc - 6.0 * q2)
-    out[13] = q3
-    out[14] = f3 - q3
-    out[16] = q4
-    out[17] = f4 - q4
-    if with_cycles:
-        mm = np.dot(m, m)
-        tr3 = 0.0
-        tr4 = 0.0
-        dm3 = 0.0
-        for i in range(n):
-            d3i = 0.0
-            for j in range(n):
-                tr3 += mm[i, j] * m[j, i]
-                tr4 += mm[i, j] * mm[j, i]
-                d3i += mm[i, j] * m[j, i]
-            dm3 += m[i, i] * d3i
-        out[15] = tr3 - 3.0 * dg2 + 2.0 * q3
-        out[18] = (tr4 - 4.0 * dm3 - 2.0 * sg2 + 2.0 * h + f22
-                   + 8.0 * dg - 6.0 * q4)
-    return out
+    Anchor k has context positions ``left[k] - q`` and ``right[k] + q`` for
+    q = 1..window, clipped to its sentence ``[lo[k], hi[k])``; positions
+    whose ``cid`` is -1 are skipped.  One masked ``bincount`` per offset
+    and direction; the result is a flat int64 array of length ``size``.
+    """
+    counts = np.zeros(size, dtype=np.int64)
+    for q in range(1, window + 1):
+        for ok, pos in ((left - q >= lo, left - q), (right + q < hi, right + q)):
+            c = cid[pos[ok]]
+            hit = c >= 0
+            counts += np.bincount(rows[ok][hit] + c[hit], minlength=size)
+    return counts
 
 
-def catalog_values_numba(m, with_cycles=True):
-    return _catalog_values_jit(m, with_cycles)
-
-
-def window_pair_counts_python(tid, cid, offsets, window, n_targets, n_contexts):
+def window_pair_counts(tid, cid, offsets, window, n_targets, n_contexts):
     """Co-occurrence counts between targets and contexts inside sentences.
 
     ``tid``/``cid`` hold, per corpus position, a target- respectively
@@ -218,42 +111,12 @@ def window_pair_counts_python(tid, cid, offsets, window, n_targets, n_contexts):
     counted for every (target position, context position) within distance
     ``window`` in the same sentence; a position never pairs with itself.
     """
-    counts = np.zeros((n_targets, n_contexts), dtype=np.int64)
-    for k in range(len(offsets) - 1):
-        lo = offsets[k]
-        hi = offsets[k + 1]
-        for i in range(lo, hi):
-            ti = tid[i]
-            if ti < 0:
-                continue
-            jlo = i - window
-            if jlo < lo:
-                jlo = lo
-            jhi = i + window
-            if jhi >= hi:
-                jhi = hi - 1
-            for j in range(jlo, jhi + 1):
-                if j == i:
-                    continue
-                cj = cid[j]
-                if cj >= 0:
-                    counts[ti, cj] += 1
-    return counts
+    pos = np.flatnonzero(tid >= 0)
+    sent = np.searchsorted(offsets, pos, side="right")
+    rows = tid[pos].astype(np.int64) * n_contexts
+    counts = context_counts(pos, pos, offsets[sent - 1], offsets[sent], rows, cid,
+                            window, n_targets * n_contexts)
+    return counts.reshape(n_targets, n_contexts)
 
 
-_window_pair_counts_jit = njit(cache=True, nogil=True)(window_pair_counts_python)
-
-
-def window_pair_counts_numba(tid, cid, offsets, window, n_targets, n_contexts):
-    return _window_pair_counts_jit(tid, cid, offsets, np.int64(window),
-                                   np.int64(n_targets), np.int64(n_contexts))
-
-
-if USE_NUMBA:
-    catalog_values = catalog_values_numba
-    window_pair_counts = window_pair_counts_numba
-else:
-    catalog_values = catalog_values_numpy
-    window_pair_counts = window_pair_counts_python
-
-BACKEND = "numba" if USE_NUMBA else "numpy"
+catalog_values = catalog_values_numpy

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .counting import count_invariants, count_invariants_stable
-from .corpus import Thresholds
+from .corpus import Thresholds, read_corpus, read_pairs
 from .gauss import GaussParams, fit as fit_params, moment_report, predict_moment
 from .invariants import CATALOG, EnsembleAverages, element_histogram, validate_tag
 from .matrix_core import read_ensemble, write_ensemble, WordMatrix
@@ -41,13 +41,28 @@ def _load_json(path):
 
 
 def _merge_config(args):
-    """Fill argparse values that were left at None from --config."""
-    if getattr(args, "config", None):
-        cfg = _load_json(args.config)
-        for key, val in cfg.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
-                setattr(args, attr, val)
+    """Load --config once.
+
+    ``pipeline`` keeps the loaded object for `PipelineConfig`, which checks
+    its keys.  Every other subcommand fills the flags left at None from it
+    and rejects keys that match no flag.
+    """
+    if not getattr(args, "config", None):
+        return args
+    cfg = _load_json(args.config)
+    if not isinstance(cfg, dict):
+        raise SystemExit(f"{args.config}: the config must be a JSON object")
+    if args.func is cmd_pipeline:
+        args.config = cfg
+        return args
+    flags = set(vars(args)) - {"command", "config", "func"}
+    unknown = sorted(k for k in cfg if k.replace("-", "_") not in flags)
+    if unknown:
+        raise SystemExit(f"{args.config}: unknown config keys: {', '.join(unknown)}")
+    for key, val in cfg.items():
+        attr = key.replace("-", "_")
+        if getattr(args, attr) is None:
+            setattr(args, attr, val)
     return args
 
 
@@ -99,15 +114,17 @@ def cmd_gen_corpus(args):
 def cmd_build_vectors(args):
     _require(args, "corpus", "pairs", "basis_size", "out")
     window = 5 if args.window is None else int(args.window)
-    stage_build_vectors(args.corpus, args.pairs, int(args.basis_size), window,
-                        args.out, provenance=_provenance(args))
+    stage_build_vectors(read_corpus(args.corpus), read_pairs(args.pairs),
+                        int(args.basis_size), window, args.out,
+                        provenance=_provenance(args))
     return 0
 
 
 def cmd_select_dataset(args):
     _require(args, "corpus", "pairs", "out")
-    selection = stage_select_dataset(args.corpus, args.pairs, _thresholds(args),
-                                     args.out, provenance=_provenance(args))
+    selection = stage_select_dataset(read_corpus(args.corpus), read_pairs(args.pairs),
+                                     _thresholds(args), args.out,
+                                     provenance=_provenance(args))
     print(json.dumps({"selected": selection.words()}, sort_keys=True))
     return 0
 
@@ -240,9 +257,8 @@ def cmd_count_invariants(args):
 
 def cmd_pipeline(args):
     _require(args, "config")
-    obj = _load_json(args.config)
     config = PipelineConfig.from_json_dict(
-        obj, out_dir=args.out, threads=None if args.threads is None else int(args.threads))
+        args.config, out_dir=args.out, threads=None if args.threads is None else int(args.threads))
     config.validate_paths()
     summary = run_pipeline(config)
     print(json.dumps({"out_dir": config.out_dir,

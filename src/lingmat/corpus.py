@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -32,18 +34,110 @@ DEFAULT_WINDOW = 5
 
 @dataclass(frozen=True, eq=False)
 class TokenizedCorpus:
-    """Sentences of (surface, tag) tokens with an exact total token count."""
+    """An integer-encoded corpus.
 
-    sentences: tuple
-    n_total: int
-    tagged: bool
+    ``word_ids`` and ``tag_ids`` hold one entry per token, ``offsets``
+    delimits the sentences, and ``words``/``tags`` map ids back to strings
+    (``tags[0]`` is None, the id of an untagged token).  Every statistic is
+    derived from these arrays and cached on the corpus.
+    """
+
+    word_ids: np.ndarray
+    tag_ids: np.ndarray
+    offsets: np.ndarray
+    words: tuple
+    tags: tuple
 
     @classmethod
     def from_sentences(cls, sentences) -> "TokenizedCorpus":
-        sents = tuple(tuple(s) for s in sentences if s)
-        n = sum(len(s) for s in sents)
-        tagged = any(tok[1] is not None for s in sents for tok in s)
-        return cls(sentences=sents, n_total=n, tagged=tagged)
+        """From sentences of (word, tag) tokens; empty sentences are dropped."""
+        return _encode(([tuple(tok) for tok in s] for s in sentences), tuple)
+
+    @property
+    def n_total(self) -> int:
+        return self.word_ids.size
+
+    @property
+    def tagged(self) -> bool:
+        """True if any token carries a tag."""
+        return len(self.tags) > 1
+
+    @property
+    def sentences(self) -> tuple:
+        """Sentences as tuples of (word, tag), decoded on every access.
+
+        For tests and oracles; the pipeline works on the arrays.
+        """
+        toks = list(zip(map(self.words.__getitem__, self.word_ids.tolist()),
+                        map(self.tags.__getitem__, self.tag_ids.tolist())))
+        bounds = self.offsets.tolist()
+        return tuple(tuple(toks[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def word_index(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self.words)}
+
+    @cached_property
+    def word_tag_counts(self) -> np.ndarray:
+        """Token counts per (word id, tag id), shape (len(words), len(tags))."""
+        n_tags = len(self.tags)
+        key = self.word_ids.astype(np.int64)
+        key *= n_tags
+        key += self.tag_ids
+        counts = np.bincount(key, minlength=len(self.words) * n_tags)
+        counts = counts.reshape(len(self.words), n_tags)
+        counts.setflags(write=False)
+        return counts
+
+    def lookup(self, words) -> np.ndarray:
+        """Per word id, the index of that word in `words`, or -1."""
+        out = np.full(len(self.words), -1, dtype=np.int32)
+        for i, w in enumerate(words):
+            j = self.word_index.get(w)
+            if j is not None:
+                out[j] = i
+        return out
+
+
+class _FirstSeenIds(dict):
+    """Maps each new key to the next id, in first-occurrence order."""
+
+    def __missing__(self, key):
+        self[key] = n = len(self)
+        return n
+
+
+def _encode(token_lists, parse) -> TokenizedCorpus:
+    """Encode sentences of raw tokens in one pass.
+
+    Each distinct raw token gets an id in first-occurrence order; `parse`
+    then runs once per distinct raw token and maps it to (word, tag).
+    """
+    raw_ids = _FirstSeenIds()
+    lengths = []
+
+    def sentences():
+        for toks in token_lists:
+            if toks:
+                lengths.append(len(toks))
+                yield toks
+
+    raw = np.fromiter(map(raw_ids.__getitem__, chain.from_iterable(sentences())),
+                      dtype=np.int32)
+    parsed = [parse(token) for token in raw_ids]
+    word_index = _FirstSeenIds()
+    tag_index = _FirstSeenIds({None: 0})
+    raw_word = [word_index[word] for word, _ in parsed]
+    raw_tag = [tag_index[tag] for _, tag in parsed]
+    tag_dtype = np.int8 if len(tag_index) <= 128 else np.int32
+    word_ids = np.array(raw_word, dtype=np.int32)[raw]
+    tag_ids = np.array(raw_tag, dtype=tag_dtype)[raw]
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    for arr in (word_ids, tag_ids, offsets):
+        arr.setflags(write=False)
+    return TokenizedCorpus(word_ids=word_ids, tag_ids=tag_ids, offsets=offsets,
+                           words=tuple(word_index), tags=tuple(tag_index))
 
 
 def _parse_token(raw: str):
@@ -55,37 +149,28 @@ def _parse_token(raw: str):
 
 
 def read_corpus(path) -> TokenizedCorpus:
-    sentences = []
+    """One pass over the file; `_parse_token` runs once per distinct token."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            toks = line.split()
-            if toks:
-                sentences.append([_parse_token(t) for t in toks])
-    if not sentences:
+        corpus = _encode((line.split() for line in fh), _parse_token)
+    if corpus.n_total == 0:
         raise CorpusError(f"{path}: corpus is empty")
-    return TokenizedCorpus.from_sentences(sentences)
+    return corpus
 
 
 def build_vocab(corpus: TokenizedCorpus) -> dict[str, int]:
     """Exact surface-form frequencies; sums to the total token count."""
     if corpus.n_total == 0:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
-    vocab: dict[str, int] = {}
-    for sent in corpus.sentences:
-        for word, _tag in sent:
-            vocab[word] = vocab.get(word, 0) + 1
-    return vocab
+    return dict(zip(corpus.words, corpus.word_tag_counts.sum(axis=1).tolist()))
 
 
-def _content_words(corpus: TokenizedCorpus, stopwords) -> set[str]:
+def _content_words(corpus: TokenizedCorpus, stopwords) -> list[str]:
     if corpus.tagged:
-        out = set()
-        for sent in corpus.sentences:
-            for word, tag in sent:
-                if tag is not None and tag[:1].upper() in CONTENT_TAG_PREFIXES:
-                    out.add(word)
-        return out
-    return {w for sent in corpus.sentences for w, _ in sent if w not in stopwords}
+        content = np.array([t is not None and t[:1].upper() in CONTENT_TAG_PREFIXES
+                            for t in corpus.tags])
+        mask = corpus.word_tag_counts[:, content].any(axis=1)
+        return [corpus.words[i] for i in np.flatnonzero(mask)]
+    return [w for w in corpus.words if w not in stopwords]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +222,6 @@ def write_basis(basis: BasisSpec, path, header: str | None = None) -> None:
             fh.write(w + "\n")
 
 
-def read_basis(path) -> BasisSpec:
-    with open(path, encoding="utf-8") as fh:
-        words = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    return BasisSpec(tuple(words))
-
-
 @dataclass(frozen=True, eq=False)
 class CoocTable:
     """Sparse windowed co-occurrence counts plus the unigram totals.
@@ -161,25 +240,6 @@ class CoocTable:
         return self.counts.get(target, {}).get(context, 0)
 
 
-def _encode_corpus(corpus, target_index, context_index):
-    n = corpus.n_total
-    tid = np.full(n, -1, dtype=np.int64)
-    cid = np.full(n, -1, dtype=np.int64)
-    offsets = np.zeros(len(corpus.sentences) + 1, dtype=np.int64)
-    pos = 0
-    for k, sent in enumerate(corpus.sentences):
-        for word, _tag in sent:
-            t = target_index.get(word)
-            if t is not None:
-                tid[pos] = t
-            c = context_index.get(word)
-            if c is not None:
-                cid[pos] = c
-            pos += 1
-        offsets[k + 1] = pos
-    return tid, cid, offsets
-
-
 def count_cooccurrence(corpus: TokenizedCorpus, targets, basis: BasisSpec,
                        window: int = DEFAULT_WINDOW) -> CoocTable:
     """Windowed target-context pair counts, not crossing sentence
@@ -187,10 +247,9 @@ def count_cooccurrence(corpus: TokenizedCorpus, targets, basis: BasisSpec,
     if window < 1:
         raise ValueError("window must be >= 1")
     targets = tuple(dict.fromkeys(targets))  # dedupe, keep order
-    t_index = {w: i for i, w in enumerate(targets)}
-    c_index = {w: i for i, w in enumerate(basis.words)}
-    tid, cid, offsets = _encode_corpus(corpus, t_index, c_index)
-    dense = _kernels.window_pair_counts(tid, cid, offsets, window,
+    tid = corpus.lookup(targets)[corpus.word_ids]
+    cid = corpus.lookup(basis.words)[corpus.word_ids]
+    dense = _kernels.window_pair_counts(tid, cid, corpus.offsets, window,
                                         len(targets), basis.size)
     counts: dict[str, dict[str, int]] = {}
     for t, word in enumerate(targets):
@@ -238,16 +297,15 @@ class DistVector:
         return self.values.size
 
 
-def _ppmi_row(joint_row, target_total, table, basis) -> np.ndarray:
+def _ppmi_row(joint, target_total, table, basis) -> np.ndarray:
+    """PPMI over the basis from the integer joint counts of one target."""
     out = np.zeros(basis.size)
-    n = table.n_total
-    for i, c in enumerate(basis.words):
-        joint = joint_row.get(c, 0)
-        if joint > 0:
-            cc = table.totals.get(c, 0)
-            if cc <= 0:
-                raise CorpusError(f"context word {c!r} does not occur in the corpus")
-            out[i] = max(0.0, np.log(joint * n / (target_total * cc)))
+    nz = np.flatnonzero(joint)
+    cc = np.array([table.totals.get(basis.words[i], 0) for i in nz], dtype=np.int64)
+    if (cc <= 0).any():
+        missing = basis.words[nz[np.argmax(cc <= 0)]]
+        raise CorpusError(f"context word {missing!r} does not occur in the corpus")
+    out[nz] = np.maximum(0.0, np.log(joint[nz] * table.n_total / (target_total * cc)))
     return out
 
 
@@ -260,7 +318,9 @@ def build_noun_vectors(table: CoocTable, basis: BasisSpec, nouns) -> list[DistVe
             raise CorpusError(f"noun {noun!r} does not occur in the corpus")
         if noun not in table.counts:
             raise CorpusError(f"noun {noun!r} was not counted as a target")
-        out.append(DistVector(noun, _ppmi_row(table.counts[noun], total, table, basis)))
+        row = table.counts[noun]
+        joint = np.array([row.get(c, 0) for c in basis.words], dtype=np.int64)
+        out.append(DistVector(noun, _ppmi_row(joint, total, table, basis)))
     return out
 
 
@@ -270,27 +330,32 @@ def _reach_of(pos_class: str, window: int) -> int:
     return 1 if pos_class in ("adjective", "unknown") else window
 
 
-def _spans_by_noun(corpus, target, nouns, reach):
-    """One corpus pass: per noun, the (sentence, start, end) compound spans.
+def _spans(corpus, target, nouns, reach):
+    """Compound spans of `target` with each of `nouns`, as arrays.
 
     For each target occurrence, each distinct noun takes its nearest
-    occurrence within reach to the right as the compound span.
+    occurrence within reach to the right as the compound span.  Returns
+    (start, end, noun index, sentence index), ordered by start and then
+    by noun index; start and end are corpus positions.
     """
-    noun_set = set(nouns)
-    spans: dict[str, list] = {n: [] for n in noun_set}
-    for k, sent in enumerate(corpus.sentences):
-        for i, (word, _tag) in enumerate(sent):
-            if word != target:
-                continue
-            seen = set()
-            for q in range(1, reach + 1):
-                if i + q >= len(sent):
-                    break
-                w2 = sent[i + q][0]
-                if w2 in noun_set and w2 not in seen:
-                    spans[w2].append((k, i, i + q))
-                    seen.add(w2)
-    return spans
+    t = corpus.word_index.get(target)
+    pos = (np.flatnonzero(corpus.word_ids == t) if t is not None
+           else np.zeros(0, dtype=np.int64))
+    sent = np.searchsorted(corpus.offsets, pos, side="right")
+    hi = corpus.offsets[sent]
+    noun_of = corpus.lookup(nouns).astype(np.int64)
+    none = np.zeros(0, dtype=np.int64)
+    found = [(none, none, none)]
+    for q in range(1, reach + 1):
+        k = np.flatnonzero(pos + q < hi)
+        noun = noun_of[corpus.word_ids[pos[k] + q]]
+        hit = noun >= 0
+        found.append((k[hit], np.full(hit.sum(), q), noun[hit]))
+    k, q, noun = (np.concatenate(parts) for parts in zip(*found))
+    # keep the nearest occurrence (smallest q, found first) of each noun
+    _, first = np.unique(k * len(nouns) + noun, return_index=True)
+    k, q, noun = k[first], q[first], noun[first]
+    return pos[k], pos[k] + q, noun, sent[k] - 1
 
 
 def compound_spans(corpus: TokenizedCorpus, target: str, noun: str,
@@ -303,8 +368,9 @@ def compound_spans(corpus: TokenizedCorpus, target: str, noun: str,
     `window` tokens to the right of the verb.  The span covers every
     token from target to noun inclusive.
     """
-    reach = _reach_of(pos_class, window)
-    return _spans_by_noun(corpus, target, [noun], reach)[noun]
+    start, end, _, sent = _spans(corpus, target, [noun], _reach_of(pos_class, window))
+    base = corpus.offsets[sent]
+    return list(zip(sent.tolist(), (start - base).tolist(), (end - base).tolist()))
 
 
 def build_compound_vectors(corpus: TokenizedCorpus, table: CoocTable,
@@ -321,35 +387,25 @@ def build_compound_vectors(corpus: TokenizedCorpus, table: CoocTable,
     """
     if window is None:
         window = table.window
-    c_index = {w: i for i, w in enumerate(basis.words)}
-    reach = _reach_of(pos_class, window)
-    all_spans = _spans_by_noun(corpus, target, nouns, reach)
+    distinct = list(dict.fromkeys(nouns))
+    start, end, noun, sent = _spans(corpus, target, distinct,
+                                    _reach_of(pos_class, window))
+    totals = np.bincount(noun, minlength=len(distinct))
+    cid = corpus.lookup(basis.words)[corpus.word_ids]
+    joint = _kernels.context_counts(
+        start, end, corpus.offsets[sent], corpus.offsets[sent + 1],
+        noun * basis.size, cid, window, len(distinct) * basis.size,
+    ).reshape(len(distinct), basis.size)
+    index = {n: i for i, n in enumerate(distinct)}
     vectors = []
     skipped = []
-    for noun in nouns:
-        spans = all_spans[noun]
-        if not spans:
-            skipped.append(noun)
+    for n in nouns:
+        i = index[n]
+        if totals[i] == 0:
+            skipped.append(n)
             continue
-        joint = np.zeros(basis.size, dtype=np.int64)
-        for k, start, end in spans:
-            sent = corpus.sentences[k]
-            lo = max(0, start - window)
-            hi = min(len(sent) - 1, end + window)
-            for p in range(lo, hi + 1):
-                if start <= p <= end:
-                    continue
-                c = c_index.get(sent[p][0])
-                if c is not None:
-                    joint[c] += 1
-        total = len(spans)
-        values = np.zeros(basis.size)
-        for i in np.nonzero(joint)[0]:
-            cc = table.totals.get(basis.words[i], 0)
-            if cc <= 0:
-                raise CorpusError(f"context word {basis.words[i]!r} missing from totals")
-            values[i] = max(0.0, np.log(joint[i] * table.n_total / (total * cc)))
-        vectors.append(DistVector(f"{target} {noun}", values))
+        values = _ppmi_row(joint[i], int(totals[i]), table, basis)
+        vectors.append(DistVector(f"{target} {n}", values))
     return vectors, skipped
 
 
@@ -448,13 +504,14 @@ def write_pairs(pairs: dict[str, dict[str, int]], path) -> None:
 
 
 def pos_class_of(word: str, corpus: TokenizedCorpus) -> str:
-    if not corpus.tagged:
+    """Majority vote of the word's tag letters; ties go to the first letter."""
+    i = corpus.word_index.get(word)
+    if not corpus.tagged or i is None:
         return "unknown"
     votes: dict[str, int] = {}
-    for sent in corpus.sentences:
-        for w, tag in sent:
-            if w == word and tag:
-                votes[tag[:1].upper()] = votes.get(tag[:1].upper(), 0) + 1
+    for tag, n in zip(corpus.tags, corpus.word_tag_counts[i].tolist()):
+        if tag and n:
+            votes[tag[:1].upper()] = votes.get(tag[:1].upper(), 0) + n
     if not votes:
         return "unknown"
     top = max(sorted(votes), key=lambda k: votes[k])

@@ -19,7 +19,6 @@ are validated against Monte Carlo sampling rather than a printed formula.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -407,7 +406,3 @@ def log_partition(spec: GeneralGaussSpec) -> float:
         total += float(((2.0 / det) * (b * jsym ** 2 + a * janti ** 2
                                        - 2.0 * c * janti * jsym)).sum())
     return total
-
-
-def params_json(params: GaussParams) -> str:
-    return json.dumps(params.to_json_dict(), indent=2, sort_keys=True)

@@ -172,16 +172,15 @@ def provenance_comment(provenance) -> str:
 # stages
 # ---------------------------------------------------------------------------
 
-def stage_build_vectors(corpus_path, pairs_path, basis_size, window, out_dir,
+def stage_build_vectors(corpus, pairs, basis_size, window, out_dir,
                         provenance=None):
-    """Basis, noun vectors, and compound vectors for every pairs-file entry.
+    """Basis, noun vectors, and compound vectors for every pairs entry.
 
+    Takes the read corpus and pairs (see `read_corpus` and `read_pairs`).
     Vectors are built at the largest requested basis size; smaller sweep
     dimensions reuse prefixes of the same vectors because the basis is
     frequency-ordered and PPMI is pointwise.
     """
-    corpus = read_corpus(corpus_path)
-    pairs = read_pairs(pairs_path)
     vocab = build_vocab(corpus)
     basis = select_basis(vocab, corpus, basis_size)
 
@@ -211,10 +210,8 @@ def stage_build_vectors(corpus_path, pairs_path, basis_size, window, out_dir,
     return basis, noun_vectors, compound_vectors
 
 
-def stage_select_dataset(corpus_path, pairs_path, thresholds, out_path,
+def stage_select_dataset(corpus, pairs, thresholds, out_path,
                          provenance=None) -> DatasetSelection:
-    corpus = read_corpus(corpus_path)
-    pairs = read_pairs(pairs_path)
     selection = select_dataset(corpus, pairs, thresholds)
     write_json(selection.to_json_dict(), out_path, provenance)
     return selection
@@ -326,15 +323,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     stage = STAGES[0]
     try:
+        corpus = read_corpus(config.corpus)
+        pairs = read_pairs(config.pairs)
         basis_max = max(config.basis_sizes)
         vec_dir = os.path.join(out, "vectors")
         basis, noun_vecs, compound_vecs = stage_build_vectors(
-            config.corpus, config.pairs, basis_max, config.window, vec_dir,
-            provenance=prov)
+            corpus, pairs, basis_max, config.window, vec_dir, provenance=prov)
 
         stage = "select-dataset"
         selection = stage_select_dataset(
-            config.corpus, config.pairs, config.thresholds,
+            corpus, pairs, config.thresholds,
             os.path.join(out, "selection.json"), provenance=prov)
 
         params_by_dim: dict[int, GaussParams] = {}

@@ -80,6 +80,107 @@ def window_counts_bruteforce(sentences, targets, contexts, window):
     return counts
 
 
+def parse_token(raw):
+    """``word|TAG`` -> (word, TAG); a token with no word before the last
+    bar, or with an empty tag, keeps its text as the word or has no tag."""
+    if "|" in raw:
+        word, _, tag = raw.rpartition("|")
+        if word:
+            return (word, tag or None)
+    return (raw, None)
+
+
+def read_sentences(path):
+    """The per-token reader: one sentence per non-blank line."""
+    sentences = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            toks = line.split()
+            if toks:
+                sentences.append(tuple(parse_token(t) for t in toks))
+    return tuple(sentences)
+
+
+def vocab(sentences):
+    """Word frequencies, keyed in first-occurrence order."""
+    counts = {}
+    for sent in sentences:
+        for word, _tag in sent:
+            counts[word] = counts.get(word, 0) + 1
+    return counts
+
+
+def is_tagged(sentences):
+    return any(tag is not None for sent in sentences for _w, tag in sent)
+
+
+def basis_words(sentences, size, stopwords=frozenset()):
+    """Top-`size` content words by frequency, ties lexicographic."""
+    if is_tagged(sentences):
+        content = {w for sent in sentences for w, tag in sent
+                   if tag is not None and tag[:1].upper() in ("N", "V", "J", "R")}
+    else:
+        content = {w for sent in sentences for w, _ in sent if w not in stopwords}
+    counts = vocab(sentences)
+    return tuple(sorted(content, key=lambda w: (-counts[w], w))[:size])
+
+
+def pos_class(sentences, word):
+    """Majority tag letter of `word`; ties go to the first letter."""
+    if not is_tagged(sentences):
+        return "unknown"
+    votes = {}
+    for sent in sentences:
+        for w, tag in sent:
+            if w == word and tag:
+                votes[tag[:1].upper()] = votes.get(tag[:1].upper(), 0) + 1
+    if not votes:
+        return "unknown"
+    top = max(sorted(votes), key=lambda k: votes[k])
+    return {"J": "adjective", "V": "verb"}.get(top, "unknown")
+
+
+def spans_by_noun(sentences, target, nouns, reach):
+    """Per noun, the (sentence, start, end) compound spans: for each target
+    occurrence, each distinct noun's nearest occurrence within reach to the
+    right."""
+    noun_set = set(nouns)
+    spans = {n: [] for n in noun_set}
+    for k, sent in enumerate(sentences):
+        for i, (word, _tag) in enumerate(sent):
+            if word != target:
+                continue
+            seen = set()
+            for q in range(1, reach + 1):
+                if i + q >= len(sent):
+                    break
+                w2 = sent[i + q][0]
+                if w2 in noun_set and w2 not in seen:
+                    spans[w2].append((k, i, i + q))
+                    seen.add(w2)
+    return spans
+
+
+def compound_values(sentences, spans, contexts, window):
+    """PPMI over `contexts` of a compound from its spans, scanning every
+    position within `window` of each span and outside it."""
+    import numpy as np
+
+    counts = vocab(sentences)
+    n_total = sum(counts.values())
+    joint = [0] * len(contexts)
+    for k, start, end in spans:
+        sent = sentences[k]
+        for p in range(max(0, start - window), min(len(sent) - 1, end + window) + 1):
+            if not start <= p <= end and sent[p][0] in contexts:
+                joint[contexts.index(sent[p][0])] += 1
+    values = np.zeros(len(contexts))
+    for i, c in enumerate(contexts):
+        if joint[i]:
+            values[i] = max(0.0, np.log(joint[i] * n_total / (len(spans) * counts[c])))
+    return values
+
+
 def partition_count(n):
     """p(n) by Euler's pentagonal-number recurrence."""
     p = [1] + [0] * n

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -263,3 +264,41 @@ class TestPipelineCli:
         assert "stage" in payload
         marker = (tmp_path / "out" / "FAILED").read_text()
         assert "stage:" in marker
+
+
+class TestConfigFile:
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipeline_config_through_a_pipe(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        pairs = tmp_path / "pairs.tsv"
+        run_cli(capsys, "gen-corpus", "--seed", "6", "--sentences", "600",
+                "--out-corpus", str(corpus), "--out-pairs", str(pairs))
+        cfg = {"corpus": str(corpus), "pairs": str(pairs), "basis_sizes": [20],
+               "thresholds": {"min_target_freq": 10, "drop_top": 0,
+                              "min_pair_count": 1, "min_args": 5},
+               "out_dir": str(tmp_path / "out")}
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, json.dumps(cfg).encode())
+            os.close(write_end)
+            code, out, err = run_cli(capsys, "pipeline", "--config", f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert code == 0, err
+        assert json.loads(out)["dims"] == [20]
+
+    def test_stage_subcommand_rejects_unknown_keys(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 2, "dimm": 3, "out_dir": "x"}))
+        code, out, err = run_cli(capsys, "count-invariants", "--config", str(cfg))
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "UsageError"
+        assert "dimm, out_dir" in payload["message"]
+
+    def test_dashed_keys_match_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"corpus": "c.txt", "basis-size": 4, "out": "o"}))
+        code, _, err = run_cli(capsys, "build-vectors", "--config", str(cfg))
+        assert code == 2
+        assert "--pairs" in json.loads(err)["message"]
