@@ -7,22 +7,14 @@ pair counting over an integer-encoded corpus.
 
 import numpy as np
 
-#: Fixed catalog order shared with :mod:`lingmat.invariants`.
-CATALOG_ORDER = (
-    "Md1", "Mo1", "Md2", "Mo21", "Mo22",
-    "Qdd", "Qdio", "Qoid", "Qchain", "Qout", "Qin", "Qodiag", "Qdisc",
-    "Md3", "Mo31", "Mo32", "Md4", "Mo41", "Mo42",
-)
-
-CATALOG_INDEX = {tag: i for i, tag in enumerate(CATALOG_ORDER)}
-
 #: Tags whose evaluation needs one dense matrix product (O(D^3)); every
 #: other catalog entry costs O(D^2).
 CYCLE_TAGS = ("Mo32", "Mo42")
 
 
-def catalog_values_numpy(m, with_cycles=True):
-    """All 19 catalog invariants of one matrix, as a vector in CATALOG_ORDER.
+def catalog_values(m, with_cycles=True):
+    """All 19 catalog invariants of one matrix, as a vector in the order of
+    ``invariants.CATALOG``.
 
     Restricted sums over pairwise-distinct indices are expanded by
     inclusion-exclusion over index-coincidence patterns into unrestricted
@@ -118,5 +110,3 @@ def window_pair_counts(tid, cid, offsets, window, n_targets, n_contexts):
                             window, n_targets * n_contexts)
     return counts.reshape(n_targets, n_contexts)
 
-
-catalog_values = catalog_values_numpy

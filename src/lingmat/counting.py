@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .invariants import GraphInvariant, QUADRATIC_TAGS
+from .invariants import CATALOG_GRAPHS, QUADRATIC_TAGS, GraphInvariant
 
 
 @dataclass(frozen=True)
@@ -107,28 +107,6 @@ def count_invariants_stable(degree: int) -> int:
     return count_invariants(2 * degree, degree)
 
 
-#: The eleven canonical quadratic multigraphs, aligned with QUADRATIC_TAGS:
-#: doubled loop, doubled edge, 2-cycle, two loops, loop-out, loop-in,
-#: directed path, out-star, in-star, edge plus far loop, two disjoint edges.
-_QUADRATIC_GRAPHS = (
-    (1, ((0, 0), (0, 0))),           # Md2:    sum_i M_ii^2
-    (2, ((0, 1), (0, 1))),           # Mo21:   sum_{i!=j} M_ij^2
-    (2, ((0, 1), (1, 0))),           # Mo22:   sum_{i!=j} M_ij M_ji
-    (2, ((0, 0), (1, 1))),           # Qdd:    sum_{i!=j} M_ii M_jj
-    (2, ((0, 0), (0, 1))),           # Qdio:   sum_{i!=j} M_ii M_ij
-    (2, ((0, 1), (1, 1))),           # Qoid:   sum_{i!=j} M_ij M_jj
-    (3, ((0, 1), (1, 2))),           # Qchain: sum_{i!=j!=k} M_ij M_jk
-    (3, ((0, 1), (0, 2))),           # Qout:   sum_{i!=j!=k} M_ij M_ik
-    (3, ((0, 2), (1, 2))),           # Qin:    sum_{i!=j!=k} M_ij M_kj
-    (3, ((0, 1), (2, 2))),           # Qodiag: sum_{i!=j!=k} M_ij M_kk
-    (4, ((0, 1), (2, 3))),           # Qdisc:  sum_{i!=j!=k!=l} M_ij M_kl
-)
-
-
 def enumerate_quadratic_graphs() -> list[GraphInvariant]:
     """The 11 canonical quadratic invariant graphs, in QUADRATIC_TAGS order."""
-    return [GraphInvariant(vertex_count=v, edges=e) for v, e in _QUADRATIC_GRAPHS]
-
-
-def quadratic_graph_catalog() -> dict[str, GraphInvariant]:
-    return dict(zip(QUADRATIC_TAGS, enumerate_quadratic_graphs()))
+    return [CATALOG_GRAPHS[t] for t in QUADRATIC_TAGS]

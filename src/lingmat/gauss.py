@@ -11,20 +11,22 @@ then follows from Wick's theorem applied to
     <M_ij> = 2 Js / a           <M_ij M_ij>_c = 1/a + 1/b
                                 <M_ij M_ji>_c = 1/a - 1/b   (i != j)
 
-with entries at unequal index pairs independent.  The eleven moments with
-published closed forms are reproduced exactly; the remaining quadratic
-invariants (Qdd ... Qdisc) are Wick products of independent entries and
-are validated against Monte Carlo sampling rather than a printed formula.
+with entries at unequal index pairs independent.  ``predict_moment``
+applies these rules to the multigraph of any catalog invariant
+(``invariants.CATALOG_GRAPHS``), so one exact formula gives all 19
+expectations; seeded Monte Carlo sampling checks each of them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import CATALOG, EnsembleAverages, ensemble_averages, validate_tag
+from .invariants import (CATALOG, CATALOG_GRAPHS, EnsembleAverages, ensemble_averages,
+                         validate_tag)
 from .matrix_core import Ensemble
 
 
@@ -137,61 +139,53 @@ class GaussParams:
                    b=b_over_D2 * d ** 2, j0=j0_over_D * d, js=js_over_D * d)
 
 
-def _falling(d: int, n: int) -> float:
-    out = 1.0
-    for k in range(n):
-        out *= d - k
-    return out
+def _matchings(n: int) -> int:
+    """Perfect matchings of n (even) items: (n - 1)!!."""
+    return math.factorial(n) // (2 ** (n // 2) * math.factorial(n // 2))
+
+
+def _normal_moment(p: int, q: int, mean: float, var: float, cov: float) -> float:
+    """E[X^p Y^q] for jointly normal X, Y with equal means and variances.
+
+    With X = mean + x and Y = mean + y, each centered moment E[x^i y^j] is
+    a sum over the Isserlis pairings of its i + j factors: k cross pairs
+    weigh cov each, and the x-x and y-y pairs weigh var each.
+    """
+    total = 0.0
+    for i in range(p + 1):
+        for j in range(q + 1):
+            central = 0.0
+            for k in range(i % 2, min(i, j) + 1, 2):
+                if (j - k) % 2 == 0:
+                    pairings = (math.comb(i, k) * math.comb(j, k) * math.factorial(k)
+                                * _matchings(i - k) * _matchings(j - k))
+                    central += pairings * var ** ((i + j) // 2 - k) * cov ** k
+            total += math.comb(p, i) * math.comb(q, j) * mean ** (p - i + q - j) * central
+    return total
 
 
 def predict_moment(params: GaussParams, tag: str) -> float:
-    """Model expectation of one catalog invariant.
+    """Model expectation of one catalog invariant, by Wick's theorem.
 
-    Dimensions too small for an invariant's index count give 0 through the
-    vanishing falling factorial, matching the empty restricted sum.
+    Every injective assignment of the invariant's v graph vertices to
+    basis indices has the same expectation, so the restricted sum is the
+    falling factorial D^(v) times that of one assignment.  There the
+    diagonal entries and the index pairs are independent: a vertex with k
+    loops gives the k-th moment of M_ii, and a vertex pair {u, w} with p
+    edges u->w and q edges w->u gives E[M_uw^p M_wu^q].  Dimensions too
+    small for the graph give 0 through the vanishing falling factorial,
+    matching the empty restricted sum.
     """
     validate_tag(tag)
-    d = params.dim
-    mu_d = params.mean_diag
-    v_d = params.var_diag
-    mu_o = params.mean_off
-    v_p = params.var_off_plus
-    v_m = params.var_off_minus
-    f = lambda n: _falling(d, n)
-
-    if tag == "Md1":
-        return d * mu_d
-    if tag == "Mo1":
-        return f(2) * mu_o
-    if tag == "Md2":
-        return d * (mu_d ** 2 + v_d)
-    if tag == "Mo21":
-        return f(2) * (mu_o ** 2 + v_p)
-    if tag == "Mo22":
-        return f(2) * (mu_o ** 2 + v_m)
-    if tag == "Qdd":
-        return f(2) * mu_d ** 2
-    if tag in ("Qdio", "Qoid"):
-        return f(2) * mu_d * mu_o
-    if tag in ("Qchain", "Qout", "Qin"):
-        return f(3) * mu_o ** 2
-    if tag == "Qodiag":
-        return f(3) * mu_d * mu_o
-    if tag == "Qdisc":
-        return f(4) * mu_o ** 2
-    if tag == "Md3":
-        return d * (mu_d ** 3 + 3.0 * v_d * mu_d)
-    if tag == "Mo31":
-        return f(2) * (mu_o ** 3 + 3.0 * v_p * mu_o)
-    if tag == "Mo32":
-        return f(3) * mu_o ** 3
-    if tag == "Md4":
-        return d * (mu_d ** 4 + 6.0 * v_d * mu_d ** 2 + 3.0 * v_d ** 2)
-    if tag == "Mo41":
-        return f(2) * (mu_o ** 4 + 6.0 * v_p * mu_o ** 2 + 3.0 * v_p ** 2)
-    if tag == "Mo42":
-        return f(4) * mu_o ** 4
-    raise AssertionError(f"unhandled tag {tag}")
+    g = CATALOG_GRAPHS[tag]
+    count = Counter(g.edges)
+    moment = 1.0
+    for u in range(g.vertex_count):
+        moment *= _normal_moment(count[u, u], 0, params.mean_diag, params.var_diag, 0.0)
+        for w in range(u + 1, g.vertex_count):
+            moment *= _normal_moment(count[u, w], count[w, u], params.mean_off,
+                                     params.var_off_plus, params.var_off_minus)
+    return math.perm(params.dim, g.vertex_count) * moment
 
 
 def predict_all(params: GaussParams, tags=CATALOG) -> dict[str, float]:

@@ -3,8 +3,10 @@
 The fixed catalog holds the 19 invariants used by the model: two linear,
 eleven quadratic, three cubic, three quartic.  Every multi-index sum is
 restricted to pairwise-distinct indices; a dimension too small to supply
-the indices makes the sum empty, never an error.  A generic evaluator over
-directed multigraphs provides brute-force semantics for small dimensions.
+the indices makes the sum empty, never an error.  Each invariant is a
+directed multigraph, and ``CATALOG_GRAPHS`` is the one table of them: the
+tags, their order, degrees and index counts, the brute-force graph
+evaluator used as an oracle, and the model's Wick moments all read it.
 """
 
 from __future__ import annotations
@@ -17,70 +19,6 @@ import numpy as np
 
 from . import _kernels
 from .matrix_core import Ensemble, WordMatrix
-
-#: Catalog tags, in fixed order.  Md*/Mo* are the diagonal/off-diagonal
-#: power sums; Q* are the remaining quadratic invariants (mixed products,
-#: chains, stars, and the fully disconnected pair).
-CATALOG = _kernels.CATALOG_ORDER
-
-#: The eleven degree-2 invariants, in the canonical quadratic order.
-QUADRATIC_TAGS = (
-    "Md2", "Mo21", "Mo22", "Qdd", "Qdio", "Qoid",
-    "Qchain", "Qout", "Qin", "Qodiag", "Qdisc",
-)
-
-#: Polynomial degree per tag.
-DEGREE = {
-    "Md1": 1, "Mo1": 1,
-    "Md2": 2, "Mo21": 2, "Mo22": 2, "Qdd": 2, "Qdio": 2, "Qoid": 2,
-    "Qchain": 2, "Qout": 2, "Qin": 2, "Qodiag": 2, "Qdisc": 2,
-    "Md3": 3, "Mo31": 3, "Mo32": 3,
-    "Md4": 4, "Mo41": 4, "Mo42": 4,
-}
-
-#: Number of distinct summation indices per tag (sums vanish below this).
-INDEX_COUNT = {
-    "Md1": 1, "Mo1": 2, "Md2": 1, "Mo21": 2, "Mo22": 2,
-    "Qdd": 2, "Qdio": 2, "Qoid": 2,
-    "Qchain": 3, "Qout": 3, "Qin": 3, "Qodiag": 3, "Qdisc": 4,
-    "Md3": 1, "Mo31": 2, "Mo32": 3, "Md4": 1, "Mo41": 2, "Mo42": 4,
-}
-
-_IDX = _kernels.CATALOG_INDEX
-
-
-def _values_of(m) -> np.ndarray:
-    if isinstance(m, WordMatrix):
-        return m.values
-    return np.ascontiguousarray(m, dtype=np.float64)
-
-
-def validate_tag(tag: str) -> str:
-    if tag not in _IDX:
-        raise KeyError(f"unknown invariant tag {tag!r}; catalog: {', '.join(CATALOG)}")
-    return tag
-
-
-def eval_invariant(tag: str, m) -> float:
-    """Value of one catalog invariant on a matrix.
-
-    Cost is O(D^2) except for Mo32 and Mo42, which take one dense matrix
-    product.
-    """
-    validate_tag(tag)
-    v = _values_of(m)
-    with_cycles = tag in _kernels.CYCLE_TAGS
-    return float(_kernels.catalog_values(v, with_cycles)[_IDX[tag]])
-
-
-def eval_all(m, tags=CATALOG) -> dict[str, float]:
-    """All requested catalog invariants of one matrix in a single pass."""
-    for t in tags:
-        validate_tag(t)
-    v = _values_of(m)
-    with_cycles = any(t in _kernels.CYCLE_TAGS for t in tags)
-    vec = _kernels.catalog_values(v, with_cycles)
-    return {t: float(vec[_IDX[t]]) for t in tags}
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +52,76 @@ class GraphInvariant:
     @property
     def degree(self) -> int:
         return len(self.edges)
+
+
+#: The catalog, in its fixed order: each invariant is the sum over
+#: distinct indices written beside its multigraph.  Md*/Mo* are the
+#: diagonal/off-diagonal power sums; Q* are the remaining quadratic
+#: invariants (mixed products, chains, stars, and the fully disconnected
+#: pair).  The order is the layout of ``_kernels.catalog_values``.
+CATALOG_GRAPHS = {
+    "Md1": GraphInvariant(1, ((0, 0),)),                          # M_ii
+    "Mo1": GraphInvariant(2, ((0, 1),)),                          # M_ij
+    "Md2": GraphInvariant(1, ((0, 0), (0, 0))),                   # M_ii^2
+    "Mo21": GraphInvariant(2, ((0, 1), (0, 1))),                  # M_ij^2
+    "Mo22": GraphInvariant(2, ((0, 1), (1, 0))),                  # M_ij M_ji
+    "Qdd": GraphInvariant(2, ((0, 0), (1, 1))),                   # M_ii M_jj
+    "Qdio": GraphInvariant(2, ((0, 0), (0, 1))),                  # M_ii M_ij
+    "Qoid": GraphInvariant(2, ((0, 1), (1, 1))),                  # M_ij M_jj
+    "Qchain": GraphInvariant(3, ((0, 1), (1, 2))),                # M_ij M_jk
+    "Qout": GraphInvariant(3, ((0, 1), (0, 2))),                  # M_ij M_ik
+    "Qin": GraphInvariant(3, ((0, 1), (2, 1))),                   # M_ij M_kj
+    "Qodiag": GraphInvariant(3, ((0, 1), (2, 2))),                # M_ij M_kk
+    "Qdisc": GraphInvariant(4, ((0, 1), (2, 3))),                 # M_ij M_kl
+    "Md3": GraphInvariant(1, ((0, 0),) * 3),                      # M_ii^3
+    "Mo31": GraphInvariant(2, ((0, 1),) * 3),                     # M_ij^3
+    "Mo32": GraphInvariant(3, ((0, 1), (1, 2), (2, 0))),          # M_ij M_jk M_ki
+    "Md4": GraphInvariant(1, ((0, 0),) * 4),                      # M_ii^4
+    "Mo41": GraphInvariant(2, ((0, 1),) * 4),                     # M_ij^4
+    "Mo42": GraphInvariant(4, ((0, 1), (1, 2), (2, 3), (3, 0))),  # M_ij M_jk M_kl M_li
+}
+
+CATALOG = tuple(CATALOG_GRAPHS)
+
+#: Position of each tag in ``_kernels.catalog_values`` output.
+CATALOG_INDEX = {tag: i for i, tag in enumerate(CATALOG)}
+
+#: The eleven degree-2 invariants, in catalog order.
+QUADRATIC_TAGS = tuple(t for t, g in CATALOG_GRAPHS.items() if g.degree == 2)
+
+
+def _values_of(m) -> np.ndarray:
+    if isinstance(m, WordMatrix):
+        return m.values
+    return np.ascontiguousarray(m, dtype=np.float64)
+
+
+def validate_tag(tag: str) -> str:
+    if tag not in CATALOG_INDEX:
+        raise KeyError(f"unknown invariant tag {tag!r}; catalog: {', '.join(CATALOG)}")
+    return tag
+
+
+def eval_invariant(tag: str, m) -> float:
+    """Value of one catalog invariant on a matrix.
+
+    Cost is O(D^2) except for Mo32 and Mo42, which take one dense matrix
+    product.
+    """
+    validate_tag(tag)
+    v = _values_of(m)
+    with_cycles = tag in _kernels.CYCLE_TAGS
+    return float(_kernels.catalog_values(v, with_cycles)[CATALOG_INDEX[tag]])
+
+
+def eval_all(m, tags=CATALOG) -> dict[str, float]:
+    """All requested catalog invariants of one matrix in a single pass."""
+    for t in tags:
+        validate_tag(t)
+    v = _values_of(m)
+    with_cycles = any(t in _kernels.CYCLE_TAGS for t in tags)
+    vec = _kernels.catalog_values(v, with_cycles)
+    return {t: float(vec[CATALOG_INDEX[t]]) for t in tags}
 
 
 def eval_graph_invariant(g: GraphInvariant, m) -> float:
@@ -182,7 +190,7 @@ def ensemble_averages(ensemble: Ensemble, tags=CATALOG, threads: int | None = No
         rows = [one(member) for member in ensemble.members]
     table = np.vstack(rows)
     means = table.sum(axis=0) / len(ensemble)
-    values = {t: float(means[_IDX[t]]) for t in tags}
+    values = {t: float(means[CATALOG_INDEX[t]]) for t in tags}
     return EnsembleAverages(dim=ensemble.dim, count=len(ensemble), values=values)
 
 

@@ -8,6 +8,7 @@ threads.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,6 +247,9 @@ def slug(label: str) -> str:
 
 MANIFEST_NAME = "manifest.txt"
 
+#: Member file names written by `write_ensemble`: index, then label slug.
+_MEMBER_FILE = re.compile(r"\d{6,}_.*\.txt")
+
 
 def read_manifest(dirpath) -> list[str]:
     path = os.path.join(dirpath, MANIFEST_NAME)
@@ -263,7 +267,9 @@ def write_ensemble(ensemble, dirpath) -> list[str]:
     """Write one matrix file per member plus an ordered manifest.
 
     Accepts an Ensemble or any iterable of WordMatrix (streamed; the whole
-    collection is never required in memory).  Returns the filenames.
+    collection is never required in memory).  Member files left in the
+    directory by an earlier ensemble and not in the new manifest are
+    removed.  Returns the filenames.
     """
     os.makedirs(dirpath, exist_ok=True)
     names = []
@@ -273,6 +279,8 @@ def write_ensemble(ensemble, dirpath) -> list[str]:
         names.append(name)
     if not names:
         raise ValueError("refusing to write an empty ensemble")
+    for name in set(filter(_MEMBER_FILE.fullmatch, os.listdir(dirpath))) - set(names):
+        os.remove(os.path.join(dirpath, name))
     with open(os.path.join(dirpath, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         for name in names:
             fh.write(name + "\n")

@@ -14,6 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -319,6 +321,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
     marker = os.path.join(out, "FAILED")
     if os.path.exists(marker):
         os.remove(marker)
+    dim_dirs = {f"D{dim:03d}" for dim in config.basis_sizes}
+    for name in os.listdir(out):
+        path = os.path.join(out, name)
+        if re.fullmatch(r"D\d{3,}", name) and name not in dim_dirs and os.path.isdir(path):
+            shutil.rmtree(path)
     prov = config.provenance()
 
     stage = STAGES[0]

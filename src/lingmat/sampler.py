@@ -1,5 +1,5 @@
 """Seeded sampling from the 5-parameter Gaussian measure, plus the
-statistical harness that checks every closed-form moment against sample
+statistical harness that checks every model moment against sample
 means.
 
 Reproducibility contract: matrix k of a run is drawn from a dedicated
@@ -19,10 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .gauss import GaussParams, predict_moment
-from .invariants import CATALOG, validate_tag
+from .invariants import CATALOG, CATALOG_INDEX, validate_tag
 from .matrix_core import Ensemble, WordMatrix
-
-_IDX = _kernels.CATALOG_INDEX
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ class McRecord:
 
 
 def monte_carlo_check(spec: SampleSpec, tags=CATALOG) -> dict[str, McRecord]:
-    """Sample means vs closed-form predictions, one z-score per invariant.
+    """Sample means vs model predictions, one z-score per invariant.
 
     Sampling is fused with invariant evaluation, so only the per-matrix
     invariant values (not the matrices) are retained.  The standard error
@@ -102,13 +100,13 @@ def monte_carlo_check(spec: SampleSpec, tags=CATALOG) -> dict[str, McRecord]:
     for t in tags:
         validate_tag(t)
     with_cycles = any(t in _kernels.CYCLE_TAGS for t in tags)
-    per_matrix = np.empty((spec.count, 19))
+    per_matrix = np.empty((spec.count, len(CATALOG)))
     for k, values in enumerate(iter_matrices(spec)):
         per_matrix[k] = _kernels.catalog_values(values, with_cycles)
 
     out = {}
     for tag in tags:
-        col = per_matrix[:, _IDX[tag]]
+        col = per_matrix[:, CATALOG_INDEX[tag]]
         mean = float(col.sum() / spec.count)
         if spec.count > 1:
             stderr = float(np.std(col, ddof=1) / np.sqrt(spec.count))

@@ -55,6 +55,56 @@ def loop_invariant(tag, m):
     raise KeyError(tag)
 
 
+def closed_form_moment(params, tag):
+    """The published closed-form model moments, one branch per tag."""
+    d = params.dim
+    mu_d = params.mean_diag
+    v_d = params.var_diag
+    mu_o = params.mean_off
+    v_p = params.var_off_plus
+    v_m = params.var_off_minus
+
+    def f(n):
+        out = 1.0
+        for k in range(n):
+            out *= d - k
+        return out
+
+    if tag == "Md1":
+        return d * mu_d
+    if tag == "Mo1":
+        return f(2) * mu_o
+    if tag == "Md2":
+        return d * (mu_d ** 2 + v_d)
+    if tag == "Mo21":
+        return f(2) * (mu_o ** 2 + v_p)
+    if tag == "Mo22":
+        return f(2) * (mu_o ** 2 + v_m)
+    if tag == "Qdd":
+        return f(2) * mu_d ** 2
+    if tag in ("Qdio", "Qoid"):
+        return f(2) * mu_d * mu_o
+    if tag in ("Qchain", "Qout", "Qin"):
+        return f(3) * mu_o ** 2
+    if tag == "Qodiag":
+        return f(3) * mu_d * mu_o
+    if tag == "Qdisc":
+        return f(4) * mu_o ** 2
+    if tag == "Md3":
+        return d * (mu_d ** 3 + 3.0 * v_d * mu_d)
+    if tag == "Mo31":
+        return f(2) * (mu_o ** 3 + 3.0 * v_p * mu_o)
+    if tag == "Mo32":
+        return f(3) * mu_o ** 3
+    if tag == "Md4":
+        return d * (mu_d ** 4 + 6.0 * v_d * mu_d ** 2 + 3.0 * v_d ** 2)
+    if tag == "Mo41":
+        return f(2) * (mu_o ** 4 + 6.0 * v_p * mu_o ** 2 + 3.0 * v_p ** 2)
+    if tag == "Mo42":
+        return f(4) * mu_o ** 4
+    raise KeyError(tag)
+
+
 def close(a, b, rel):
     """|a - b| within rel of max(1, |a|, |b|); guards near-zero values."""
     return abs(a - b) <= rel * max(1.0, abs(a), abs(b))

@@ -244,6 +244,24 @@ class TestPipelineCli:
         assert (out_dir / "D020" / "params.json").exists()
         assert not (out_dir / "FAILED").exists()
 
+    def test_rerun_with_fewer_dims_removes_stale_trees(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        pairs = tmp_path / "pairs.tsv"
+        run_cli(capsys, "gen-corpus", "--seed", "6", "--sentences", "600",
+                "--out-corpus", str(corpus), "--out-pairs", str(pairs))
+        cfg = {"corpus": str(corpus), "pairs": str(pairs), "basis_sizes": [20, 40],
+               "thresholds": {"min_target_freq": 10, "drop_top": 0,
+                              "min_pair_count": 1, "min_args": 5},
+               "out_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        for sizes in ([20, 40], [20]):
+            cfg["basis_sizes"] = sizes
+            cfg_path.write_text(json.dumps(cfg))
+            code, _, err = run_cli(capsys, "pipeline", "--config", str(cfg_path))
+            assert code == 0, err
+        out_dir = tmp_path / "out"
+        assert sorted(p.name for p in out_dir.iterdir() if p.name.startswith("D")) == ["D020"]
+
     def test_failure_leaves_marker(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         pairs = tmp_path / "pairs.tsv"

@@ -7,11 +7,16 @@ from lingmat.counting import (
     count_invariants_stable,
     enumerate_quadratic_graphs,
     partitions,
-    quadratic_graph_catalog,
 )
-from lingmat.invariants import QUADRATIC_TAGS, eval_graph_invariant, eval_invariant
+from lingmat.invariants import (
+    CATALOG,
+    CATALOG_GRAPHS,
+    QUADRATIC_TAGS,
+    eval_graph_invariant,
+    eval_invariant,
+)
 
-from oracles import close, partition_count
+from oracles import close, loop_invariant, partition_count
 
 
 class TestPartitions:
@@ -106,14 +111,17 @@ class TestQuadraticGraphs:
         assert all(g.degree == 2 for g in enumerate_quadratic_graphs())
 
     def test_graphs_match_catalog_evaluator(self):
-        # includes D = 2, 3 where the larger graphs give empty sums
+        # every catalog graph against the literal restricted sum and the
+        # fast kernel; D = 1..3 include the empty sums of larger graphs
         rng = np.random.default_rng(30)
-        for d in (2, 3, 4, 5, 6):
+        for d in (1, 2, 3, 4, 5):
             m = rng.normal(size=(d, d))
-            for tag, g in quadratic_graph_catalog().items():
-                got = eval_graph_invariant(g, m)
-                want = eval_invariant(tag, m)
-                assert close(got, want, 1e-10), (tag, d)
+            for tag in CATALOG:
+                got = eval_graph_invariant(CATALOG_GRAPHS[tag], m)
+                assert close(got, loop_invariant(tag, m), 1e-12), (tag, d)
+                assert close(got, eval_invariant(tag, m), 1e-10), (tag, d)
 
     def test_catalog_alignment(self):
-        assert tuple(quadratic_graph_catalog()) == QUADRATIC_TAGS
+        assert QUADRATIC_TAGS == ("Md2", "Mo21", "Mo22", "Qdd", "Qdio", "Qoid",
+                                  "Qchain", "Qout", "Qin", "Qodiag", "Qdisc")
+        assert enumerate_quadratic_graphs() == [CATALOG_GRAPHS[t] for t in QUADRATIC_TAGS]

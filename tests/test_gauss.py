@@ -15,10 +15,10 @@ from lingmat.gauss import (
     predict_all,
     predict_moment,
 )
-from lingmat.invariants import CATALOG, EnsembleAverages, ensemble_averages
+from lingmat.invariants import CATALOG, CATALOG_GRAPHS, EnsembleAverages, ensemble_averages
 from lingmat.sampler import SampleSpec, sample
 
-from oracles import close
+from oracles import close, closed_form_moment
 
 
 def random_params(rng, dim=30):
@@ -91,16 +91,30 @@ class TestPredictMoment:
     def test_scaling_property(self):
         # M -> s*M corresponds to (lam,a,b) -> /s^2 and (j0,js) -> /s;
         # a degree-n moment then scales by s^n.
-        from lingmat.invariants import DEGREE
-
         rng = np.random.default_rng(40)
         p = random_params(rng, dim=9)
         s = 1.7
         q = GaussParams(dim=9, lam=p.lam / s ** 2, a=p.a / s ** 2,
                         b=p.b / s ** 2, j0=p.j0 / s, js=p.js / s)
         for tag in CATALOG:
-            want = predict_moment(p, tag) * s ** DEGREE[tag]
+            want = predict_moment(p, tag) * s ** CATALOG_GRAPHS[tag].degree
             assert close(predict_moment(q, tag), want, 1e-12), tag
+
+    def test_wick_evaluator_matches_closed_forms(self):
+        rng = np.random.default_rng(43)
+        for _ in range(1000):
+            p = GaussParams(dim=int(rng.integers(1, 61)),
+                            lam=float(rng.uniform(0.05, 20.0)),
+                            a=float(rng.uniform(0.05, 20.0)),
+                            b=float(rng.uniform(0.05, 20.0)),
+                            j0=float(rng.uniform(-5.0, 5.0)),
+                            js=float(rng.uniform(-5.0, 5.0)))
+            for tag in CATALOG:
+                got = predict_moment(p, tag)
+                want = closed_form_moment(p, tag)
+                assert abs(got - want) <= 1e-12 * abs(want), (tag, p)
+                if p.dim < CATALOG_GRAPHS[tag].vertex_count:
+                    assert got == 0.0, (tag, p)
 
     def test_symmetric_limit_mo22_connected_part_vanishes(self):
         p = GaussParams(dim=8, lam=1.0, a=2.0, b=2.0, j0=0.3, js=0.4)

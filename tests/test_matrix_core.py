@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,19 @@ class TestEnsembleIO:
         assert back.labels() == [m.label for m in members]
         for a, b in zip(back.members, members):
             np.testing.assert_array_equal(a.values, b.values)
+
+    def test_rewrite_removes_stale_members(self, tmp_path):
+        rng = np.random.default_rng(7)
+        old = Ensemble(tuple(WordMatrix(f"old{i}", rng.normal(size=(3, 3)))
+                             for i in range(5)))
+        new = Ensemble(tuple(WordMatrix(f"new{i}", rng.normal(size=(3, 3)))
+                             for i in range(2)))
+        write_ensemble(old, tmp_path / "ens")
+        (tmp_path / "ens" / "notes.txt").write_text("kept\n")
+        names = write_ensemble(new, tmp_path / "ens")
+        assert sorted(os.listdir(tmp_path / "ens")) == sorted(
+            names + ["manifest.txt", "notes.txt"])
+        assert read_ensemble(tmp_path / "ens").labels() == ["new0", "new1"]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ParseError, match="manifest"):
