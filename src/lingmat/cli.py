@@ -158,8 +158,7 @@ def cmd_observables(args):
     _require(args, "ensemble", "out")
     ensemble = read_ensemble(args.ensemble)
     prov = _provenance(args)
-    stage_observables(ensemble, args.out, threads=int(args.threads or 1),
-                      provenance=prov)
+    stage_observables(ensemble, args.out, provenance=prov)
     if args.hist:
         i, j, bins = (int(x) for x in args.hist)
         hist = element_histogram(ensemble, i, j, bins)
@@ -196,7 +195,7 @@ def cmd_report(args):
     _require(args, "params", "ensemble", "out")
     params = _read_params(args.params)
     ensemble = read_ensemble(args.ensemble)
-    report = moment_report(params, ensemble, threads=int(args.threads or 1))
+    report = moment_report(params, ensemble)
     write_json(report.to_json_dict(), args.out, _provenance(args))
     if args.text:
         print(report.to_text(), end="")
@@ -298,11 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="ridge_lambda", default=None,
                    metavar="LAMBDA", help="ridge coefficient")
     p = add("observables", cmd_observables,
-            ensemble={}, out={}, threads={}, hist_out={})
+            ensemble={}, out={}, hist_out={})
     p.add_argument("--hist", nargs=3, metavar=("I", "J", "BINS"), default=None)
     add("fit", cmd_fit, averages={}, out={})
     add("predict", cmd_predict, params={}, tags={}, out={})
-    p = add("report", cmd_report, params={}, ensemble={}, out={}, threads={})
+    p = add("report", cmd_report, params={}, ensemble={}, out={})
     p.add_argument("--text", action="store_true")
     add("sample", cmd_sample, params={}, count={}, seed={}, dim={}, out={})
     add("mc-check", cmd_mc_check,

@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from . import _kernels
-from .matrix_core import read_manifest, read_vector, slug, write_vector
+from .matrix_core import MANIFEST_NAME, read_manifest, read_vector, slug, write_vector
 
 
 class CorpusError(ValueError):
@@ -552,6 +552,11 @@ def select_dataset(corpus: TokenizedCorpus, pairs: dict[str, dict[str, int]],
 # ---------------------------------------------------------------------------
 
 def write_vectors_dir(vectors, dirpath) -> list[str]:
+    """Write one vector file per vector plus an ordered manifest.
+
+    ``.txt`` files left in the directory by an earlier write and not in
+    the new manifest are removed.  Returns the filenames.
+    """
     os.makedirs(dirpath, exist_ok=True)
     names = []
     seen = set()
@@ -565,7 +570,10 @@ def write_vectors_dir(vectors, dirpath) -> list[str]:
         seen.add(name)
         write_vector(v.word, v.values, os.path.join(dirpath, name))
         names.append(name)
-    with open(os.path.join(dirpath, "manifest.txt"), "w", encoding="utf-8") as fh:
+    listed = set(names) | {MANIFEST_NAME}
+    for name in {n for n in os.listdir(dirpath) if n.endswith(".txt")} - listed:
+        os.remove(os.path.join(dirpath, name))
+    with open(os.path.join(dirpath, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         for name in names:
             fh.write(name + "\n")
     return names

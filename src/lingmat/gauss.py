@@ -173,11 +173,13 @@ def predict_moment(params: GaussParams, tag: str) -> float:
     diagonal entries and the index pairs are independent: a vertex with k
     loops gives the k-th moment of M_ii, and a vertex pair {u, w} with p
     edges u->w and q edges w->u gives E[M_uw^p M_wu^q].  Dimensions too
-    small for the graph give 0 through the vanishing falling factorial,
-    matching the empty restricted sum.
+    small for the graph give +0.0, the empty restricted sum (a zero
+    falling factorial times a negative moment would give -0.0).
     """
     validate_tag(tag)
     g = CATALOG_GRAPHS[tag]
+    if params.dim < g.vertex_count:
+        return 0.0
     count = Counter(g.edges)
     moment = 1.0
     for u in range(g.vertex_count):
@@ -291,15 +293,14 @@ class MomentReport:
         return "\n".join(lines) + "\n"
 
 
-def moment_report(params: GaussParams, ensemble: Ensemble,
-                  threads: int | None = None) -> MomentReport:
+def moment_report(params: GaussParams, ensemble: Ensemble) -> MomentReport:
     """Compare the model against an ensemble on the fit + higher invariants."""
     if params.dim != ensemble.dim:
         raise ValueError(
             f"params dimension {params.dim} does not match ensemble dimension {ensemble.dim}"
         )
     tags = FIT_TAGS + HIGHER_TAGS
-    avgs = ensemble_averages(ensemble, tags, threads=threads)
+    avgs = ensemble_averages(ensemble, tags)
     rows = []
     for tag in tags:
         theory = predict_moment(params, tag)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -169,26 +168,23 @@ class EnsembleAverages:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def ensemble_averages(ensemble: Ensemble, tags=CATALOG, threads: int | None = None) -> EnsembleAverages:
+def ensemble_averages(ensemble: Ensemble, tags=CATALOG) -> EnsembleAverages:
     """Mean of each invariant over the members, in member (manifest) order.
 
-    Member evaluations may run concurrently, but the reduction is a fixed
-    ordered summation so output is bit-reproducible for any thread count.
+    Members are evaluated in stacked blocks of ``_kernels.block_size(D)``,
+    which gives each member the bits of evaluating it alone, and the
+    reduction is a fixed ordered summation.
     """
     tags = tuple(tags)
     for t in tags:
         validate_tag(t)
     with_cycles = any(t in _kernels.CYCLE_TAGS for t in tags)
-
-    def one(member):
-        return _kernels.catalog_values(member.values, with_cycles)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, ensemble.members))
-    else:
-        rows = [one(member) for member in ensemble.members]
-    table = np.vstack(rows)
+    members = ensemble.members
+    size = _kernels.block_size(ensemble.dim)
+    table = np.vstack([
+        _kernels.catalog_values(np.stack([m.values for m in members[i:i + size]]),
+                                with_cycles)
+        for i in range(0, len(members), size)])
     means = table.sum(axis=0) / len(ensemble)
     values = {t: float(means[CATALOG_INDEX[t]]) for t in tags}
     return EnsembleAverages(dim=ensemble.dim, count=len(ensemble), values=values)

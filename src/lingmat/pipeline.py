@@ -263,9 +263,9 @@ def stage_learn_matrices(selection: DatasetSelection, noun_vectors, compound_vec
     return ensemble
 
 
-def stage_observables(ensemble: Ensemble, out_path, threads: int = 1,
+def stage_observables(ensemble: Ensemble, out_path,
                       provenance=None) -> EnsembleAverages:
-    avgs = ensemble_averages(ensemble, CATALOG, threads=threads)
+    avgs = ensemble_averages(ensemble, CATALOG)
     write_json(avgs.to_json_dict(), out_path, provenance)
     return avgs
 
@@ -277,8 +277,8 @@ def stage_fit(avgs: EnsembleAverages, out_path, provenance=None) -> GaussParams:
 
 
 def stage_report(params: GaussParams, ensemble: Ensemble, out_path,
-                 threads: int = 1, provenance=None):
-    report = moment_report(params, ensemble, threads=threads)
+                 provenance=None):
+    report = moment_report(params, ensemble)
     write_json(report.to_json_dict(), out_path, provenance)
     with open(os.path.splitext(out_path)[0] + ".txt", "w", encoding="utf-8") as fh:
         if provenance is not None:
@@ -357,7 +357,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
             stage = "observables"
             avgs = stage_observables(ensemble, os.path.join(ddir, "averages.json"),
-                                     threads=config.threads, provenance=prov)
+                                     provenance=prov)
 
             stage = "fit"
             params = stage_fit(avgs, os.path.join(ddir, "params.json"),
@@ -367,7 +367,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             stage = "report"
             report = stage_report(params, ensemble,
                                   os.path.join(ddir, "report.json"),
-                                  threads=config.threads, provenance=prov)
+                                  provenance=prov)
             reports[tag] = report.to_json_dict()
 
         stage = "report"

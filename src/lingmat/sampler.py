@@ -3,17 +3,26 @@ statistical harness that checks every model moment against sample
 means.
 
 Reproducibility contract: matrix k of a run is drawn from a dedicated
-Philox stream keyed by (seed, k), with the draw order frozen as diagonal
-entries, then upper-triangle symmetric parts, then antisymmetric parts
-(normal variates via numpy's Generator, i.e. the ziggurat method).  The
-same SampleSpec therefore yields the identical ensemble on every run and
-for any parallel schedule; the exact bit stream is pinned by the numpy
-version.
+Philox stream keyed by (seed, k).  Each matrix takes D^2 standard normals
+from its stream in one call (numpy's Generator, i.e. the ziggurat
+method), in the frozen order diagonal entries, then upper-triangle
+symmetric parts, then antisymmetric parts, and scales each as
+``loc + scale * z``: bit for bit what drawing the three parts with
+``Generator.normal`` gives.  The same SampleSpec therefore yields the
+identical ensemble on every run and for any blocking; the exact bit
+stream is pinned by the numpy version.
+
+Draws are made and evaluated in blocks of ``_kernels.block_size(D)``
+matrices (9 at D = 30): the block's normals fill one ``(B, D^2)`` array,
+one gather through a per-D index table turns it into a ``(B, D, D)``
+stack, and the Monte Carlo check evaluates the catalog on the stack in
+one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,25 +52,66 @@ def _matrix_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | index))
 
 
+@lru_cache(maxsize=8)
+def _gather_index(dim: int) -> np.ndarray:
+    """Flat position i*D + j of a matrix -> column of its assembled draw
+    row [diagonal, sym + anti, sym - anti] (upper-triangle pairs in
+    ``triu_indices`` order)."""
+    iu, ju = np.triu_indices(dim, k=1)
+    pairs = np.arange(iu.size)
+    index = np.empty(dim * dim, dtype=np.intp)
+    index[np.arange(dim) * (dim + 1)] = np.arange(dim)
+    index[iu * dim + ju] = dim + pairs
+    index[ju * dim + iu] = dim + iu.size + pairs
+    index.setflags(write=False)
+    return index
+
+
+def _assemble(params: GaussParams, z: np.ndarray) -> np.ndarray:
+    """Matrices from rows of D^2 standard normals in the frozen draw order.
+
+    Each entry is ``loc + scale * z``, the arithmetic of
+    ``Generator.normal(loc, scale)``, so the bits equal those of drawing
+    the three parts with three ``normal`` calls.  ``z`` is overwritten.
+    """
+    d = params.dim
+    n = d * (d - 1) // 2
+    z *= np.repeat([np.sqrt(params.var_diag), np.sqrt(1.0 / params.a),
+                    np.sqrt(1.0 / params.b)], [d, n, n])
+    z += np.repeat([params.mean_diag, params.mean_off, 0.0], [d, n, n])
+    sym, anti = z[:, d:d + n], z[:, d + n:]
+    upper = sym + anti
+    np.subtract(sym, anti, out=anti)
+    sym[...] = upper
+    return z[:, _gather_index(d)].reshape(-1, d, d)
+
+
 def sample_matrix(params: GaussParams, rng: np.random.Generator) -> np.ndarray:
     """One matrix draw from the factorized measure."""
-    d = params.dim
-    m = np.empty((d, d))
-    diag = rng.normal(params.mean_diag, np.sqrt(params.var_diag), size=d)
-    np.fill_diagonal(m, diag)
-    if d > 1:
-        iu, ju = np.triu_indices(d, k=1)
-        sym = rng.normal(params.mean_off, np.sqrt(1.0 / params.a), size=iu.size)
-        anti = rng.normal(0.0, np.sqrt(1.0 / params.b), size=iu.size)
-        m[iu, ju] = sym + anti
-        m[ju, iu] = sym - anti
-    return m
+    return _assemble(params, rng.standard_normal((1, params.dim ** 2)))[0]
+
+
+def sample_matrices(params: GaussParams, seed: int, start: int, count: int) -> np.ndarray:
+    """Matrices ``start .. start + count - 1`` of the run keyed by ``seed``,
+    as a ``(count, D, D)`` array."""
+    z = np.empty((count, params.dim ** 2))
+    for k in range(count):
+        _matrix_rng(seed, start + k).standard_normal(out=z[k])
+    return _assemble(params, z)
+
+
+def _blocks(spec: SampleSpec):
+    """(start, matrices) for consecutive blocks of ``block_size(D)`` draws."""
+    size = _kernels.block_size(spec.params.dim)
+    for start in range(0, spec.count, size):
+        yield start, sample_matrices(spec.params, spec.seed, start,
+                                     min(size, spec.count - start))
 
 
 def iter_matrices(spec: SampleSpec):
-    """Stream the draws one matrix at a time (nothing retained)."""
-    for k in range(spec.count):
-        yield sample_matrix(spec.params, _matrix_rng(spec.seed, k))
+    """Stream the draws in order; one block of matrices is held at a time."""
+    for _, block in _blocks(spec):
+        yield from block
 
 
 def sample(spec: SampleSpec) -> Ensemble:
@@ -91,18 +141,18 @@ class McRecord:
 def monte_carlo_check(spec: SampleSpec, tags=CATALOG) -> dict[str, McRecord]:
     """Sample means vs model predictions, one z-score per invariant.
 
-    Sampling is fused with invariant evaluation, so only the per-matrix
-    invariant values (not the matrices) are retained.  The standard error
-    is the sample standard deviation of the per-matrix values over
-    sqrt(N).
+    Sampling is fused with invariant evaluation, block by block, so only
+    the per-matrix invariant values (not the matrices) are retained.  The
+    standard error is the sample standard deviation of the per-matrix
+    values over sqrt(N).
     """
     tags = tuple(tags)
     for t in tags:
         validate_tag(t)
     with_cycles = any(t in _kernels.CYCLE_TAGS for t in tags)
     per_matrix = np.empty((spec.count, len(CATALOG)))
-    for k, values in enumerate(iter_matrices(spec)):
-        per_matrix[k] = _kernels.catalog_values(values, with_cycles)
+    for start, block in _blocks(spec):
+        per_matrix[start:start + len(block)] = _kernels.catalog_values(block, with_cycles)
 
     out = {}
     for tag in tags:

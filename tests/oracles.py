@@ -7,6 +7,8 @@ recurrence) and never calls the fast implementations it checks.
 
 import itertools
 
+import numpy as np
+
 
 def loop_invariant(tag, m):
     """Catalog invariants as literal restricted sums over distinct tuples."""
@@ -53,6 +55,22 @@ def loop_invariant(tag, m):
         return sum(m[i][j] * m[j][k] * m[k][l] * m[l][i]
                    for i, j, k, l in perms(range(d), 4))
     raise KeyError(tag)
+
+
+def sample_matrix_reference(params, rng):
+    """One matrix draw as three ``normal`` calls: the diagonal, then the
+    upper-triangle symmetric parts, then the antisymmetric parts."""
+    d = params.dim
+    m = np.empty((d, d))
+    diag = rng.normal(params.mean_diag, np.sqrt(params.var_diag), size=d)
+    np.fill_diagonal(m, diag)
+    if d > 1:
+        iu, ju = np.triu_indices(d, k=1)
+        sym = rng.normal(params.mean_off, np.sqrt(1.0 / params.a), size=iu.size)
+        anti = rng.normal(0.0, np.sqrt(1.0 / params.b), size=iu.size)
+        m[iu, ju] = sym + anti
+        m[ju, iu] = sym - anti
+    return m
 
 
 def closed_form_moment(params, tag):
@@ -214,8 +232,6 @@ def spans_by_noun(sentences, target, nouns, reach):
 def compound_values(sentences, spans, contexts, window):
     """PPMI over `contexts` of a compound from its spans, scanning every
     position within `window` of each span and outside it."""
-    import numpy as np
-
     counts = vocab(sentences)
     n_total = sum(counts.values())
     joint = [0] * len(contexts)
@@ -254,8 +270,6 @@ def partition_count(n):
 
 def central_difference_gradient(f, x, step):
     """Componentwise central finite differences of a scalar function."""
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)

@@ -353,6 +353,14 @@ class TestVectorsDir:
         assert set(back) == {"red car", "car"}
         np.testing.assert_array_equal(back["red car"].values, [0.0, 1.5])
 
+    def test_rewrite_removes_stale_vector_files(self, tmp_path):
+        a = DistVector("a", np.array([1.0, 2.0]))
+        b = DistVector("b", np.array([3.0, 4.0]))
+        write_vectors_dir([a, b], tmp_path / "v")
+        write_vectors_dir([a], tmp_path / "v")
+        assert sorted(p.name for p in (tmp_path / "v").iterdir()) == ["a.txt", "manifest.txt"]
+        assert set(read_vectors_dir(tmp_path / "v")) == {"a"}
+
 
 class TestSyntheticGenerator:
     def test_deterministic(self):

@@ -116,6 +116,14 @@ class TestPredictMoment:
                 if p.dim < CATALOG_GRAPHS[tag].vertex_count:
                     assert got == 0.0, (tag, p)
 
+    def test_too_small_dimension_gives_positive_zero(self):
+        # a negative one-assignment moment times the zero falling factorial
+        p = GaussParams(dim=2, lam=1.0, a=1.0, b=1.0, j0=1.0, js=-1.0)
+        for tag in CATALOG:
+            if p.dim < CATALOG_GRAPHS[tag].vertex_count:
+                got = predict_moment(p, tag)
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0, tag
+
     def test_symmetric_limit_mo22_connected_part_vanishes(self):
         p = GaussParams(dim=8, lam=1.0, a=2.0, b=2.0, j0=0.3, js=0.4)
         mean_part = p.dim * (p.dim - 1) * p.mean_off ** 2

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from lingmat import _kernels
 from lingmat.invariants import (
     CATALOG,
     CATALOG_GRAPHS,
+    CATALOG_INDEX,
     QUADRATIC_TAGS,
     EnsembleAverages,
     GraphInvariant,
@@ -70,6 +72,38 @@ class TestEvalInvariant:
     def test_unknown_tag(self):
         with pytest.raises(KeyError, match="unknown invariant"):
             eval_invariant("nope", np.zeros((2, 2)))
+
+
+class TestStackedCatalog:
+    """An (N, D, D) stack gets the bits of evaluating each matrix alone."""
+
+    @staticmethod
+    def per_matrix(stack, with_cycles):
+        return np.stack([_kernels.catalog_values(np.array(m, order="C"), with_cycles)
+                         for m in stack])
+
+    @pytest.mark.parametrize("dim", (1, 2, 3, 7, 30, 100))
+    def test_stack_matches_per_matrix(self, dim):
+        rng = np.random.default_rng(dim)
+        wide = rng.normal(0.4, 2.0, size=(5, dim + 3, dim + 2))
+        stacks = {
+            "C": np.ascontiguousarray(wide[:, :dim, :dim]),
+            "Fortran": np.asfortranarray(wide[:, :dim, :dim]),
+            "sliced": wide[:, 1:dim + 1, 2:dim + 2],
+            "single": wide[2:3, :dim, :dim],
+        }
+        for layout, stack in stacks.items():
+            for with_cycles in (True, False):
+                got = _kernels.catalog_values(stack, with_cycles)
+                want = self.per_matrix(stack, with_cycles)
+                assert got.shape == (len(stack), len(CATALOG)), layout
+                assert got.tobytes() == want.tobytes(), (layout, with_cycles)
+
+    def test_matrix_input_gives_vector(self):
+        m = np.random.default_rng(3).normal(size=(4, 4))
+        vec = _kernels.catalog_values(m)
+        assert vec.shape == (len(CATALOG),)
+        assert vec.tobytes() == _kernels.catalog_values(m[None])[0].tobytes()
 
 
 class TestPermutationInvariance:
@@ -137,13 +171,16 @@ class TestEnsembleAverages:
             want = sum(loop_invariant(tag, m) for m in mats) / 3.0
             assert close(avgs.values[tag], want, 1e-11), tag
 
-    def test_threaded_reduction_matches_serial(self):
+    def test_blocked_evaluation_matches_per_member_kernel(self):
+        # 17 members at D = 30 are two blocks of 9 and 8
         rng = np.random.default_rng(22)
-        ens = Ensemble(tuple(WordMatrix(f"w{i}", rng.normal(size=(6, 6)))
+        ens = Ensemble(tuple(WordMatrix(f"w{i}", rng.normal(size=(30, 30)))
                              for i in range(17)))
-        serial = ensemble_averages(ens)
-        threaded = ensemble_averages(ens, threads=4)
-        assert serial.values == threaded.values
+        assert _kernels.block_size(ens.dim) == 9
+        table = np.stack([_kernels.catalog_values(m.values) for m in ens.members])
+        means = table.sum(axis=0) / len(ens)
+        avgs = ensemble_averages(ens)
+        assert avgs.values == {t: float(means[CATALOG_INDEX[t]]) for t in CATALOG}
 
     def test_json_roundtrip(self):
         avgs = EnsembleAverages(dim=4, count=2, values={"Md1": 1.5, "Mo1": -0.25})

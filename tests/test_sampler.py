@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from lingmat import _kernels
 from lingmat.gauss import GaussParams, predict_moment
-from lingmat.invariants import CATALOG, eval_all
+from lingmat.invariants import CATALOG, CATALOG_INDEX, eval_all
 from lingmat.matrix_core import PermutationMap, apply_permutation
 from lingmat.sampler import (
     SampleSpec,
@@ -10,11 +11,29 @@ from lingmat.sampler import (
     mc_records_csv,
     monte_carlo_check,
     sample,
+    sample_matrices,
+    sample_matrix,
 )
 
-from oracles import close
+from oracles import close, sample_matrix_reference
 
 PARAMS = GaussParams(dim=10, lam=1.6, a=0.8, b=2.4, j0=0.7, js=-0.4)
+C04 = dict(lam=1.3, a=0.9, b=1.8, j0=0.6, js=-0.35)
+
+
+def philox(seed, k):
+    """Matrix k's stream of a run keyed by seed."""
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | k))
+
+
+def reference_draws(params, seed, start, count):
+    return np.stack([sample_matrix_reference(params, philox(seed, k))
+                     for k in range(start, start + count)])
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestSampleDeterminism:
@@ -42,6 +61,44 @@ class TestSampleDeterminism:
             SampleSpec(params=PARAMS, count=1, seed=-1)
         with pytest.raises(ValueError, match="count"):
             SampleSpec(params=PARAMS, count=0, seed=0)
+
+
+class TestBlockedSampling:
+    """Blocked draws give the bits of the three-``normal`` reference."""
+
+    DIMS = (1, 2, 3, 10, 30, 61)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_sample_matrices_match_reference(self, dim):
+        params = GaussParams(dim=dim, **C04)
+        b = _kernels.block_size(dim)
+        for start, count in ((0, 1), (3, b), (b + 1, b + 1), (2 * b - 1, 2)):
+            assert_bits_equal(sample_matrices(params, 99, start, count),
+                              reference_draws(params, 99, start, count))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_iter_matrices_match_reference(self, dim):
+        params = GaussParams(dim=dim, **C04)
+        b = _kernels.block_size(dim)
+        for count in (1, b, b + 1):
+            spec = SampleSpec(params=params, count=count, seed=2 ** 64 - 1)
+            assert_bits_equal(np.stack(list(iter_matrices(spec))),
+                              reference_draws(params, spec.seed, 0, count))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_sample_matrix_matches_reference(self, dim):
+        params = GaussParams(dim=dim, **C04)
+        for k in range(3):
+            assert_bits_equal(sample_matrix(params, philox(5, k)),
+                              sample_matrix_reference(params, philox(5, k)))
+
+    def test_block_size_budget(self):
+        assert _kernels.block_size(30) == 9
+        assert _kernels.block_size(100) == 1
+        for dim in range(1, 120):
+            b = _kernels.block_size(dim)
+            assert b >= 1
+            assert b == 1 or 8 * dim * dim * b <= 65536
 
 
 class TestSampleStatistics:
@@ -113,6 +170,30 @@ class TestMonteCarloCheck:
             assert rec.sample_stderr > 0
             assert rec.z_score == pytest.approx(
                 (rec.sample_mean - rec.theory) / rec.sample_stderr)
+
+    @pytest.mark.parametrize("count", (1, 9, 10, 3001))
+    def test_records_match_per_draw_oracle(self, count):
+        # block size 9 at D = 30: one partial, one full, a full plus one,
+        # and many blocks
+        params = GaussParams(dim=30, **C04)
+        spec = SampleSpec(params=params, count=count, seed=4)
+        table = np.stack([_kernels.catalog_values(m)
+                          for m in reference_draws(params, spec.seed, 0, count)])
+        records = monte_carlo_check(spec)
+        assert list(records) == list(CATALOG)
+        for tag, rec in records.items():
+            col = table[:, CATALOG_INDEX[tag]]
+            mean = float(col.sum() / count)
+            stderr = float(np.std(col, ddof=1) / np.sqrt(count)) if count > 1 else 0.0
+            theory = predict_moment(params, tag)
+            if stderr > 0:
+                z = float((mean - theory) / stderr)
+            else:
+                z = 0.0 if mean == theory else np.inf
+            assert rec.to_json_dict() == {"tag": tag, "theory": theory,
+                                          "sample_mean": mean,
+                                          "sample_stderr": stderr,
+                                          "z_score": z}
 
     def test_csv_rendering(self):
         spec = SampleSpec(params=PARAMS, count=100, seed=20)
