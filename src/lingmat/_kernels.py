@@ -2,7 +2,9 @@
 
 Two kernel families live here: the per-matrix evaluation of the fixed
 catalog of permutation-invariant polynomials, and windowed co-occurrence
-pair counting over an integer-encoded corpus.
+pair counting over an integer-encoded corpus.  Every full-corpus pass runs
+over chunks of ``_CHUNK`` token positions, so no per-token temporary
+outgrows one chunk.
 """
 
 import numpy as np
@@ -20,6 +22,30 @@ def block_size(dim):
     """Matrices per stacked ``(B, D, D)`` block: as many as fit in
     ``_BLOCK_BYTES``, and at least one (B = 9 at D = 30)."""
     return max(1, _BLOCK_BYTES // (8 * dim * dim))
+
+
+#: Token positions per chunk of a full-corpus pass: about 1 MB of
+#: temporaries per pass, and few enough chunks that per-chunk call
+#: overhead stays below the gather work (shorter chunks ran slower).
+_CHUNK = 1 << 16
+
+
+def chunks(n):
+    """``(start, stop)`` of consecutive ``_CHUNK``-position chunks of ``range(n)``."""
+    step = _CHUNK
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def scan(word_ids, table):
+    """Positions ``p`` with ``table[word_ids[p]] >= 0``, chunk by chunk.
+
+    ``table`` maps each word id to an index or -1.  Yields, per chunk, the
+    int64 positions found and their table values, in position order.
+    """
+    member = table >= 0
+    for lo, hi in chunks(word_ids.size):
+        pos = np.flatnonzero(member.take(word_ids[lo:hi])) + lo
+        yield pos, table.take(word_ids.take(pos))
 
 
 def catalog_values(m, with_cycles=True):
@@ -106,35 +132,37 @@ def catalog_values(m, with_cycles=True):
     return out[0] if single else out
 
 
-def context_counts(left, right, lo, hi, rows, cid, window, size):
-    """Counts of ``rows + cid[p]`` over the context positions of anchors.
+def context_counts(left, right, lo, hi, rows, word_ids, cmap, window, counts):
+    """Add the counts of ``rows + cmap[word_ids[p]]`` over the context
+    positions ``p`` of anchors to the flat int64 array ``counts``.
 
     Anchor k has context positions ``left[k] - q`` and ``right[k] + q`` for
     q = 1..window, clipped to its sentence ``[lo[k], hi[k])``; positions
-    whose ``cid`` is -1 are skipped.  One masked ``bincount`` per offset
-    and direction; the result is a flat int64 array of length ``size``.
+    whose word maps to -1 in ``cmap`` are skipped.  One masked ``bincount``
+    per offset and direction, gathering word ids at the visited positions
+    only.
     """
-    counts = np.zeros(size, dtype=np.int64)
+    before, after = left - lo, hi - 1 - right  # room in the sentence
     for q in range(1, window + 1):
-        for ok, pos in ((left - q >= lo, left - q), (right + q < hi, right + q)):
-            c = cid[pos[ok]]
-            hit = c >= 0
-            counts += np.bincount(rows[ok][hit] + c[hit], minlength=size)
-    return counts
+        for ok, pos in ((before >= q, left - q), (after >= q, right + q)):
+            c = cmap.take(word_ids.take(pos[ok]))
+            key = rows[ok] + c
+            counts += np.bincount(key[c >= 0], minlength=counts.size)
 
 
-def window_pair_counts(tid, cid, offsets, window, n_targets, n_contexts):
+def window_pair_counts(word_ids, tmap, cmap, offsets, window, n_targets, n_contexts):
     """Co-occurrence counts between targets and contexts inside sentences.
 
-    ``tid``/``cid`` hold, per corpus position, a target- respectively
-    context-index or -1.  ``offsets`` delimits sentences.  A pair is
-    counted for every (target position, context position) within distance
-    ``window`` in the same sentence; a position never pairs with itself.
+    ``tmap``/``cmap`` map each word id to a target respectively context
+    index, or -1.  ``offsets`` delimits sentences.  A pair is counted for
+    every (target position, context position) within distance ``window``
+    in the same sentence; a position never pairs with itself.  Targets are
+    found chunk by chunk, and their windows read the whole ``word_ids``, so
+    windows that cross a chunk edge count in full.
     """
-    pos = np.flatnonzero(tid >= 0)
-    sent = np.searchsorted(offsets, pos, side="right")
-    rows = tid[pos].astype(np.int64) * n_contexts
-    counts = context_counts(pos, pos, offsets[sent - 1], offsets[sent], rows, cid,
-                            window, n_targets * n_contexts)
+    counts = np.zeros(n_targets * n_contexts, dtype=np.int64)
+    for pos, t in scan(word_ids, tmap):
+        sent = np.searchsorted(offsets, pos, side="right")
+        context_counts(pos, pos, offsets[sent - 1], offsets[sent],
+                       t.astype(np.int64) * n_contexts, word_ids, cmap, window, counts)
     return counts.reshape(n_targets, n_contexts)
-

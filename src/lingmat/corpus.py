@@ -39,7 +39,8 @@ class TokenizedCorpus:
     ``word_ids`` and ``tag_ids`` hold one entry per token, ``offsets``
     delimits the sentences, and ``words``/``tags`` map ids back to strings
     (``tags[0]`` is None, the id of an untagged token).  Every statistic is
-    derived from these arrays and cached on the corpus.
+    derived from these arrays and cached on the corpus; they are the only
+    per-token memory that outlives a chunk of ``_kernels.chunks``.
     """
 
     word_ids: np.ndarray
@@ -81,10 +82,13 @@ class TokenizedCorpus:
     def word_tag_counts(self) -> np.ndarray:
         """Token counts per (word id, tag id), shape (len(words), len(tags))."""
         n_tags = len(self.tags)
-        key = self.word_ids.astype(np.int64)
-        key *= n_tags
-        key += self.tag_ids
-        counts = np.bincount(key, minlength=len(self.words) * n_tags)
+        size = len(self.words) * n_tags
+        counts = np.zeros(size, dtype=np.int64)
+        for lo, hi in _kernels.chunks(self.n_total):
+            key = self.word_ids[lo:hi].astype(np.int64)
+            key *= n_tags
+            key += self.tag_ids[lo:hi]
+            counts += np.bincount(key, minlength=size)
         counts = counts.reshape(len(self.words), n_tags)
         counts.setflags(write=False)
         return counts
@@ -111,7 +115,9 @@ def _encode(token_lists, parse) -> TokenizedCorpus:
     """Encode sentences of raw tokens in one pass.
 
     Each distinct raw token gets an id in first-occurrence order; `parse`
-    then runs once per distinct raw token and maps it to (word, tag).
+    then runs once per distinct raw token and maps it to (word, tag).  The
+    tag ids are gathered first, then the raw-id array is remapped to word
+    ids in place, chunk by chunk.
     """
     raw_ids = _FirstSeenIds()
     lengths = []
@@ -130,8 +136,11 @@ def _encode(token_lists, parse) -> TokenizedCorpus:
     raw_word = [word_index[word] for word, _ in parsed]
     raw_tag = [tag_index[tag] for _, tag in parsed]
     tag_dtype = np.int8 if len(tag_index) <= 128 else np.int32
-    word_ids = np.array(raw_word, dtype=np.int32)[raw]
     tag_ids = np.array(raw_tag, dtype=tag_dtype)[raw]
+    word_of_raw = np.array(raw_word, dtype=np.int32)
+    for lo, hi in _kernels.chunks(raw.size):
+        raw[lo:hi] = word_of_raw.take(raw[lo:hi])
+    word_ids = raw
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     for arr in (word_ids, tag_ids, offsets):
@@ -247,10 +256,9 @@ def count_cooccurrence(corpus: TokenizedCorpus, targets, basis: BasisSpec,
     if window < 1:
         raise ValueError("window must be >= 1")
     targets = tuple(dict.fromkeys(targets))  # dedupe, keep order
-    tid = corpus.lookup(targets)[corpus.word_ids]
-    cid = corpus.lookup(basis.words)[corpus.word_ids]
-    dense = _kernels.window_pair_counts(tid, cid, corpus.offsets, window,
-                                        len(targets), basis.size)
+    dense = _kernels.window_pair_counts(corpus.word_ids, corpus.lookup(targets),
+                                        corpus.lookup(basis.words), corpus.offsets,
+                                        window, len(targets), basis.size)
     counts: dict[str, dict[str, int]] = {}
     for t, word in enumerate(targets):
         row = dense[t]
@@ -338,13 +346,12 @@ def _spans(corpus, target, nouns, reach):
     (start, end, noun index, sentence index), ordered by start and then
     by noun index; start and end are corpus positions.
     """
-    t = corpus.word_index.get(target)
-    pos = (np.flatnonzero(corpus.word_ids == t) if t is not None
-           else np.zeros(0, dtype=np.int64))
+    none = np.zeros(0, dtype=np.int64)
+    pos = np.concatenate([none] + [p for p, _ in _kernels.scan(corpus.word_ids,
+                                                               corpus.lookup([target]))])
     sent = np.searchsorted(corpus.offsets, pos, side="right")
     hi = corpus.offsets[sent]
     noun_of = corpus.lookup(nouns).astype(np.int64)
-    none = np.zeros(0, dtype=np.int64)
     found = [(none, none, none)]
     for q in range(1, reach + 1):
         k = np.flatnonzero(pos + q < hi)
@@ -391,11 +398,11 @@ def build_compound_vectors(corpus: TokenizedCorpus, table: CoocTable,
     start, end, noun, sent = _spans(corpus, target, distinct,
                                     _reach_of(pos_class, window))
     totals = np.bincount(noun, minlength=len(distinct))
-    cid = corpus.lookup(basis.words)[corpus.word_ids]
-    joint = _kernels.context_counts(
-        start, end, corpus.offsets[sent], corpus.offsets[sent + 1],
-        noun * basis.size, cid, window, len(distinct) * basis.size,
-    ).reshape(len(distinct), basis.size)
+    joint = np.zeros(len(distinct) * basis.size, dtype=np.int64)
+    _kernels.context_counts(start, end, corpus.offsets[sent], corpus.offsets[sent + 1],
+                            noun * basis.size, corpus.word_ids,
+                            corpus.lookup(basis.words), window, joint)
+    joint = joint.reshape(len(distinct), basis.size)
     index = {n: i for i, n in enumerate(distinct)}
     vectors = []
     skipped = []
@@ -559,7 +566,7 @@ def write_vectors_dir(vectors, dirpath) -> list[str]:
     """
     os.makedirs(dirpath, exist_ok=True)
     names = []
-    seen = set()
+    seen = {MANIFEST_NAME}
     for v in vectors:
         base = slug(v.word)
         name = f"{base}.txt"
@@ -570,8 +577,7 @@ def write_vectors_dir(vectors, dirpath) -> list[str]:
         seen.add(name)
         write_vector(v.word, v.values, os.path.join(dirpath, name))
         names.append(name)
-    listed = set(names) | {MANIFEST_NAME}
-    for name in {n for n in os.listdir(dirpath) if n.endswith(".txt")} - listed:
+    for name in {n for n in os.listdir(dirpath) if n.endswith(".txt")} - seen:
         os.remove(os.path.join(dirpath, name))
     with open(os.path.join(dirpath, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         for name in names:

@@ -47,11 +47,6 @@ class SampleSpec:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
-def _matrix_rng(seed: int, index: int) -> np.random.Generator:
-    # 128-bit Philox key: high word = run seed, low word = matrix index
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | index))
-
-
 @lru_cache(maxsize=8)
 def _gather_index(dim: int) -> np.ndarray:
     """Flat position i*D + j of a matrix -> column of its assembled draw
@@ -93,10 +88,23 @@ def sample_matrix(params: GaussParams, rng: np.random.Generator) -> np.ndarray:
 
 def sample_matrices(params: GaussParams, seed: int, start: int, count: int) -> np.ndarray:
     """Matrices ``start .. start + count - 1`` of the run keyed by ``seed``,
-    as a ``(count, D, D)`` array."""
+    as a ``(count, D, D)`` array.
+
+    One Philox generator is rekeyed per matrix: its state is set to the
+    fresh state of ``Philox(key=(seed << 64) | k)`` (128-bit key, high
+    word the run seed, low word the matrix index), so each draw equals
+    that of a newly built stream without building one.
+    """
     z = np.empty((count, params.dim ** 2))
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    zeros = np.zeros(4, dtype=np.uint64)
     for k in range(count):
-        _matrix_rng(seed, start + k).standard_normal(out=z[k])
+        bits.state = {"bit_generator": "Philox",
+                      "state": {"counter": zeros,
+                                "key": np.array([start + k, seed], dtype=np.uint64)},
+                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=z[k])
     return _assemble(params, z)
 
 

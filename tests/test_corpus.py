@@ -361,6 +361,15 @@ class TestVectorsDir:
         assert sorted(p.name for p in (tmp_path / "v").iterdir()) == ["a.txt", "manifest.txt"]
         assert set(read_vectors_dir(tmp_path / "v")) == {"a"}
 
+    def test_vector_named_manifest_keeps_its_own_file(self, tmp_path):
+        vecs = [DistVector("manifest", np.array([1.0, 2.0])),
+                DistVector("car", np.array([3.0, 0.0]))]
+        names = write_vectors_dir(vecs, tmp_path / "v")
+        assert names == ["manifest.1.txt", "car.txt"]
+        back = read_vectors_dir(tmp_path / "v")
+        assert list(back) == ["manifest", "car"]
+        np.testing.assert_array_equal(back["manifest"].values, [1.0, 2.0])
+
 
 class TestSyntheticGenerator:
     def test_deterministic(self):

@@ -2,16 +2,21 @@
 
 Random tagged and untagged corpora go through the array paths and through
 the oracles in ``oracles.py``; every result must match exactly, PPMI
-values bit for bit.
+values bit for bit.  Each check also runs with the chunk of the
+full-corpus passes cut to 1, 3 and 7 token positions, so that anchors,
+windows and spans cross chunk edges.
 """
 
+import contextlib
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lingmat import _kernels
 from lingmat.corpus import (
     BasisSpec,
     CorpusError,
@@ -22,8 +27,10 @@ from lingmat.corpus import (
     count_cooccurrence,
     pos_class_of,
     read_corpus,
+    read_pairs,
     select_basis,
 )
+from lingmat.synth import write_synth_corpus
 
 import oracles
 
@@ -70,35 +77,59 @@ def read_both(text):
 
 any_corpus = st.one_of(corpus_text(), corpus_text(token=word))
 
+#: Chunk lengths every check runs at: the default (None), then chunks so
+#: short that most windows and spans cross a chunk edge.
+CHUNKS = (None, 1, 3, 7)
+
+
+@contextlib.contextmanager
+def chunk_length(chunk):
+    """Full-corpus passes run in chunks of `chunk` token positions."""
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(_kernels, "_CHUNK", chunk)
+        yield
+
 
 @settings(max_examples=80, deadline=None)
 @given(any_corpus)
 def test_read_corpus_round_trip(text):
-    corpus, sentences = read_both(text)
-    if corpus is None:
-        return
-    assert corpus.sentences == sentences
-    assert corpus.n_total == sum(len(s) for s in sentences)
-    assert corpus.tagged == oracles.is_tagged(sentences)
-    assert corpus.word_ids.dtype == np.int32
-    assert corpus.tag_ids.dtype == np.int8
+    for chunk in CHUNKS:
+        with chunk_length(chunk):
+            corpus, sentences = read_both(text)
+        if corpus is None:
+            return
+        assert corpus.sentences == sentences, chunk
+        assert corpus.n_total == sum(len(s) for s in sentences)
+        assert corpus.tagged == oracles.is_tagged(sentences)
+        assert corpus.word_ids.dtype == np.int32
+        assert corpus.tag_ids.dtype == np.int8
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.tuples(word, st.one_of(st.none(), tag)), max_size=6),
                 max_size=8))
 def test_from_sentences_round_trip(sentences):
-    corpus = TokenizedCorpus.from_sentences(sentences)
     want = tuple(tuple(s) for s in sentences if s)
-    assert corpus.sentences == want
-    assert corpus.tagged == oracles.is_tagged(want)
-    if want:
-        assert list(build_vocab(corpus).items()) == list(oracles.vocab(want).items())
+    for chunk in CHUNKS:
+        with chunk_length(chunk):
+            corpus = TokenizedCorpus.from_sentences(sentences)
+            assert corpus.sentences == want, chunk
+            assert corpus.tagged == oracles.is_tagged(want)
+            if want:
+                assert (list(build_vocab(corpus).items())
+                        == list(oracles.vocab(want).items())), chunk
 
 
 @settings(max_examples=50, deadline=None)
 @given(any_corpus, st.sets(word))
 def test_vocab_basis_and_pos_class(text, stopwords):
+    for chunk in CHUNKS:
+        with chunk_length(chunk):
+            check_vocab_basis_and_pos_class(text, stopwords)
+
+
+def check_vocab_basis_and_pos_class(text, stopwords):
     corpus, sentences = read_both(text)
     if corpus is None:
         return
@@ -124,15 +155,23 @@ def test_cooccurrence_matches_bruteforce(text, window):
     words = list(build_vocab(corpus))
     targets = words[::2] + ["absent"]
     basis = BasisSpec(tuple(words[1:]) + ("absent",))
-    table = count_cooccurrence(corpus, targets, basis, window)
-    got = {(t, c): n for t, row in table.counts.items() for c, n in row.items()}
-    assert got == oracles.window_counts_bruteforce(sentences, targets, basis.words,
-                                                   window)
+    want = oracles.window_counts_bruteforce(sentences, targets, basis.words, window)
+    for chunk in CHUNKS:
+        with chunk_length(chunk):
+            table = count_cooccurrence(corpus, targets, basis, window)
+        got = {(t, c): n for t, row in table.counts.items() for c, n in row.items()}
+        assert got == want, chunk
 
 
 @settings(max_examples=80, deadline=None)
 @given(any_corpus, st.integers(1, 12), st.sampled_from(["adjective", "verb", "unknown"]))
 def test_compounds_match_oracle(text, window, pos_class):
+    for chunk in CHUNKS:
+        with chunk_length(chunk):
+            check_compounds(text, window, pos_class)
+
+
+def check_compounds(text, window, pos_class):
     corpus, sentences = read_both(text)
     if corpus is None:
         return
@@ -158,18 +197,21 @@ def test_compounds_match_oracle(text, window, pos_class):
 def test_edge_case_tokens_and_lines(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes("word| |tag a|b|N\r\n\n   \nsolo\nx\x0cy\u2028z|J\n".encode())
-    corpus = read_corpus(path)
-    assert corpus.sentences == (
-        (("word", None), ("|tag", None), ("a|b", "N")),
-        (("solo", None),),
-        (("x", None), ("y", None), ("z", "J")),
-    )
-    assert corpus.tagged
-    assert pos_class_of("z", corpus) == "adjective"
-    assert pos_class_of("solo", corpus) == "unknown"
-    # a window longer than every sentence counts whole sentences
-    table = count_cooccurrence(corpus, ["solo", "x"], BasisSpec(("y", "z", "solo")), 50)
-    assert table.counts == {"solo": {}, "x": {"y": 1, "z": 1}}
+    for chunk in CHUNKS:
+        with chunk_length(chunk):
+            corpus = read_corpus(path)
+            assert corpus.sentences == (
+                (("word", None), ("|tag", None), ("a|b", "N")),
+                (("solo", None),),
+                (("x", None), ("y", None), ("z", "J")),
+            ), chunk
+            assert corpus.tagged
+            assert pos_class_of("z", corpus) == "adjective"
+            assert pos_class_of("solo", corpus) == "unknown"
+            # a window longer than every sentence counts whole sentences
+            table = count_cooccurrence(corpus, ["solo", "x"],
+                                       BasisSpec(("y", "z", "solo")), 50)
+            assert table.counts == {"solo": {}, "x": {"y": 1, "z": 1}}, chunk
 
 
 def test_sentences_view_is_decoded_from_the_arrays():
@@ -181,3 +223,54 @@ def test_sentences_view_is_decoded_from_the_arrays():
     np.testing.assert_array_equal(corpus.offsets, [0, 2, 3])
     assert corpus.sentences == ((("a", "N"), ("b", None)), (("a", ""),))
     assert not corpus.word_ids.flags.writeable
+
+
+#: Bytes one chunk position may add to a peak: an int64 position and an
+#: int64 key.
+CHUNK_POSITION_BYTES = 16
+
+
+@pytest.fixture(scope="module")
+def desk_corpus(tmp_path_factory):
+    """The default ``gen-corpus --seed 2`` corpus and pairs files."""
+    root = tmp_path_factory.mktemp("desk")
+    corpus, pairs = root / "corpus.txt", root / "pairs.tsv"
+    write_synth_corpus(2, corpus, pairs)
+    return corpus, read_pairs(pairs)
+
+
+def traced_peak(fn):
+    """(result, tracemalloc's peak during ``fn()`` above the memory before it)."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = fn()
+    return result, tracemalloc.get_traced_memory()[1] - before
+
+
+@pytest.mark.parametrize("chunk", [1 << 12, None])
+def test_stage_peaks_stay_within_the_corpus_plus_one_chunk(desk_corpus, chunk):
+    """No corpus stage holds per-token memory beyond the corpus arrays:
+    each peak above them is at most 2 B/token plus one chunk's worth."""
+    path, pairs = desk_corpus
+    nouns = sorted({noun for args in pairs.values() for noun in args})
+    tracemalloc.start()
+    try:
+        with chunk_length(chunk):
+            corpus, read_peak = traced_peak(lambda: read_corpus(path))
+            held = sum(a.nbytes for a in (corpus.word_ids, corpus.tag_ids, corpus.offsets))
+            peaks = {"read_corpus": read_peak - held}
+            vocab, peaks["build_vocab"] = traced_peak(lambda: build_vocab(corpus))
+            basis = select_basis(vocab, corpus, 100)
+            table, peaks["count_cooccurrence"] = traced_peak(
+                lambda: count_cooccurrence(corpus, nouns, basis))
+            peaks["build_compound_vectors"] = max(
+                traced_peak(lambda: build_compound_vectors(
+                    corpus, table, basis, head, sorted(pairs[head]),
+                    pos_class_of(head, corpus)))[1]
+                for head in sorted(pairs))
+            bound = 2 * corpus.n_total + CHUNK_POSITION_BYTES * _kernels._CHUNK
+    finally:
+        tracemalloc.stop()
+    over = {stage: f"{peak / corpus.n_total:.2f} B/token"
+            for stage, peak in peaks.items() if peak > bound}
+    assert not over, f"bound {bound / corpus.n_total:.2f} B/token: {over}"
