@@ -133,7 +133,7 @@ def cmd_learn_matrices(args):
     from .corpus import DatasetSelection, read_vectors_dir
     from .pipeline import stage_learn_matrices
 
-    _require(args, "pairs", "vectors", "selection", "out")
+    _require(args, "vectors", "selection", "out")
     selection = DatasetSelection.from_json_dict(_load_json(args.selection))
     nouns = read_vectors_dir(os.path.join(args.vectors, "nouns"))
     compounds = read_vectors_dir(os.path.join(args.vectors, "compounds"))
@@ -146,9 +146,7 @@ def cmd_learn_matrices(args):
         seed=0 if args.seed is None else int(args.seed))
     method = args.method or "closed_form"
     stage_learn_matrices(selection, list(nouns.values()), list(compounds.values()),
-                         dim, reg, method, args.out,
-                         threads=int(args.threads or 1),
-                         provenance=_provenance(args))
+                         dim, reg, method, args.out, provenance=_provenance(args))
     return 0
 
 

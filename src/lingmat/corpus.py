@@ -15,12 +15,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
 from . import _kernels
-from .matrix_core import MANIFEST_NAME, read_manifest, read_vector, slug, write_vector
+from .matrix_core import ParseError, read_stack, write_stack
 
 
 class CorpusError(ValueError):
@@ -103,6 +103,10 @@ class TokenizedCorpus:
         return out
 
 
+#: Lines `_encode` takes at a time; bounds the token strings alive at once.
+_ENCODE_LINES = 256
+
+
 class _FirstSeenIds(dict):
     """Maps each new key to the next id, in first-occurrence order."""
 
@@ -111,25 +115,35 @@ class _FirstSeenIds(dict):
         return n
 
 
-def _encode(token_lists, parse) -> TokenizedCorpus:
+def _encode(token_lists, parse, capacity=0) -> TokenizedCorpus:
     """Encode sentences of raw tokens in one pass.
 
     Each distinct raw token gets an id in first-occurrence order; `parse`
-    then runs once per distinct raw token and maps it to (word, tag).  The
-    tag ids are gathered first, then the raw-id array is remapped to word
-    ids in place, chunk by chunk.
+    then runs once per distinct raw token and maps it to (word, tag).  Raw
+    ids are written, `_ENCODE_LINES` lines at a time, into one buffer of
+    `capacity` tokens that is copied into one twice as large when full
+    and cut to size in place at the end, so an exact capacity means one
+    allocation and no copy.  The tag ids are gathered first, then the
+    raw-id array is remapped to word ids in place, chunk by chunk.
     """
     raw_ids = _FirstSeenIds()
-    lengths = []
-
-    def sentences():
-        for toks in token_lists:
-            if toks:
-                lengths.append(len(toks))
-                yield toks
-
-    raw = np.fromiter(map(raw_ids.__getitem__, chain.from_iterable(sentences())),
-                      dtype=np.int32)
+    raw = np.empty(capacity, dtype=np.int32)
+    ends = [np.zeros(1, dtype=np.int64)]
+    n = 0
+    lines = iter(token_lists)
+    while block := list(islice(lines, _ENCODE_LINES)):
+        block = [toks for toks in block if toks]
+        lengths = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+        k = int(lengths.sum())
+        if n + k > raw.size:
+            grown = np.empty(max(2 * raw.size, n + k), dtype=np.int32)
+            grown[:n] = raw[:n]
+            raw = grown
+        raw[n:n + k] = np.fromiter(map(raw_ids.__getitem__, chain.from_iterable(block)),
+                                   dtype=np.int32, count=k)
+        ends.append(n + np.cumsum(lengths))
+        n += k
+    raw.resize(n, refcheck=False)
     parsed = [parse(token) for token in raw_ids]
     word_index = _FirstSeenIds()
     tag_index = _FirstSeenIds({None: 0})
@@ -141,8 +155,7 @@ def _encode(token_lists, parse) -> TokenizedCorpus:
     for lo, hi in _kernels.chunks(raw.size):
         raw[lo:hi] = word_of_raw.take(raw[lo:hi])
     word_ids = raw
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
+    offsets = np.concatenate(ends)
     for arr in (word_ids, tag_ids, offsets):
         arr.setflags(write=False)
     return TokenizedCorpus(word_ids=word_ids, tag_ids=tag_ids, offsets=offsets,
@@ -157,10 +170,27 @@ def _parse_token(raw: str):
     return (raw, None)
 
 
+def _token_count_hint(path) -> int:
+    """Spaces plus newlines plus one: the token count of a file whose
+    tokens are separated by single spaces, as `_encode`'s capacity.  Other
+    layouts only make the buffer grow or shrink.  0 for a pipe or another
+    file that is not regular, which cannot be read twice."""
+    if not os.path.isfile(path):
+        return 0
+    n = 1
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            b = np.frombuffer(block, dtype=np.uint8)
+            n += int(np.count_nonzero(b == ord(" ")) + np.count_nonzero(b == ord("\n")))
+    return n
+
+
 def read_corpus(path) -> TokenizedCorpus:
-    """One pass over the file; `_parse_token` runs once per distinct token."""
+    """One pass over the file, after a byte count that sizes the id
+    array; `_parse_token` runs once per distinct token."""
     with open(path, encoding="utf-8") as fh:
-        corpus = _encode((line.split() for line in fh), _parse_token)
+        corpus = _encode((line.split() for line in fh), _parse_token,
+                         _token_count_hint(path))
     if corpus.n_total == 0:
         raise CorpusError(f"{path}: corpus is empty")
     return corpus
@@ -554,40 +584,22 @@ def select_dataset(corpus: TokenizedCorpus, pairs: dict[str, dict[str, int]],
 
 
 # ---------------------------------------------------------------------------
-# vector directory: one file per vector, in the single-row text format,
-# with an ordered manifest (same layout as ensemble directories)
+# vector directory: one float64 stack ``vectors.npy`` of shape (N, dim)
+# plus the label manifest, the layout of ensemble directories
 # ---------------------------------------------------------------------------
 
-def write_vectors_dir(vectors, dirpath) -> list[str]:
-    """Write one vector file per vector plus an ordered manifest.
+VECTORS_NAME = "vectors.npy"
 
-    ``.txt`` files left in the directory by an earlier write and not in
-    the new manifest are removed.  Returns the filenames.
-    """
-    os.makedirs(dirpath, exist_ok=True)
-    names = []
-    seen = {MANIFEST_NAME}
-    for v in vectors:
-        base = slug(v.word)
-        name = f"{base}.txt"
-        k = 1
-        while name in seen:
-            name = f"{base}.{k}.txt"
-            k += 1
-        seen.add(name)
-        write_vector(v.word, v.values, os.path.join(dirpath, name))
-        names.append(name)
-    for name in {n for n in os.listdir(dirpath) if n.endswith(".txt")} - seen:
-        os.remove(os.path.join(dirpath, name))
-    with open(os.path.join(dirpath, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        for name in names:
-            fh.write(name + "\n")
-    return names
+
+def write_vectors_dir(vectors, dirpath) -> list[str]:
+    """Write the vectors as one stack plus the label manifest (see
+    `matrix_core.write_stack`); returns the labels."""
+    return write_stack(((v.word, v.values) for v in vectors), dirpath, VECTORS_NAME)
 
 
 def read_vectors_dir(dirpath) -> dict[str, DistVector]:
-    out: dict[str, DistVector] = {}
-    for name in read_manifest(dirpath):
-        label, values = read_vector(os.path.join(dirpath, name))
-        out[label] = DistVector(label, values)
-    return out
+    labels, values = read_stack(dirpath, VECTORS_NAME, 2)
+    try:
+        return {label: DistVector(label, v) for label, v in zip(labels, values)}
+    except ValueError as exc:
+        raise ParseError(f"{os.path.join(dirpath, VECTORS_NAME)}: {exc}") from None

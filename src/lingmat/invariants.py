@@ -169,7 +169,7 @@ class EnsembleAverages:
 
 
 def ensemble_averages(ensemble: Ensemble, tags=CATALOG) -> EnsembleAverages:
-    """Mean of each invariant over the members, in member (manifest) order.
+    """Mean of each invariant over the members, in member order.
 
     Members are evaluated in stacked blocks of ``_kernels.block_size(D)``,
     which gives each member the bits of evaluating it alone, and the

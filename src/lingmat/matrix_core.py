@@ -1,4 +1,4 @@
-"""Labeled word matrices, ensembles, permutation actions, and text I/O.
+"""Labeled word matrices, ensembles, permutation actions, and file I/O.
 
 All types are immutable after construction (arrays are locked) and every
 operation is a pure function, so values can be shared freely across
@@ -7,15 +7,17 @@ threads.
 
 from __future__ import annotations
 
+import json
 import os
-import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 
 class ParseError(ValueError):
-    """Malformed matrix/vector/manifest file; message carries path:line."""
+    """Malformed matrix, vector, stack or label file; the message names
+    the path (and the line, for text files)."""
 
 
 def _at(path, lineno, msg):
@@ -145,15 +147,12 @@ def apply_permutation(m: WordMatrix, sigma: PermutationMap) -> WordMatrix:
 # Matrix file:  line 1 "label <word>", line 2 "dim <D>", then D rows of D
 # space-separated decimals.  Vector file: same header with a single row.
 # Numbers use Python repr (shortest round-trip), so write-then-read is
-# bit-exact.  Manifest and pairs files may contain '#' comment lines.
+# bit-exact.  These single-item files are for export; ensembles and vector
+# sets are written as binary stacks (`write_stack`).
 # ---------------------------------------------------------------------------
 
-def format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _format_row(row) -> str:
-    return " ".join(format_float(x) for x in row)
+    return " ".join(map(repr, row.tolist()))
 
 
 def _read_header(lines, path):
@@ -198,96 +197,159 @@ def _content_lines(path):
     return raw
 
 
-def write_matrix(m: WordMatrix, path) -> None:
+def _write_text(label, dim, rows, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"label {m.label}\n")
-        fh.write(f"dim {m.dim}\n")
-        for row in m.values:
-            fh.write(_format_row(row) + "\n")
+        fh.write(f"label {label}\ndim {dim}\n")
+        fh.writelines(_format_row(row) + "\n" for row in rows)
 
 
-def read_matrix(path) -> WordMatrix:
+def _read_text(path, n_rows=None) -> tuple[str, np.ndarray]:
+    """Label and rows of a text file; `n_rows` None means D rows."""
     lines = _content_lines(path)
     if not lines:
         raise _at(path, 1, "empty file")
     label, dim = _read_header(lines, path)
-    if len(lines) != 2 + dim:
-        raise _at(path, len(lines) + 1 if len(lines) < 2 + dim else 2 + dim + 1,
-                  f"expected {dim} matrix rows, found {len(lines) - 2}")
-    values = np.empty((dim, dim))
-    for i in range(dim):
-        values[i] = _parse_row(lines[2 + i], 3 + i, dim, path)
-    return WordMatrix(label, values)
+    n = dim if n_rows is None else n_rows
+    if len(lines) != 2 + n:
+        raise _at(path, min(len(lines), 2 + n) + 1,
+                  f"expected {n} rows of {dim} entries, found {len(lines) - 2}")
+    return label, np.array([_parse_row(lines[2 + i], 3 + i, dim, path) for i in range(n)])
+
+
+def write_matrix(m: WordMatrix, path) -> None:
+    _write_text(m.label, m.dim, m.values, path)
+
+
+def read_matrix(path) -> WordMatrix:
+    return WordMatrix(*_read_text(path))
 
 
 def write_vector(label: str, values, path) -> None:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("vector values must be one-dimensional")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"label {label}\n")
-        fh.write(f"dim {v.size}\n")
-        fh.write(_format_row(v) + "\n")
+    _write_text(label, v.size, [v], path)
 
 
 def read_vector(path) -> tuple[str, np.ndarray]:
-    lines = _content_lines(path)
-    if not lines:
-        raise _at(path, 1, "empty file")
-    label, dim = _read_header(lines, path)
-    if len(lines) != 3:
-        raise _at(path, 4, f"expected a single row of {dim} entries")
-    return label, _parse_row(lines[2], 3, dim, path)
+    label, rows = _read_text(path, 1)
+    return label, rows[0]
 
 
-def slug(label: str) -> str:
-    """Filesystem-safe name for a word or compound label."""
-    return "".join(ch if ch.isalnum() or ch in "-." else "_" for ch in label)
+# ---------------------------------------------------------------------------
+# stack directories: an ensemble or a vector set is one float64 ``.npy``
+# stack, row k holding item k, plus a label manifest
+# ---------------------------------------------------------------------------
+
+#: Label manifest: a JSON array of the labels in row order, so every
+#: nonempty string round-trips exactly.
+LABELS_NAME = "labels.json"
+
+#: Stack of an ensemble directory, shape (N, D, D).
+MEMBERS_NAME = "members.npy"
 
 
-MANIFEST_NAME = "manifest.txt"
+def write_stack(items, dirpath, name: str) -> list[str]:
+    """Write ``(label, values)`` items as the stack ``name`` plus the label
+    manifest; returns the labels.  No items give a (0, 0) stack.
 
-#: Member file names written by `write_ensemble`: index, then label slug.
-_MEMBER_FILE = re.compile(r"\d{6,}_.*\.txt")
+    Items are streamed: each row goes to the file as it arrives, and the
+    ``.npy`` header, whose shape field numpy pads to a fixed width, is
+    rewritten with the row count at the end.  The stack, then the
+    manifest, is written to a temporary sibling and moved into place with
+    `os.replace`, so a failed write leaves the previous stack and manifest
+    in place and no temporary file behind.
+    """
+    os.makedirs(dirpath, exist_ok=True)
+    stack_path = os.path.join(dirpath, name)
+    labels_path = os.path.join(dirpath, LABELS_NAME)
+    header = {"descr": "<f8", "fortran_order": False, "shape": (0, 0)}
+    data_start = None
+    labels = []
+    try:
+        with open(stack_path + ".tmp", "wb") as fh:
+            for label, values in items:
+                row = np.ascontiguousarray(values, dtype="<f8")
+                if data_start is None:
+                    header["shape"] = (0, *row.shape)
+                    np.lib.format.write_array_header_1_0(fh, header)
+                    data_start = fh.tell()
+                elif row.shape != header["shape"][1:]:
+                    raise ValueError(f"row {label!r} has shape {row.shape}, "
+                                     f"expected {header['shape'][1:]}")
+                fh.write(row.data)
+                labels.append(label)
+            header["shape"] = (len(labels), *header["shape"][1:])
+            fh.seek(0)
+            np.lib.format.write_array_header_1_0(fh, header)
+            if data_start is not None and fh.tell() != data_start:
+                raise ValueError(f"{stack_path}: shape {header['shape']} "
+                                 "does not fit the header written first")
+        with open(labels_path + ".tmp", "w", encoding="utf-8") as fh:
+            json.dump(labels, fh, indent=0)
+            fh.write("\n")
+        os.replace(stack_path + ".tmp", stack_path)
+        os.replace(labels_path + ".tmp", labels_path)
+    finally:
+        for tmp in (stack_path + ".tmp", labels_path + ".tmp"):
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    return labels
 
 
-def read_manifest(dirpath) -> list[str]:
-    path = os.path.join(dirpath, MANIFEST_NAME)
-    if not os.path.exists(path):
-        raise ParseError(f"{path}: manifest not found")
-    names = []
-    for line in _content_lines(path):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            names.append(line)
-    return names
+def read_stack(dirpath, name: str, ndim: int) -> tuple[list[str], np.ndarray]:
+    """Labels and the stack written by `write_stack`; the caller checks
+    the values.
+
+    Raises ParseError naming the file for a missing or unreadable file, a
+    manifest that is not a list of nonempty strings, a stack that is not
+    a float64 ``.npy`` array of rank `ndim` (a truncated file counts), or
+    a row count that differs from the label count.
+    """
+    labels_path = os.path.join(dirpath, LABELS_NAME)
+    try:
+        with open(labels_path, encoding="utf-8") as fh:
+            labels = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{labels_path}: unreadable label manifest: {exc}") from None
+    if not (isinstance(labels, list) and all(isinstance(x, str) and x for x in labels)):
+        raise ParseError(f"{labels_path}: expected a JSON array of nonempty strings")
+    path = os.path.join(dirpath, name)
+    try:
+        with open(path, "rb") as fh:
+            values = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ParseError(f"{path}: unreadable stack: {exc}") from None
+    if not isinstance(values, np.ndarray) or values.dtype != np.dtype("<f8"):
+        raise ParseError(f"{path}: expected a float64 array, got "
+                         f"{getattr(values, 'dtype', type(values).__name__)}")
+    if values.ndim != ndim:
+        raise ParseError(f"{path}: expected a {ndim}-d stack, got shape {values.shape}")
+    if len(values) != len(labels):
+        raise ParseError(f"{path}: {len(values)} rows for {len(labels)} labels "
+                         f"in {labels_path}")
+    return labels, values
 
 
 def write_ensemble(ensemble, dirpath) -> list[str]:
-    """Write one matrix file per member plus an ordered manifest.
+    """Write the members as ``members.npy``, shape (N, D, D), plus the label
+    manifest (see `write_stack`); returns the labels.
 
     Accepts an Ensemble or any iterable of WordMatrix (streamed; the whole
-    collection is never required in memory).  Member files left in the
-    directory by an earlier ensemble and not in the new manifest are
-    removed.  Returns the filenames.
+    collection is never required in memory).  Other files in the
+    directory are left alone.
     """
-    os.makedirs(dirpath, exist_ok=True)
-    names = []
-    for i, m in enumerate(ensemble):
-        name = f"{i:06d}_{slug(m.label)}.txt"
-        write_matrix(m, os.path.join(dirpath, name))
-        names.append(name)
-    if not names:
+    members = iter(ensemble)
+    first = next(members, None)
+    if first is None:
         raise ValueError("refusing to write an empty ensemble")
-    for name in set(filter(_MEMBER_FILE.fullmatch, os.listdir(dirpath))) - set(names):
-        os.remove(os.path.join(dirpath, name))
-    with open(os.path.join(dirpath, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        for name in names:
-            fh.write(name + "\n")
-    return names
+    return write_stack(((m.label, m.values) for m in chain([first], members)),
+                       dirpath, MEMBERS_NAME)
 
 
 def read_ensemble(dirpath) -> Ensemble:
-    names = read_manifest(dirpath)
-    members = tuple(read_matrix(os.path.join(dirpath, n)) for n in names)
-    return Ensemble(members)
+    labels, values = read_stack(dirpath, MEMBERS_NAME, 3)
+    try:
+        return Ensemble(tuple(map(WordMatrix, labels, values)))
+    except ValueError as exc:
+        raise ParseError(f"{os.path.join(dirpath, MEMBERS_NAME)}: {exc}") from None

@@ -3,10 +3,10 @@ observables -> fit -> report, with a dimension sweep.
 
 Every stage writes its outputs as files and can be re-run independently
 through the CLI; a run with identical config and seed is byte-identical
-regardless of the worker-thread count (per-word work is pure, results are
-reduced in a fixed order, and no artifact records timing or thread
-information).  On failure a FAILED marker naming the stage is left next
-to the partial outputs.
+(no artifact records timing or thread information).  A run first removes
+the ``D###`` and ``vectors`` trees of an earlier run in the same out_dir,
+so a rerun leaves the tree a fresh run writes.  On failure a FAILED
+marker naming the stage is left next to the partial outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import os
 import re
 import shutil
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +68,7 @@ class PipelineConfig:
     regression: RegressionConfig = field(default_factory=RegressionConfig)
     regression_method: str = "closed_form"   # or "gradient_descent"
     seed: int = 0
-    threads: int = 1
+    threads: int = 1   # accepted for older configs; changes nothing
 
     def __post_init__(self):
         sizes = tuple(int(d) for d in self.basis_sizes)
@@ -221,43 +220,29 @@ def stage_select_dataset(corpus, pairs, thresholds, out_path,
 
 def stage_learn_matrices(selection: DatasetSelection, noun_vectors, compound_vectors,
                          dim: int, reg: RegressionConfig, method: str, out_dir,
-                         threads: int = 1, provenance=None) -> Ensemble:
+                         provenance=None) -> Ensemble:
     """One ridge regression per selected target at the given dimension."""
+    if not selection.entries:
+        raise ValueError("dataset selection is empty; relax the thresholds")
     nouns = {v.word: v for v in noun_vectors}
     compounds = {v.word: v for v in compound_vectors}
-
-    def one(entry):
-        rows_x = []
-        rows_y = []
-        used = []
-        for noun, _cnt in entry.args:
-            key = f"{entry.word} {noun}"
-            if noun in nouns and key in compounds:
-                rows_x.append(nouns[noun].values[:dim])
-                rows_y.append(compounds[key].values[:dim])
-                used.append(noun)
-        if not rows_x:
+    fit_logged = (fit_gradient_descent_logged if method == "gradient_descent"
+                  else fit_closed_form_logged)
+    members, logs = [], {}
+    for entry in selection.entries:
+        used = [noun for noun, _cnt in entry.args
+                if noun in nouns and f"{entry.word} {noun}" in compounds]
+        if not used:
             raise ValueError(f"target {entry.word!r} has no usable argument vectors")
-        ts = TrainingSet(entry.word, np.vstack(rows_x), np.vstack(rows_y))
-        if method == "gradient_descent":
-            matrix, log = fit_gradient_descent_logged(ts, reg)
-        else:
-            matrix, log = fit_closed_form_logged(ts, reg)
-        log["rows"] = len(used)
-        return matrix, log
+        ts = TrainingSet(entry.word,
+                         np.vstack([nouns[n].values[:dim] for n in used]),
+                         np.vstack([compounds[f"{entry.word} {n}"].values[:dim] for n in used]))
+        matrix, logs[entry.word] = fit_logged(ts, reg)
+        logs[entry.word]["rows"] = len(used)
+        members.append(matrix)
 
-    entries = selection.entries
-    if not entries:
-        raise ValueError("dataset selection is empty; relax the thresholds")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, entries))
-    else:
-        results = [one(e) for e in entries]
-
-    ensemble = Ensemble(tuple(m for m, _ in results))
+    ensemble = Ensemble(tuple(members))
     write_ensemble(ensemble, out_dir)
-    logs = {e.word: log for e, (_, log) in zip(entries, results)}
     write_json({"dim": dim, "words": logs},
                os.path.join(out_dir, "training_log.json"), provenance)
     return ensemble
@@ -321,10 +306,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     marker = os.path.join(out, "FAILED")
     if os.path.exists(marker):
         os.remove(marker)
-    dim_dirs = {f"D{dim:03d}" for dim in config.basis_sizes}
     for name in os.listdir(out):
         path = os.path.join(out, name)
-        if re.fullmatch(r"D\d{3,}", name) and name not in dim_dirs and os.path.isdir(path):
+        if re.fullmatch(r"D\d{3,}|vectors", name) and os.path.isdir(path):
             shutil.rmtree(path)
     prov = config.provenance()
 
@@ -353,7 +337,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             ensemble = stage_learn_matrices(
                 selection, noun_vecs, compound_vecs, dim, config.regression,
                 config.regression_method, os.path.join(ddir, "matrices"),
-                threads=config.threads, provenance=prov)
+                provenance=prov)
 
             stage = "observables"
             avgs = stage_observables(ensemble, os.path.join(ddir, "averages.json"),

@@ -7,7 +7,8 @@ import pytest
 from lingmat import cli
 from lingmat.gauss import GaussParams
 from lingmat.invariants import eval_all
-from lingmat.matrix_core import read_ensemble
+from lingmat.corpus import read_vectors_dir
+from lingmat.matrix_core import read_ensemble, write_matrix, write_vector
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +21,32 @@ def write_params(path, dim=8):
     p = GaussParams(dim=dim, lam=1.5, a=1.0, b=2.0, j0=0.4, js=0.2)
     path.write_text(json.dumps(p.to_json_dict()))
     return p
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def _to_text_layout(out_dir):
+    """Rewrite the stack directories of a pipeline tree in the earlier
+    per-item layout: one text file per item plus a manifest.txt of names."""
+    for ens_dir in out_dir.glob("D*/matrices"):
+        ensemble = read_ensemble(ens_dir)
+        names = [f"{i:06d}_{m.label}.txt" for i, m in enumerate(ensemble)]
+        for name, m in zip(names, ensemble):
+            write_matrix(m, ens_dir / name)
+        (ens_dir / "manifest.txt").write_text("".join(n + "\n" for n in names))
+        os.remove(ens_dir / "members.npy")
+        os.remove(ens_dir / "labels.json")
+    for vec_dir in (out_dir / "vectors" / "nouns", out_dir / "vectors" / "compounds"):
+        vectors = read_vectors_dir(vec_dir)
+        names = [label.replace(" ", "_") + ".txt" for label in vectors]
+        for name, v in zip(names, vectors.values()):
+            write_vector(v.word, v.values, vec_dir / name)
+        (vec_dir / "manifest.txt").write_text("".join(n + "\n" for n in names))
+        os.remove(vec_dir / "vectors.npy")
+        os.remove(vec_dir / "labels.json")
 
 
 class TestCountInvariants:
@@ -195,7 +222,7 @@ class TestStageSubcommands:
             "--basis-size", "40", "--out", str(vec_dir))
         assert code == 0, err
         assert (vec_dir / "basis.txt").exists()
-        assert (vec_dir / "nouns" / "manifest.txt").exists()
+        assert sorted(os.listdir(vec_dir / "nouns")) == ["labels.json", "vectors.npy"]
 
         sel_path = tmp_path / "selection.json"
         code, out, err = run_cli(
@@ -208,7 +235,7 @@ class TestStageSubcommands:
 
         mat_dir = tmp_path / "matrices"
         code, _, err = run_cli(
-            capsys, "learn-matrices", "--pairs", str(pairs),
+            capsys, "learn-matrices",
             "--vectors", str(vec_dir), "--selection", str(sel_path),
             "--lambda", "0.1", "--dim", "20", "--out", str(mat_dir))
         assert code == 0, err
@@ -261,6 +288,28 @@ class TestPipelineCli:
             assert code == 0, err
         out_dir = tmp_path / "out"
         assert sorted(p.name for p in out_dir.iterdir() if p.name.startswith("D")) == ["D020"]
+
+    def test_rerun_over_text_layout_gives_a_fresh_tree(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        pairs = tmp_path / "pairs.tsv"
+        run_cli(capsys, "gen-corpus", "--seed", "6", "--sentences", "600",
+                "--out-corpus", str(corpus), "--out-pairs", str(pairs))
+        cfg = {"corpus": str(corpus), "pairs": str(pairs), "basis_sizes": [20, 40],
+               "thresholds": {"min_target_freq": 10, "drop_top": 0,
+                              "min_pair_count": 1, "min_args": 5}}
+
+        def run(out_dir):
+            cfg["out_dir"] = str(out_dir)
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            code, _, err = run_cli(capsys, "pipeline", "--config", str(tmp_path / "cfg.json"))
+            assert code == 0, err
+
+        run(tmp_path / "fresh")
+        run(tmp_path / "reused")
+        _to_text_layout(tmp_path / "reused")
+        assert (tmp_path / "reused" / "vectors" / "nouns" / "manifest.txt").exists()
+        run(tmp_path / "reused")
+        assert _tree(tmp_path / "reused") == _tree(tmp_path / "fresh")
 
     def test_failure_leaves_marker(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lingmat.corpus import (
     write_vectors_dir,
 )
 from lingmat.corpus import DistVector
+from lingmat.matrix_core import ParseError
 from lingmat.synth import SynthConfig, generate_corpus, write_synth_corpus
 
 from oracles import window_counts_bruteforce
@@ -357,18 +359,36 @@ class TestVectorsDir:
         a = DistVector("a", np.array([1.0, 2.0]))
         b = DistVector("b", np.array([3.0, 4.0]))
         write_vectors_dir([a, b], tmp_path / "v")
+        (tmp_path / "v" / "notes.txt").write_text("kept\n")
         write_vectors_dir([a], tmp_path / "v")
-        assert sorted(p.name for p in (tmp_path / "v").iterdir()) == ["a.txt", "manifest.txt"]
-        assert set(read_vectors_dir(tmp_path / "v")) == {"a"}
+        assert sorted(p.name for p in (tmp_path / "v").iterdir()) == [
+            "labels.json", "notes.txt", "vectors.npy"]
+        back = read_vectors_dir(tmp_path / "v")
+        assert list(back) == ["a"]
+        np.testing.assert_array_equal(back["a"].values, [1.0, 2.0])
 
     def test_vector_named_manifest_keeps_its_own_file(self, tmp_path):
         vecs = [DistVector("manifest", np.array([1.0, 2.0])),
+                DistVector("labels.json", np.array([0.5, 0.0])),
                 DistVector("car", np.array([3.0, 0.0]))]
-        names = write_vectors_dir(vecs, tmp_path / "v")
-        assert names == ["manifest.1.txt", "car.txt"]
+        labels = write_vectors_dir(vecs, tmp_path / "v")
+        assert labels == ["manifest", "labels.json", "car"]
+        assert sorted(p.name for p in (tmp_path / "v").iterdir()) == [
+            "labels.json", "vectors.npy"]
         back = read_vectors_dir(tmp_path / "v")
-        assert list(back) == ["manifest", "car"]
-        np.testing.assert_array_equal(back["manifest"].values, [1.0, 2.0])
+        assert list(back) == labels
+        for v in vecs:
+            np.testing.assert_array_equal(back[v.word].values, v.values)
+
+    def test_empty_vector_set_round_trips(self, tmp_path):
+        assert write_vectors_dir([], tmp_path / "v") == []
+        assert read_vectors_dir(tmp_path / "v") == {}
+
+    def test_negative_entry_names_the_path(self, tmp_path):
+        write_vectors_dir([DistVector("a", np.array([1.0, 2.0]))], tmp_path)
+        np.save(tmp_path / "vectors.npy", np.array([[1.0, -2.0]]))
+        with pytest.raises(ParseError, match=re.escape(str(tmp_path / "vectors.npy"))):
+            read_vectors_dir(tmp_path)
 
 
 class TestSyntheticGenerator:

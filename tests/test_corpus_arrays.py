@@ -4,12 +4,14 @@ Random tagged and untagged corpora go through the array paths and through
 the oracles in ``oracles.py``; every result must match exactly, PPMI
 values bit for bit.  Each check also runs with the chunk of the
 full-corpus passes cut to 1, 3 and 7 token positions, so that anchors,
-windows and spans cross chunk edges.
+windows and spans cross chunk edges, and with the encoder's blocks cut to
+as many lines.
 """
 
 import contextlib
 import os
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lingmat import _kernels
+from lingmat import corpus as corpus_module
 from lingmat.corpus import (
     BasisSpec,
     CorpusError,
@@ -91,11 +94,20 @@ def chunk_length(chunk):
         yield
 
 
+@contextlib.contextmanager
+def encoder_blocks(lines):
+    """The encoder reads blocks of `lines` lines."""
+    with pytest.MonkeyPatch.context() as mp:
+        if lines is not None:
+            mp.setattr(corpus_module, "_ENCODE_LINES", lines)
+        yield
+
+
 @settings(max_examples=80, deadline=None)
 @given(any_corpus)
 def test_read_corpus_round_trip(text):
     for chunk in CHUNKS:
-        with chunk_length(chunk):
+        with chunk_length(chunk), encoder_blocks(chunk):
             corpus, sentences = read_both(text)
         if corpus is None:
             return
@@ -104,6 +116,8 @@ def test_read_corpus_round_trip(text):
         assert corpus.tagged == oracles.is_tagged(sentences)
         assert corpus.word_ids.dtype == np.int32
         assert corpus.tag_ids.dtype == np.int8
+        # the id array owns its memory: no buffer capacity stays behind it
+        assert corpus.word_ids.base is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -112,7 +126,7 @@ def test_read_corpus_round_trip(text):
 def test_from_sentences_round_trip(sentences):
     want = tuple(tuple(s) for s in sentences if s)
     for chunk in CHUNKS:
-        with chunk_length(chunk):
+        with chunk_length(chunk), encoder_blocks(chunk):
             corpus = TokenizedCorpus.from_sentences(sentences)
             assert corpus.sentences == want, chunk
             assert corpus.tagged == oracles.is_tagged(want)
@@ -198,7 +212,7 @@ def test_edge_case_tokens_and_lines(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes("word| |tag a|b|N\r\n\n   \nsolo\nx\x0cy\u2028z|J\n".encode())
     for chunk in CHUNKS:
-        with chunk_length(chunk):
+        with chunk_length(chunk), encoder_blocks(chunk):
             corpus = read_corpus(path)
             assert corpus.sentences == (
                 (("word", None), ("|tag", None), ("a|b", "N")),
@@ -212,6 +226,32 @@ def test_edge_case_tokens_and_lines(tmp_path):
             table = count_cooccurrence(corpus, ["solo", "x"],
                                        BasisSpec(("y", "z", "solo")), 50)
             assert table.counts == {"solo": {}, "x": {"y": 1, "z": 1}}, chunk
+
+
+def test_token_count_hint_is_exact_for_space_separated_lines(desk_corpus):
+    path, _ = desk_corpus
+    assert corpus_module._token_count_hint(path) == read_corpus(path).n_total + 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_corpus_read_from_a_pipe_matches_the_file(tmp_path, desk_corpus):
+    path, _ = desk_corpus
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    from_pipe = read_corpus(fifo)
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    from_file = read_corpus(path)
+    for name in ("word_ids", "tag_ids", "offsets"):
+        np.testing.assert_array_equal(getattr(from_pipe, name), getattr(from_file, name))
+    assert from_pipe.words == from_file.words and from_pipe.tags == from_file.tags
 
 
 def test_sentences_view_is_decoded_from_the_arrays():

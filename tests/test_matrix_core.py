@@ -1,8 +1,12 @@
+import json
 import os
+import pickle
+import re
 
 import numpy as np
 import pytest
 
+from lingmat.corpus import DistVector, read_vectors_dir, write_vectors_dir
 from lingmat.matrix_core import (
     Ensemble,
     ParseError,
@@ -195,6 +199,16 @@ class TestEnsembleIO:
         for a, b in zip(back.members, members):
             np.testing.assert_array_equal(a.values, b.values)
 
+    def test_streamed_stack_is_the_npy_of_the_whole_array(self, tmp_path):
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(11, 4, 4))
+        labels = write_ensemble((WordMatrix(f"m{i}", v) for i, v in enumerate(values)),
+                                tmp_path / "ens")
+        assert labels == [f"m{i}" for i in range(11)]
+        np.save(tmp_path / "whole.npy", values)
+        assert ((tmp_path / "ens" / "members.npy").read_bytes()
+                == (tmp_path / "whole.npy").read_bytes())
+
     def test_rewrite_removes_stale_members(self, tmp_path):
         rng = np.random.default_rng(7)
         old = Ensemble(tuple(WordMatrix(f"old{i}", rng.normal(size=(3, 3)))
@@ -203,11 +217,143 @@ class TestEnsembleIO:
                              for i in range(2)))
         write_ensemble(old, tmp_path / "ens")
         (tmp_path / "ens" / "notes.txt").write_text("kept\n")
-        names = write_ensemble(new, tmp_path / "ens")
-        assert sorted(os.listdir(tmp_path / "ens")) == sorted(
-            names + ["manifest.txt", "notes.txt"])
-        assert read_ensemble(tmp_path / "ens").labels() == ["new0", "new1"]
+        write_ensemble(new, tmp_path / "ens")
+        assert sorted(os.listdir(tmp_path / "ens")) == [
+            "labels.json", "members.npy", "notes.txt"]
+        back = read_ensemble(tmp_path / "ens")
+        assert back.labels() == ["new0", "new1"]
+        for a, b in zip(back.members, new.members):
+            np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("fault", ["exception", "dimension"])
+    def test_failed_write_keeps_previous_ensemble(self, tmp_path, fault):
+        rng = np.random.default_rng(9)
+        old = Ensemble(tuple(WordMatrix(f"old{i}", rng.normal(size=(3, 3)))
+                             for i in range(4)))
+        write_ensemble(old, tmp_path / "ens")
+
+        def members():
+            yield WordMatrix("new0", rng.normal(size=(3, 3)))
+            yield WordMatrix("new1", rng.normal(size=(3, 3)))
+            if fault == "exception":
+                raise RuntimeError("interrupted")
+            yield WordMatrix("new2", rng.normal(size=(4, 4)))
+
+        with pytest.raises(RuntimeError if fault == "exception" else ValueError):
+            write_ensemble(members(), tmp_path / "ens")
+        assert sorted(os.listdir(tmp_path / "ens")) == ["labels.json", "members.npy"]
+        back = read_ensemble(tmp_path / "ens")
+        assert back.labels() == old.labels()
+        for a, b in zip(back.members, old.members):
+            np.testing.assert_array_equal(a.values, b.values)
+
+    def test_empty_ensemble_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="empty"):
+            write_ensemble(iter(()), tmp_path / "ens")
+        assert not (tmp_path / "ens").exists()
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ParseError, match="manifest"):
+            read_ensemble(tmp_path)
+
+
+LABELS = ["#tag", "# two words", "red car", "Bär", "名詞", "manifest", "labels.json",
+          "members.npy", "vectors.npy", " padded ", "line\nbreak"]
+
+
+def _write_good(kind, dirpath):
+    """A two-row stack directory of the given kind; returns its reader,
+    stack path and shape."""
+    if kind == "ensemble":
+        write_ensemble([WordMatrix("a", np.eye(3)), WordMatrix("b", 2 * np.eye(3))],
+                       dirpath)
+        return read_ensemble, dirpath / "members.npy", (2, 3, 3)
+    write_vectors_dir([DistVector("a", [1.0, 0.0, 2.0]), DistVector("b", [0.0, 3.0, 0.0])],
+                      dirpath)
+    return read_vectors_dir, dirpath / "vectors.npy", (2, 3)
+
+
+def _truncate(path, size):
+    with open(path, "r+b") as fh:
+        fh.truncate(size)
+
+
+def _savez(path, array):
+    with open(path, "wb") as fh:
+        np.savez(fh, a=array)
+
+
+def _with_entry(value):
+    def corrupt(path, shape):
+        bad = np.ones(shape)
+        bad[(1,) * len(shape)] = value
+        np.save(path, bad)
+    return corrupt
+
+
+BAD_STACKS = {
+    "missing": lambda path, shape: os.remove(path),
+    "empty_file": lambda path, shape: _truncate(path, 0),
+    "truncated_header": lambda path, shape: _truncate(path, 50),
+    "truncated_data": lambda path, shape: _truncate(path, os.path.getsize(path) - 5),
+    "int64": lambda path, shape: np.save(path, np.ones(shape, dtype=np.int64)),
+    "float32": lambda path, shape: np.save(path, np.ones(shape, dtype=np.float32)),
+    "object": lambda path, shape: np.save(path, np.full(shape, 1.0, dtype=object),
+                                          allow_pickle=True),
+    "pickle": lambda path, shape: path.write_bytes(pickle.dumps(np.ones(shape))),
+    "npz": lambda path, shape: _savez(path, np.ones(shape)),
+    "rank_low": lambda path, shape: np.save(path, np.ones(shape[:-1])),
+    "rank_high": lambda path, shape: np.save(path, np.ones(shape + (1,))),
+    "more_rows": lambda path, shape: np.save(path, np.ones((3,) + shape[1:])),
+    "fewer_rows": lambda path, shape: np.save(path, np.ones((1,) + shape[1:])),
+    "nan": _with_entry(np.nan),
+    "inf": _with_entry(-np.inf),
+}
+
+BAD_LABELS = {
+    "missing": None,
+    "not_json": "label a\nlabel b\n",
+    "object": '{"a": 0, "b": 1}',
+    "empty_label": '["a", ""]',
+    "number": '["a", 2]',
+}
+
+
+class TestStackDirectories:
+    @pytest.mark.parametrize("kind", ["ensemble", "vectors"])
+    @pytest.mark.parametrize("label", LABELS)
+    def test_labels_round_trip(self, tmp_path, kind, label):
+        labels = [label, "plain"]
+        if kind == "ensemble":
+            write_ensemble([WordMatrix(x, np.eye(2)) for x in labels], tmp_path)
+            assert read_ensemble(tmp_path).labels() == labels
+        else:
+            write_vectors_dir([DistVector(x, [1.0, 2.0]) for x in labels], tmp_path)
+            assert list(read_vectors_dir(tmp_path)) == labels
+
+    @pytest.mark.parametrize("kind", ["ensemble", "vectors"])
+    @pytest.mark.parametrize("case", sorted(BAD_STACKS))
+    def test_malformed_stack_names_the_path(self, tmp_path, kind, case):
+        reader, path, shape = _write_good(kind, tmp_path)
+        BAD_STACKS[case](path, shape)
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            reader(tmp_path)
+
+    @pytest.mark.parametrize("kind", ["ensemble", "vectors"])
+    @pytest.mark.parametrize("case", sorted(BAD_LABELS))
+    def test_malformed_label_manifest_names_the_path(self, tmp_path, kind, case):
+        reader, _, _ = _write_good(kind, tmp_path)
+        if BAD_LABELS[case] is None:
+            os.remove(tmp_path / "labels.json")
+        else:
+            (tmp_path / "labels.json").write_text(BAD_LABELS[case])
+        with pytest.raises(ParseError, match=re.escape(str(tmp_path / "labels.json"))):
+            reader(tmp_path)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (0, 3, 3), (2, 0, 0)])
+    def test_ensemble_stack_must_be_nonempty_and_square(self, tmp_path, shape):
+        write_ensemble([WordMatrix("a", np.eye(3)), WordMatrix("b", np.eye(3))], tmp_path)
+        np.save(tmp_path / "members.npy", np.ones(shape))
+        (tmp_path / "labels.json").write_text(json.dumps(["a", "b"][:shape[0]]))
+        with pytest.raises(ParseError, match=re.escape(str(tmp_path / "members.npy"))):
             read_ensemble(tmp_path)
