@@ -21,7 +21,7 @@ from .counting import count_invariants, count_invariants_stable
 from .corpus import Thresholds, read_corpus, read_pairs
 from .gauss import GaussParams, fit as fit_params, moment_report, predict_moment
 from .invariants import CATALOG, EnsembleAverages, element_histogram, validate_tag
-from .matrix_core import read_ensemble, write_ensemble, WordMatrix
+from .matrix_core import MEMBERS_NAME, read_ensemble, write_stack
 from .pipeline import (
     PipelineConfig,
     provenance_comment,
@@ -31,7 +31,8 @@ from .pipeline import (
     write_json,
 )
 from .regression import RegressionConfig
-from .sampler import SampleSpec, iter_matrices, mc_records_csv, monte_carlo_check
+from .sampler import (SampleSpec, iter_matrices, mc_records_csv, monte_carlo_check,
+                      sample_labels)
 from .synth import SynthConfig, write_synth_corpus
 
 
@@ -208,9 +209,7 @@ def cmd_sample(args):
                              b=params.b, j0=params.j0, js=params.js)
     spec = SampleSpec(params=params, count=int(args.count), seed=int(args.seed))
     out = args.out or f"sample-D{params.dim}-N{spec.count}-seed{spec.seed}"
-    matrices = (WordMatrix(f"sample{k:06d}", v)
-                for k, v in enumerate(iter_matrices(spec)))
-    write_ensemble(matrices, out)
+    write_stack(zip(sample_labels(spec.count), iter_matrices(spec)), out, MEMBERS_NAME)
     write_json({"dim": params.dim, "count": spec.count, "seed": spec.seed},
                os.path.join(out, "provenance.json"),
                _provenance(args, seed=spec.seed))

@@ -4,10 +4,11 @@ weighting, dataset selection, and noun/compound distributional vectors.
 Corpus format: UTF-8 text, one sentence per line, tokens separated by
 spaces, optionally tagged as ``word|POS``.  A corpus counts as tagged if
 any token carries a tag; content words are those whose tag starts with
-N, V, J or R.  For untagged corpora, content means "not in the stopword
-list".  Argument pairs arrive from a tab-separated
-``head<TAB>argument<TAB>count`` file (dependency analysis is upstream of
-this package); lines starting with '#' are comments.
+N, V, J or R.  In an untagged corpus every word is content: no stopword
+list ships, and the pipeline passes `select_basis` none.  Argument pairs
+arrive from a tab-separated ``head<TAB>argument<TAB>count`` file
+(dependency analysis is upstream of this package); lines starting with
+'#' are comments.
 """
 
 from __future__ import annotations
@@ -458,6 +459,11 @@ class Thresholds:
     drop_top: int = 100
     min_pair_count: int = 100
     min_args: int = 100
+
+    def __post_init__(self):
+        for key, value in self.to_json_dict().items():
+            if value < 0:
+                raise ValueError(f"threshold {key} must be >= 0, got {value}")
 
     def to_json_dict(self) -> dict:
         return {"min_target_freq": self.min_target_freq, "drop_top": self.drop_top,

@@ -293,22 +293,25 @@ class MomentReport:
         return "\n".join(lines) + "\n"
 
 
-def moment_report(params: GaussParams, ensemble: Ensemble) -> MomentReport:
-    """Compare the model against an ensemble on the fit + higher invariants."""
-    if params.dim != ensemble.dim:
+def averages_report(params: GaussParams, avgs: EnsembleAverages) -> MomentReport:
+    """Compare the model against averages on the fit + higher invariants."""
+    if params.dim != avgs.dim:
         raise ValueError(
-            f"params dimension {params.dim} does not match ensemble dimension {ensemble.dim}"
+            f"params dimension {params.dim} does not match ensemble dimension {avgs.dim}"
         )
-    tags = FIT_TAGS + HIGHER_TAGS
-    avgs = ensemble_averages(ensemble, tags)
     rows = []
-    for tag in tags:
+    for tag in FIT_TAGS + HIGHER_TAGS:
         theory = predict_moment(params, tag)
         expt = avgs.values[tag]
         ratio = theory / expt if expt != 0.0 else None
         rows.append(MomentRow(tag=tag, theory=theory, experiment=expt, ratio=ratio))
-    return MomentReport(params=params, dim=params.dim, count=len(ensemble),
+    return MomentReport(params=params, dim=params.dim, count=avgs.count,
                         rows=tuple(rows))
+
+
+def moment_report(params: GaussParams, ensemble: Ensemble) -> MomentReport:
+    """`averages_report` on the ensemble's averages."""
+    return averages_report(params, ensemble_averages(ensemble, FIT_TAGS + HIGHER_TAGS))
 
 
 # ---------------------------------------------------------------------------

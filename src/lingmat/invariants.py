@@ -171,20 +171,18 @@ class EnsembleAverages:
 def ensemble_averages(ensemble: Ensemble, tags=CATALOG) -> EnsembleAverages:
     """Mean of each invariant over the members, in member order.
 
-    Members are evaluated in stacked blocks of ``_kernels.block_size(D)``,
-    which gives each member the bits of evaluating it alone, and the
-    reduction is a fixed ordered summation.
+    The ensemble's stack is evaluated in slices of ``_kernels.block_size(D)``
+    members, which gives each member the bits of evaluating it alone, and
+    the reduction is a fixed ordered summation.
     """
     tags = tuple(tags)
     for t in tags:
         validate_tag(t)
     with_cycles = any(t in _kernels.CYCLE_TAGS for t in tags)
-    members = ensemble.members
+    v = ensemble.values
     size = _kernels.block_size(ensemble.dim)
-    table = np.vstack([
-        _kernels.catalog_values(np.stack([m.values for m in members[i:i + size]]),
-                                with_cycles)
-        for i in range(0, len(members), size)])
+    table = np.vstack([_kernels.catalog_values(v[i:i + size], with_cycles)
+                       for i in range(0, len(v), size)])
     means = table.sum(axis=0) / len(ensemble)
     values = {t: float(means[CATALOG_INDEX[t]]) for t in tags}
     return EnsembleAverages(dim=ensemble.dim, count=len(ensemble), values=values)
@@ -215,7 +213,7 @@ def element_histogram(ensemble: Ensemble, i: int, j: int, bin_count: int) -> His
         raise ValueError(f"entry ({i},{j}) out of range for dimension {d}")
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
-    vals = np.array([m.values[i, j] for m in ensemble.members])
+    vals = ensemble.values[:, i, j]
     lo = float(vals.min())
     hi = float(vals.max())
     if lo == hi:

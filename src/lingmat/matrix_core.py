@@ -2,7 +2,8 @@
 
 All types are immutable after construction (arrays are locked) and every
 operation is a pure function, so values can be shared freely across
-threads.
+threads.  An ensemble is its labels plus one (N, D, D) stack, in memory
+as on disk; `Ensemble.members` builds WordMatrix copies only on request.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -49,36 +49,44 @@ class WordMatrix:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
-    """An ordered, nonempty collection of word matrices of one dimension."""
+    """Labels plus one locked, C-contiguous float64 (N, D, D) stack whose
+    row k is the matrix of label k, the layout of ``members.npy``; such an
+    array is taken without a copy and locked in place."""
 
-    members: tuple[WordMatrix, ...]
+    _labels: tuple[str, ...]
+    values: np.ndarray
 
-    def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
-            raise ValueError("ensemble must be nonempty")
-        d = members[0].dim
-        for m in members:
-            if m.dim != d:
-                raise ValueError(
-                    f"ensemble members disagree on dimension: {d} vs {m.dim} ({m.label!r})"
-                )
-        object.__setattr__(self, "members", members)
+    def __init__(self, labels, values):
+        labels = tuple(labels)
+        v = np.ascontiguousarray(values, dtype=np.float64)
+        if v.ndim != 3 or v.shape[1] != v.shape[2] or 0 in v.shape:
+            raise ValueError(f"ensemble must be a nonempty (N, D, D) stack, got shape {v.shape}")
+        if len(labels) != len(v):
+            raise ValueError(f"{len(labels)} labels for {len(v)} matrices")
+        if not all(isinstance(x, str) and x for x in labels):
+            raise ValueError("ensemble labels must be nonempty strings")
+        if not (np.isfinite(v.min()) and np.isfinite(v.max())):  # no (N, D, D) mask
+            raise ValueError("ensemble has non-finite entries")
+        v.setflags(write=False)
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "values", v)
 
     @property
     def dim(self) -> int:
-        return self.members[0].dim
+        return self.values.shape[1]
+
+    @property
+    def members(self) -> tuple[WordMatrix, ...]:
+        """One WordMatrix copy per member, built on each access."""
+        return tuple(map(WordMatrix, self._labels, self.values))
 
     def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+        return len(self.values)
 
     def labels(self) -> list[str]:
-        return [m.label for m in self.members]
+        return list(self._labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,25 +339,17 @@ def read_stack(dirpath, name: str, ndim: int) -> tuple[list[str], np.ndarray]:
     return labels, values
 
 
-def write_ensemble(ensemble, dirpath) -> list[str]:
-    """Write the members as ``members.npy``, shape (N, D, D), plus the label
-    manifest (see `write_stack`); returns the labels.
-
-    Accepts an Ensemble or any iterable of WordMatrix (streamed; the whole
-    collection is never required in memory).  Other files in the
-    directory are left alone.
-    """
-    members = iter(ensemble)
-    first = next(members, None)
-    if first is None:
-        raise ValueError("refusing to write an empty ensemble")
-    return write_stack(((m.label, m.values) for m in chain([first], members)),
-                       dirpath, MEMBERS_NAME)
+def write_ensemble(ensemble: Ensemble, dirpath) -> list[str]:
+    """Write the ensemble as ``members.npy``, shape (N, D, D), plus the label
+    manifest (see `write_stack`); returns the labels.  Other files in the
+    directory are left alone."""
+    return write_stack(zip(ensemble.labels(), ensemble.values), dirpath, MEMBERS_NAME)
 
 
 def read_ensemble(dirpath) -> Ensemble:
+    """The ensemble of `write_ensemble`; wraps the loaded stack, no copy."""
     labels, values = read_stack(dirpath, MEMBERS_NAME, 3)
     try:
-        return Ensemble(tuple(map(WordMatrix, labels, values)))
+        return Ensemble(labels, values)
     except ValueError as exc:
         raise ParseError(f"{os.path.join(dirpath, MEMBERS_NAME)}: {exc}") from None

@@ -36,7 +36,7 @@ from .corpus import (
     write_basis,
     write_vectors_dir,
 )
-from .gauss import GaussParams, fit, moment_report
+from .gauss import GaussParams, averages_report, fit
 from .invariants import CATALOG, EnsembleAverages, ensemble_averages
 from .matrix_core import Ensemble, write_ensemble
 from .regression import (
@@ -124,6 +124,9 @@ class PipelineConfig:
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
+        missing = [key for key in ("corpus", "pairs") if key not in obj]
+        if missing:
+            raise ValueError(f"pipeline config is missing required keys: {missing}")
         reg_obj = dict(obj.get("regression", {}))
         method = reg_obj.pop("method", "closed_form")
         lam = reg_obj.pop("lambda", None)
@@ -221,15 +224,20 @@ def stage_select_dataset(corpus, pairs, thresholds, out_path,
 def stage_learn_matrices(selection: DatasetSelection, noun_vectors, compound_vectors,
                          dim: int, reg: RegressionConfig, method: str, out_dir,
                          provenance=None) -> Ensemble:
-    """One ridge regression per selected target at the given dimension."""
+    """One ridge regression per selected target at dimension 1..vector dim."""
     if not selection.entries:
         raise ValueError("dataset selection is empty; relax the thresholds")
     nouns = {v.word: v for v in noun_vectors}
     compounds = {v.word: v for v in compound_vectors}
+    vec_dim = min((v.dim for v in (*noun_vectors, *compound_vectors)), default=dim)
+    if not 1 <= dim <= vec_dim:
+        raise ValueError(f"matrix dimension {dim} must be between 1 and the "
+                         f"vector dimension {vec_dim}")
     fit_logged = (fit_gradient_descent_logged if method == "gradient_descent"
                   else fit_closed_form_logged)
-    members, logs = [], {}
-    for entry in selection.entries:
+    values = np.empty((len(selection.entries), dim, dim))
+    logs = {}
+    for k, entry in enumerate(selection.entries):
         used = [noun for noun, _cnt in entry.args
                 if noun in nouns and f"{entry.word} {noun}" in compounds]
         if not used:
@@ -239,9 +247,9 @@ def stage_learn_matrices(selection: DatasetSelection, noun_vectors, compound_vec
                          np.vstack([compounds[f"{entry.word} {n}"].values[:dim] for n in used]))
         matrix, logs[entry.word] = fit_logged(ts, reg)
         logs[entry.word]["rows"] = len(used)
-        members.append(matrix)
+        values[k] = matrix.values
 
-    ensemble = Ensemble(tuple(members))
+    ensemble = Ensemble([e.word for e in selection.entries], values)
     write_ensemble(ensemble, out_dir)
     write_json({"dim": dim, "words": logs},
                os.path.join(out_dir, "training_log.json"), provenance)
@@ -261,9 +269,9 @@ def stage_fit(avgs: EnsembleAverages, out_path, provenance=None) -> GaussParams:
     return params
 
 
-def stage_report(params: GaussParams, ensemble: Ensemble, out_path,
+def stage_report(params: GaussParams, avgs: EnsembleAverages, out_path,
                  provenance=None):
-    report = moment_report(params, ensemble)
+    report = averages_report(params, avgs)
     write_json(report.to_json_dict(), out_path, provenance)
     with open(os.path.splitext(out_path)[0] + ".txt", "w", encoding="utf-8") as fh:
         if provenance is not None:
@@ -349,7 +357,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             params_by_dim[dim] = params
 
             stage = "report"
-            report = stage_report(params, ensemble,
+            report = stage_report(params, avgs,
                                   os.path.join(ddir, "report.json"),
                                   provenance=prov)
             reports[tag] = report.to_json_dict()

@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels
 from .gauss import GaussParams, predict_moment
 from .invariants import CATALOG, CATALOG_INDEX, validate_tag
-from .matrix_core import Ensemble, WordMatrix
+from .matrix_core import Ensemble
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,19 @@ def iter_matrices(spec: SampleSpec):
         yield from block
 
 
+def sample_labels(count: int) -> list[str]:
+    """Labels of the draws: ``sample000000``, ``sample000001``, ..."""
+    return [f"sample{k:06d}" for k in range(count)]
+
+
 def sample(spec: SampleSpec) -> Ensemble:
-    """Materialize the whole ensemble; labels record the draw index."""
-    members = tuple(
-        WordMatrix(f"sample{k:06d}", values)
-        for k, values in enumerate(iter_matrices(spec))
-    )
-    return Ensemble(members)
+    """The whole ensemble as one stack filled block by block; labels record
+    the draw index."""
+    d = spec.params.dim
+    values = np.empty((spec.count, d, d))
+    for start, block in _blocks(spec):
+        values[start:start + len(block)] = block
+    return Ensemble(sample_labels(spec.count), values)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from lingmat import cli
+from lingmat import _kernels, cli
 from lingmat.gauss import GaussParams
 from lingmat.invariants import eval_all
-from lingmat.corpus import read_vectors_dir
+from lingmat.corpus import DatasetSelection, DistVector, read_vectors_dir
 from lingmat.matrix_core import read_ensemble, write_matrix, write_vector
+from lingmat.pipeline import PipelineConfig, run_pipeline, stage_learn_matrices
+from lingmat.regression import RegressionConfig
+from lingmat.synth import write_synth_corpus
 
 
 def run_cli(capsys, *argv):
@@ -33,8 +37,8 @@ def _to_text_layout(out_dir):
     per-item layout: one text file per item plus a manifest.txt of names."""
     for ens_dir in out_dir.glob("D*/matrices"):
         ensemble = read_ensemble(ens_dir)
-        names = [f"{i:06d}_{m.label}.txt" for i, m in enumerate(ensemble)]
-        for name, m in zip(names, ensemble):
+        names = [f"{i:06d}_{m.label}.txt" for i, m in enumerate(ensemble.members)]
+        for name, m in zip(names, ensemble.members):
             write_matrix(m, ens_dir / name)
         (ens_dir / "manifest.txt").write_text("".join(n + "\n" for n in names))
         os.remove(ens_dir / "members.npy")
@@ -81,8 +85,8 @@ class TestSampleAndObservables:
             assert code == 0, err
         e1 = read_ensemble(tmp_path / "e1")
         e2 = read_ensemble(tmp_path / "e2")
-        for a, b in zip(e1.members, e2.members):
-            np.testing.assert_array_equal(a.values, b.values)
+        assert e1.labels() == e2.labels()
+        np.testing.assert_array_equal(e1.values, e2.values)
 
         avgs_path = tmp_path / "avgs.json"
         code, _, err = run_cli(capsys, "observables", "--ensemble",
@@ -101,7 +105,7 @@ class TestSampleAndObservables:
         run_cli(capsys, "observables", "--ensemble", str(tmp_path / "one"),
                 "--out", str(avgs_path))
         ens = read_ensemble(tmp_path / "one")
-        want = eval_all(ens.members[0])
+        want = eval_all(ens.values[0])
         got = json.loads(avgs_path.read_text())["values"]
         for tag, val in want.items():
             assert got[tag] == pytest.approx(val)
@@ -203,6 +207,44 @@ class TestErrors:
         code, _, err = run_cli(capsys, "pipeline", "--config", str(cfg_path))
         assert code == 1
         assert json.loads(err)["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize("key", ["corpus", "pairs"])
+    def test_pipeline_config_names_a_missing_key(self, capsys, tmp_path, key):
+        cfg = {"corpus": "c.txt", "pairs": "p.tsv", "basis_sizes": [4]}
+        del cfg[key]
+        with pytest.raises(ValueError, match=f"missing required keys: \\['{key}'\\]"):
+            PipelineConfig.from_json_dict(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "pipeline", "--config", str(cfg_path))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and repr(key) in payload["message"]
+
+    def test_select_dataset_rejects_negative_threshold(self, capsys, tmp_path):
+        corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+        write_synth_corpus(2, corpus, pairs)
+        out = tmp_path / "selection.json"
+        code, _, err = run_cli(
+            capsys, "select-dataset", "--corpus", str(corpus), "--pairs", str(pairs),
+            "--drop-top", "-3", "--out", str(out))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and "drop_top" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [0, 8])
+    def test_learn_matrices_rejects_dim_outside_the_vectors(self, tmp_path, dim):
+        nouns = [DistVector(f"n{i}", np.arange(5.0) + i) for i in range(3)]
+        compounds = [DistVector(f"big n{i}", np.arange(5.0) * i) for i in range(3)]
+        selection = DatasetSelection.from_json_dict({"targets": [
+            {"word": "big", "pos_class": "adjective", "freq": 9,
+             "args": [[f"n{i}", 3] for i in range(3)]}]})
+        with pytest.raises(ValueError, match=f"dimension {dim} .* vector dimension 5"):
+            stage_learn_matrices(selection, nouns, compounds, dim,
+                                 RegressionConfig(ridge_lambda=0.1), "closed_form",
+                                 tmp_path / "matrices")
+        assert not (tmp_path / "matrices").exists()
 
 
 class TestStageSubcommands:
@@ -331,6 +373,32 @@ class TestPipelineCli:
         assert "stage" in payload
         marker = (tmp_path / "out" / "FAILED").read_text()
         assert "stage:" in marker
+
+
+class TestCatalogPasses:
+    def test_desk_run_evaluates_each_catalog_once(self, monkeypatch, tmp_path):
+        """The report reads the averages of the observables stage, so each
+        ensemble's catalog is evaluated once, in blocks of block_size(D)."""
+        corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+        write_synth_corpus(2, corpus, pairs)
+        config = PipelineConfig.from_json_dict({
+            "corpus": str(corpus), "pairs": str(pairs), "out_dir": str(tmp_path / "out"),
+            "basis_sizes": [60, 80, 100], "window": 5,
+            "thresholds": {"min_target_freq": 100, "drop_top": 0,
+                           "min_pair_count": 5, "min_args": 10},
+            "regression": {"lambda": 0.001, "method": "closed_form"}})
+        calls = []
+        real = _kernels.catalog_values
+
+        def counted(m, with_cycles=True):
+            calls.append(len(m))
+            return real(m, with_cycles)
+
+        monkeypatch.setattr(_kernels, "catalog_values", counted)
+        n = run_pipeline(config)["selection_size"]
+        assert len(calls) == sum(math.ceil(n / _kernels.block_size(d))
+                                 for d in (60, 80, 100)) == 25
+        assert sum(calls) == 3 * n
 
 
 class TestConfigFile:

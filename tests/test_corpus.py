@@ -312,6 +312,13 @@ class TestSelectDataset:
         for th in tighter:
             assert set(select_dataset(c, pairs, th).words()) <= baseline
 
+    @pytest.mark.parametrize("field", ["min_target_freq", "drop_top",
+                                       "min_pair_count", "min_args"])
+    def test_negative_threshold_is_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            Thresholds(**{field: -3})
+        assert getattr(Thresholds(**{field: 0}), field) == 0
+
     def test_pos_class_from_tags(self):
         c = corpus_of("big|J cat|N\nbig|J dog|N\nruns|V cat|N")
         pairs = {"big": {"cat": 1, "dog": 1}, "runs": {"cat": 1}}

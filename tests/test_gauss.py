@@ -190,11 +190,11 @@ class TestMomentReport:
         assert {r.tag for r in report.rows} == set(FIT_TAGS) | set(HIGHER_TAGS)
 
     def test_zero_experiment_flagged(self):
-        from lingmat.matrix_core import Ensemble, WordMatrix
+        from lingmat.matrix_core import Ensemble
 
-        m = np.zeros((5, 5))
-        np.fill_diagonal(m, [1.0, -1.0, 1.0, -1.0, 0.0])
-        ens = Ensemble((WordMatrix("w", m),))
+        m = np.zeros((1, 5, 5))
+        np.fill_diagonal(m[0], [1.0, -1.0, 1.0, -1.0, 0.0])
+        ens = Ensemble(["w"], m)
         p = GaussParams(dim=5, lam=1.0, a=1.0, b=1.0, j0=0.5, js=0.5)
         report = moment_report(p, ens)
         row = report.row("Mo31")  # off-diagonal cube of the zero off-diagonals

@@ -149,7 +149,7 @@ class TestGraphInvariant:
 class TestEnsembleAverages:
     def test_single_matrix(self):
         m = wm(np.random.default_rng(19).normal(size=(4, 4)))
-        avgs = ensemble_averages(Ensemble((m,)))
+        avgs = ensemble_averages(Ensemble([m.label], m.values[None]))
         vals = eval_all(m)
         for tag in CATALOG:
             assert avgs.values[tag] == pytest.approx(vals[tag])
@@ -157,7 +157,7 @@ class TestEnsembleAverages:
 
     def test_odd_tags_cancel_for_plus_minus_pair(self):
         m = np.random.default_rng(20).normal(size=(5, 5))
-        ens = Ensemble((WordMatrix("p", m), WordMatrix("m", -m)))
+        ens = Ensemble(["p", "m"], np.stack([m, -m]))
         avgs = ensemble_averages(ens)
         for tag in ("Md1", "Mo1", "Md3", "Mo31", "Mo32"):
             assert close(avgs.values[tag], 0.0, 1e-12), tag
@@ -165,7 +165,7 @@ class TestEnsembleAverages:
     def test_mean_of_loop_oracle(self):
         rng = np.random.default_rng(21)
         mats = [rng.normal(size=(4, 4)) for _ in range(3)]
-        ens = Ensemble(tuple(WordMatrix(f"w{i}", m) for i, m in enumerate(mats)))
+        ens = Ensemble([f"w{i}" for i in range(3)], np.stack(mats))
         avgs = ensemble_averages(ens)
         for tag in CATALOG:
             want = sum(loop_invariant(tag, m) for m in mats) / 3.0
@@ -174,10 +174,9 @@ class TestEnsembleAverages:
     def test_blocked_evaluation_matches_per_member_kernel(self):
         # 17 members at D = 30 are two blocks of 9 and 8
         rng = np.random.default_rng(22)
-        ens = Ensemble(tuple(WordMatrix(f"w{i}", rng.normal(size=(30, 30)))
-                             for i in range(17)))
+        ens = Ensemble([f"w{i}" for i in range(17)], rng.normal(size=(17, 30, 30)))
         assert _kernels.block_size(ens.dim) == 9
-        table = np.stack([_kernels.catalog_values(m.values) for m in ens.members])
+        table = np.stack([_kernels.catalog_values(m.copy()) for m in ens.values])
         means = table.sum(axis=0) / len(ens)
         avgs = ensemble_averages(ens)
         assert avgs.values == {t: float(means[CATALOG_INDEX[t]]) for t in CATALOG}
@@ -191,9 +190,10 @@ class TestEnsembleAverages:
 
 class TestElementHistogram:
     def make(self, values):
-        return Ensemble(tuple(
-            WordMatrix(f"w{i}", [[v, 0.0], [0.0, 0.0]]) for i, v in enumerate(values)
-        ))
+        values = np.asarray(values, dtype=float)
+        stack = np.zeros((values.size, 2, 2))
+        stack[:, 0, 0] = values
+        return Ensemble([f"w{i}" for i in range(values.size)], stack)
 
     def test_constant_entry_single_bin(self):
         h = element_histogram(self.make([2.5] * 7), 0, 0, 4)

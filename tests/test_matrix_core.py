@@ -2,12 +2,14 @@ import json
 import os
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lingmat.corpus import DistVector, read_vectors_dir, write_vectors_dir
 from lingmat.matrix_core import (
+    MEMBERS_NAME,
     Ensemble,
     ParseError,
     PermutationMap,
@@ -20,6 +22,7 @@ from lingmat.matrix_core import (
     symmetric_part,
     write_ensemble,
     write_matrix,
+    write_stack,
     write_vector,
 )
 
@@ -51,14 +54,38 @@ class TestWordMatrix:
             m.values[0, 0] = 9.0
 
 
+def ens(labels, values):
+    return Ensemble(labels, np.asarray(values, dtype=float))
+
+
 class TestEnsemble:
     def test_nonempty(self):
         with pytest.raises(ValueError, match="nonempty"):
-            Ensemble(())
+            ens([], np.zeros((0, 2, 2)))
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            Ensemble((wm(np.zeros((2, 2))), wm(np.zeros((3, 3)))))
+        with pytest.raises(ValueError, match="shape"):
+            ens(["a", "b"], np.zeros((2, 2, 3)))
+
+    def test_takes_the_stack_without_a_copy(self):
+        values = np.arange(18.0).reshape(2, 3, 3)
+        e = Ensemble(["a", "b"], values)
+        assert e.values is values and not values.flags.writeable
+        assert len(e) == 2 and e.dim == 3 and e.labels() == ["a", "b"]
+        assert [m.label for m in e.members] == ["a", "b"]
+        np.testing.assert_array_equal(e.members[1].values, values[1])
+
+    @pytest.mark.parametrize("labels, entry, match", [
+        (["a"], 0.0, "1 labels for 2 matrices"),
+        (["a", ""], 0.0, "nonempty strings"),
+        (["a", "b"], np.nan, "non-finite"),
+        (["a", "b"], -np.inf, "non-finite"),
+    ])
+    def test_rejects_bad_labels_and_entries(self, labels, entry, match):
+        values = np.zeros((2, 3, 3))
+        values[1, 2, 0] = entry
+        with pytest.raises(ValueError, match=match):
+            Ensemble(labels, values)
 
 
 class TestSymmetricDecomposition:
@@ -190,20 +217,18 @@ class TestMatrixIO:
 class TestEnsembleIO:
     def test_roundtrip_preserves_order(self, tmp_path):
         rng = np.random.default_rng(6)
-        members = tuple(WordMatrix(f"word{i}", rng.normal(size=(3, 3)))
-                        for i in range(5))
-        ens = Ensemble(members)
-        write_ensemble(ens, tmp_path / "ens")
+        labels = [f"word{i}" for i in range(5)]
+        values = rng.normal(size=(5, 3, 3))
+        write_ensemble(ens(labels, values), tmp_path / "ens")
         back = read_ensemble(tmp_path / "ens")
-        assert back.labels() == [m.label for m in members]
-        for a, b in zip(back.members, members):
-            np.testing.assert_array_equal(a.values, b.values)
+        assert back.labels() == labels
+        np.testing.assert_array_equal(back.values, values)
 
     def test_streamed_stack_is_the_npy_of_the_whole_array(self, tmp_path):
         rng = np.random.default_rng(8)
         values = rng.normal(size=(11, 4, 4))
-        labels = write_ensemble((WordMatrix(f"m{i}", v) for i, v in enumerate(values)),
-                                tmp_path / "ens")
+        labels = write_stack(((f"m{i}", v) for i, v in enumerate(values)),
+                             tmp_path / "ens", MEMBERS_NAME)
         assert labels == [f"m{i}" for i in range(11)]
         np.save(tmp_path / "whole.npy", values)
         assert ((tmp_path / "ens" / "members.npy").read_bytes()
@@ -211,10 +236,8 @@ class TestEnsembleIO:
 
     def test_rewrite_removes_stale_members(self, tmp_path):
         rng = np.random.default_rng(7)
-        old = Ensemble(tuple(WordMatrix(f"old{i}", rng.normal(size=(3, 3)))
-                             for i in range(5)))
-        new = Ensemble(tuple(WordMatrix(f"new{i}", rng.normal(size=(3, 3)))
-                             for i in range(2)))
+        old = ens([f"old{i}" for i in range(5)], rng.normal(size=(5, 3, 3)))
+        new = ens(["new0", "new1"], rng.normal(size=(2, 3, 3)))
         write_ensemble(old, tmp_path / "ens")
         (tmp_path / "ens" / "notes.txt").write_text("kept\n")
         write_ensemble(new, tmp_path / "ens")
@@ -222,35 +245,47 @@ class TestEnsembleIO:
             "labels.json", "members.npy", "notes.txt"]
         back = read_ensemble(tmp_path / "ens")
         assert back.labels() == ["new0", "new1"]
-        for a, b in zip(back.members, new.members):
-            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(back.values, new.values)
 
     @pytest.mark.parametrize("fault", ["exception", "dimension"])
     def test_failed_write_keeps_previous_ensemble(self, tmp_path, fault):
         rng = np.random.default_rng(9)
-        old = Ensemble(tuple(WordMatrix(f"old{i}", rng.normal(size=(3, 3)))
-                             for i in range(4)))
+        old = ens([f"old{i}" for i in range(4)], rng.normal(size=(4, 3, 3)))
         write_ensemble(old, tmp_path / "ens")
 
-        def members():
-            yield WordMatrix("new0", rng.normal(size=(3, 3)))
-            yield WordMatrix("new1", rng.normal(size=(3, 3)))
+        def rows():  # a streamed write, as `lingmat sample` makes
+            yield "new0", rng.normal(size=(3, 3))
+            yield "new1", rng.normal(size=(3, 3))
             if fault == "exception":
                 raise RuntimeError("interrupted")
-            yield WordMatrix("new2", rng.normal(size=(4, 4)))
+            yield "new2", rng.normal(size=(4, 4))
 
         with pytest.raises(RuntimeError if fault == "exception" else ValueError):
-            write_ensemble(members(), tmp_path / "ens")
+            write_stack(rows(), tmp_path / "ens", MEMBERS_NAME)
         assert sorted(os.listdir(tmp_path / "ens")) == ["labels.json", "members.npy"]
         back = read_ensemble(tmp_path / "ens")
         assert back.labels() == old.labels()
-        for a, b in zip(back.members, old.members):
-            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(back.values, old.values)
 
     def test_empty_ensemble_is_refused(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            write_ensemble(iter(()), tmp_path / "ens")
+            write_ensemble(ens([], np.zeros((0, 3, 3))), tmp_path / "ens")
         assert not (tmp_path / "ens").exists()
+
+    def test_read_holds_one_copy_of_the_stack(self, tmp_path):
+        values = np.random.default_rng(10).normal(size=(300, 100, 100))
+        labels = [f"m{i}" for i in range(300)]
+        write_ensemble(ens(labels, values), tmp_path)
+        size = os.path.getsize(tmp_path / "members.npy")
+        tracemalloc.start()
+        try:
+            back = read_ensemble(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * size
+        assert back.labels() == labels
+        assert back.values.tobytes() == values.tobytes()
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ParseError, match="manifest"):
@@ -265,8 +300,7 @@ def _write_good(kind, dirpath):
     """A two-row stack directory of the given kind; returns its reader,
     stack path and shape."""
     if kind == "ensemble":
-        write_ensemble([WordMatrix("a", np.eye(3)), WordMatrix("b", 2 * np.eye(3))],
-                       dirpath)
+        write_ensemble(ens(["a", "b"], [np.eye(3), 2 * np.eye(3)]), dirpath)
         return read_ensemble, dirpath / "members.npy", (2, 3, 3)
     write_vectors_dir([DistVector("a", [1.0, 0.0, 2.0]), DistVector("b", [0.0, 3.0, 0.0])],
                       dirpath)
@@ -325,7 +359,7 @@ class TestStackDirectories:
     def test_labels_round_trip(self, tmp_path, kind, label):
         labels = [label, "plain"]
         if kind == "ensemble":
-            write_ensemble([WordMatrix(x, np.eye(2)) for x in labels], tmp_path)
+            write_ensemble(ens(labels, [np.eye(2)] * 2), tmp_path)
             assert read_ensemble(tmp_path).labels() == labels
         else:
             write_vectors_dir([DistVector(x, [1.0, 2.0]) for x in labels], tmp_path)
@@ -352,7 +386,7 @@ class TestStackDirectories:
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (0, 3, 3), (2, 0, 0)])
     def test_ensemble_stack_must_be_nonempty_and_square(self, tmp_path, shape):
-        write_ensemble([WordMatrix("a", np.eye(3)), WordMatrix("b", np.eye(3))], tmp_path)
+        write_ensemble(ens(["a", "b"], [np.eye(3)] * 2), tmp_path)
         np.save(tmp_path / "members.npy", np.ones(shape))
         (tmp_path / "labels.json").write_text(json.dumps(["a", "b"][:shape[0]]))
         with pytest.raises(ParseError, match=re.escape(str(tmp_path / "members.npy"))):
