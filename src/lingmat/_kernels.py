@@ -9,10 +9,6 @@ outgrows one chunk.
 
 import numpy as np
 
-#: Tags whose evaluation needs one dense matrix product (O(D^3)); every
-#: other catalog entry costs O(D^2).
-CYCLE_TAGS = ("Mo32", "Mo42")
-
 #: Bytes of float64 matrix data per stacked block: the bound on what one
 #: block holds, which keeps memory per draw flat at any ensemble size.
 _BLOCK_BYTES = 65536
@@ -48,15 +44,15 @@ def scan(word_ids, table):
         yield pos, table.take(word_ids.take(pos))
 
 
-def catalog_values(m, with_cycles=True):
+def catalog_values(m):
     """All 19 catalog invariants, in the order of ``invariants.CATALOG``, of
     one ``(D, D)`` matrix (a ``(19,)`` vector) or of each matrix of an
     ``(N, D, D)`` stack (an ``(N, 19)`` table).
 
     Restricted sums over pairwise-distinct indices are expanded by
     inclusion-exclusion over index-coincidence patterns into unrestricted
-    contractions.  When ``with_cycles`` is false the two entries that need
-    a matrix product (Mo32, Mo42) are left at 0 and must not be read.
+    contractions.  Mo32 and Mo42 take one batched matrix product; every
+    other entry costs O(D^2) per matrix.
 
     A matrix is evaluated as a stack of one, and every row of a stack gets
     the same bits as the matrix alone: the stack and each product summed
@@ -101,7 +97,7 @@ def catalog_values(m, with_cycles=True):
     h = dot((d[:, None, :] @ mt)[:, 0], d)
     f22 = np.multiply(mt, mt, out=scratch).sum(axis=(1, 2))
 
-    out = np.zeros((len(m), 19))
+    out = np.empty((len(m), 19))
     out[:, 0] = t1
     out[:, 1] = s - t1
     out[:, 2] = q2
@@ -120,15 +116,14 @@ def catalog_values(m, with_cycles=True):
     out[:, 14] = f3 - q3
     out[:, 16] = q4
     out[:, 17] = f4 - q4
-    if with_cycles:
-        mm = m @ m
-        mm3 = np.multiply(mm, mT, out=scratch)  # (i,j) -> (M^2)_ij M_ji
-        tr3 = mm3.sum(axis=(1, 2))
-        dm3 = dot(d, mm3.sum(axis=2))  # d . diag(M^3)
-        tr4 = np.multiply(mm, mm.swapaxes(-1, -2), out=scratch).sum(axis=(1, 2))
-        out[:, 15] = tr3 - 3.0 * dg2 + 2.0 * q3
-        out[:, 18] = (tr4 - 4.0 * dm3 - 2.0 * sg2 + 2.0 * h + f22
-                      + 8.0 * dg - 6.0 * q4)
+    mm = m @ m
+    mm3 = np.multiply(mm, mT, out=scratch)  # (i,j) -> (M^2)_ij M_ji
+    tr3 = mm3.sum(axis=(1, 2))
+    dm3 = dot(d, mm3.sum(axis=2))  # d . diag(M^3)
+    tr4 = np.multiply(mm, mm.swapaxes(-1, -2), out=scratch).sum(axis=(1, 2))
+    out[:, 15] = tr3 - 3.0 * dg2 + 2.0 * q3
+    out[:, 18] = (tr4 - 4.0 * dm3 - 2.0 * sg2 + 2.0 * h + f22
+                  + 8.0 * dg - 6.0 * q4)
     return out[0] if single else out
 
 

@@ -11,6 +11,7 @@ consulted for configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,18 +19,13 @@ import sys
 
 from . import __version__
 from .counting import count_invariants, count_invariants_stable
-from .corpus import Thresholds, read_corpus, read_pairs
+from .corpus import DatasetSelection, Thresholds, read_corpus, read_pairs, read_vectors_dir
 from .gauss import GaussParams, fit as fit_params, moment_report, predict_moment
 from .invariants import CATALOG, EnsembleAverages, element_histogram, validate_tag
 from .matrix_core import MEMBERS_NAME, read_ensemble, write_stack
-from .pipeline import (
-    PipelineConfig,
-    provenance_comment,
-    run_pipeline,
-    stage_build_vectors,
-    stage_select_dataset,
-    write_json,
-)
+from .pipeline import (PipelineConfig, provenance_comment, run_pipeline, stage_build_vectors,
+                       stage_learn_matrices, stage_observables, stage_select_dataset,
+                       write_json)
 from .regression import RegressionConfig
 from .sampler import (SampleSpec, iter_matrices, mc_records_csv, monte_carlo_check,
                       sample_labels)
@@ -83,20 +79,17 @@ def _provenance(args, seed=None):
             "seed": seed if seed is not None else getattr(args, "seed", None)}
 
 
-def _read_params(path) -> GaussParams:
-    return GaussParams.from_json_dict(_load_json(path))
+def _read_params(args) -> GaussParams:
+    """The ``--params`` file, at the ``--dim`` dimension when one is given."""
+    params = GaussParams.from_json_dict(_load_json(args.params))
+    dim = getattr(args, "dim", None)
+    return params if dim is None else dataclasses.replace(params, dim=int(dim))
 
 
-def _thresholds(args) -> Thresholds:
-    base = Thresholds()
-    return Thresholds(
-        min_target_freq=base.min_target_freq if args.min_target_freq is None
-        else int(args.min_target_freq),
-        drop_top=base.drop_top if args.drop_top is None else int(args.drop_top),
-        min_pair_count=base.min_pair_count if args.min_pair_count is None
-        else int(args.min_pair_count),
-        min_args=base.min_args if args.min_args is None else int(args.min_args),
-    )
+def _tags(args) -> tuple[str, ...]:
+    """The ``--tags`` list, comma-separated; the whole catalog by default."""
+    return CATALOG if args.tags is None else tuple(
+        validate_tag(t) for t in args.tags.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -114,28 +107,29 @@ def cmd_gen_corpus(args):
 
 def cmd_build_vectors(args):
     _require(args, "corpus", "pairs", "basis_size", "out")
-    window = 5 if args.window is None else int(args.window)
+    window = PipelineConfig.window if args.window is None else int(args.window)
     stage_build_vectors(read_corpus(args.corpus), read_pairs(args.pairs),
-                        int(args.basis_size), window, args.out,
-                        provenance=_provenance(args))
+                        int(args.basis_size), window, args.out, _provenance(args))
     return 0
 
 
 def cmd_select_dataset(args):
     _require(args, "corpus", "pairs", "out")
+    thresholds = Thresholds.from_json_dict({
+        key: int(getattr(args, key)) for key in Thresholds.__dataclass_fields__
+        if getattr(args, key) is not None})
     selection = stage_select_dataset(read_corpus(args.corpus), read_pairs(args.pairs),
-                                     _thresholds(args), args.out,
-                                     provenance=_provenance(args))
+                                     thresholds, args.out, _provenance(args))
     print(json.dumps({"selected": selection.words()}, sort_keys=True))
     return 0
 
 
 def cmd_learn_matrices(args):
-    from .corpus import DatasetSelection, read_vectors_dir
-    from .pipeline import stage_learn_matrices
-
     _require(args, "vectors", "selection", "out")
-    selection = DatasetSelection.from_json_dict(_load_json(args.selection))
+    try:
+        selection = DatasetSelection.from_json_dict(_load_json(args.selection))
+    except ValueError as exc:
+        raise ValueError(f"{args.selection}: {exc}") from None
     nouns = read_vectors_dir(os.path.join(args.vectors, "nouns"))
     compounds = read_vectors_dir(os.path.join(args.vectors, "compounds"))
     some = next(iter(nouns.values()), None)
@@ -144,20 +138,18 @@ def cmd_learn_matrices(args):
     dim = some.dim if args.dim is None else int(args.dim)
     reg = RegressionConfig(
         ridge_lambda=None if args.ridge_lambda is None else float(args.ridge_lambda),
-        seed=0 if args.seed is None else int(args.seed))
-    method = args.method or "closed_form"
+        seed=RegressionConfig.seed if args.seed is None else int(args.seed))
+    method = args.method or PipelineConfig.regression_method
     stage_learn_matrices(selection, list(nouns.values()), list(compounds.values()),
-                         dim, reg, method, args.out, provenance=_provenance(args))
+                         dim, reg, method, args.out, _provenance(args))
     return 0
 
 
 def cmd_observables(args):
-    from .pipeline import stage_observables
-
     _require(args, "ensemble", "out")
     ensemble = read_ensemble(args.ensemble)
     prov = _provenance(args)
-    stage_observables(ensemble, args.out, provenance=prov)
+    stage_observables(ensemble, args.out, prov)
     if args.hist:
         i, j, bins = (int(x) for x in args.hist)
         hist = element_histogram(ensemble, i, j, bins)
@@ -178,10 +170,8 @@ def cmd_fit(args):
 
 def cmd_predict(args):
     _require(args, "params")
-    params = _read_params(args.params)
-    tags = CATALOG if args.tags is None else tuple(
-        validate_tag(t) for t in args.tags.split(","))
-    values = {t: predict_moment(params, t) for t in tags}
+    params = _read_params(args)
+    values = {t: predict_moment(params, t) for t in _tags(args)}
     payload = {"dim": params.dim, "values": values}
     if args.out:
         write_json(payload, args.out, _provenance(args))
@@ -192,7 +182,7 @@ def cmd_predict(args):
 
 def cmd_report(args):
     _require(args, "params", "ensemble", "out")
-    params = _read_params(args.params)
+    params = _read_params(args)
     ensemble = read_ensemble(args.ensemble)
     report = moment_report(params, ensemble)
     write_json(report.to_json_dict(), args.out, _provenance(args))
@@ -203,10 +193,7 @@ def cmd_report(args):
 
 def cmd_sample(args):
     _require(args, "params", "count", "seed")
-    params = _read_params(args.params)
-    if args.dim is not None and int(args.dim) != params.dim:
-        params = GaussParams(dim=int(args.dim), lam=params.lam, a=params.a,
-                             b=params.b, j0=params.j0, js=params.js)
+    params = _read_params(args)
     spec = SampleSpec(params=params, count=int(args.count), seed=int(args.seed))
     out = args.out or f"sample-D{params.dim}-N{spec.count}-seed{spec.seed}"
     write_stack(zip(sample_labels(spec.count), iter_matrices(spec)), out, MEMBERS_NAME)
@@ -219,14 +206,9 @@ def cmd_sample(args):
 
 def cmd_mc_check(args):
     _require(args, "params", "count", "seed")
-    params = _read_params(args.params)
-    if args.dim is not None and int(args.dim) != params.dim:
-        params = GaussParams(dim=int(args.dim), lam=params.lam, a=params.a,
-                             b=params.b, j0=params.j0, js=params.js)
+    params = _read_params(args)
     spec = SampleSpec(params=params, count=int(args.count), seed=int(args.seed))
-    tags = CATALOG if args.tags is None else tuple(
-        validate_tag(t) for t in args.tags.split(","))
-    records = monte_carlo_check(spec, tags)
+    records = monte_carlo_check(spec, _tags(args))
     payload = {"dim": params.dim, "count": spec.count, "seed": spec.seed,
                "records": {t: r.to_json_dict() for t, r in records.items()},
                "max_abs_z": max(abs(r.z_score) for r in records.values())}
@@ -255,7 +237,6 @@ def cmd_pipeline(args):
     _require(args, "config")
     config = PipelineConfig.from_json_dict(
         args.config, out_dir=args.out, threads=None if args.threads is None else int(args.threads))
-    config.validate_paths()
     summary = run_pipeline(config)
     print(json.dumps({"out_dir": config.out_dir,
                       "selection_size": summary["selection_size"],

@@ -21,7 +21,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import _kernels
-from .matrix_core import ParseError, read_stack, write_stack
+from .matrix_core import ParseError, check_int, read_stack, write_stack
 
 
 class CorpusError(ValueError):
@@ -254,10 +254,10 @@ def select_basis(vocab: dict[str, int], corpus: TokenizedCorpus, size: int,
     return BasisSpec(tuple(ranked[:size]))
 
 
-def write_basis(basis: BasisSpec, path, header: str | None = None) -> None:
+def write_basis(basis: BasisSpec, path, header: str) -> None:
+    """``header`` (a ``#`` comment line), then one basis word per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header if header.endswith("\n") else header + "\n")
+        fh.write(header)
         for w in basis.words:
             fh.write(w + "\n")
 
@@ -462,7 +462,7 @@ class Thresholds:
 
     def __post_init__(self):
         for key, value in self.to_json_dict().items():
-            if value < 0:
+            if check_int(f"threshold {key}", value) < 0:
                 raise ValueError(f"threshold {key} must be >= 0, got {value}")
 
     def to_json_dict(self) -> dict:
@@ -471,8 +471,12 @@ class Thresholds:
 
     @classmethod
     def from_json_dict(cls, obj) -> "Thresholds":
-        clean = {k: int(v) for k, v in obj.items()}
-        return cls(**clean)
+        if not isinstance(obj, dict):
+            raise ValueError(f"thresholds must be a JSON object, got {obj!r}")
+        unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown threshold keys: {unknown}")
+        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -505,13 +509,16 @@ class DatasetSelection:
 
     @classmethod
     def from_json_dict(cls, obj) -> "DatasetSelection":
-        entries = tuple(
-            SelectionEntry(word=t["word"], pos_class=t["pos_class"],
-                           freq=int(t["freq"]),
-                           args=tuple((n, int(c)) for n, c in t["args"]))
-            for t in obj["targets"]
-        )
-        return cls(entries=entries)
+        """A missing ``targets`` key, or a target key, raises a ValueError
+        that names it."""
+        try:
+            return cls(entries=tuple(
+                SelectionEntry(word=t["word"], pos_class=t["pos_class"],
+                               freq=int(t["freq"]),
+                               args=tuple((n, int(c)) for n, c in t["args"]))
+                for t in obj["targets"]))
+        except KeyError as exc:
+            raise ValueError(f"dataset selection has no {exc} key") from None
 
 
 def read_pairs(path) -> dict[str, dict[str, int]]:

@@ -190,11 +190,11 @@ def predict_moment(params: GaussParams, tag: str) -> float:
     return math.perm(params.dim, g.vertex_count) * moment
 
 
-def predict_all(params: GaussParams, tags=CATALOG) -> dict[str, float]:
-    return {t: predict_moment(params, t) for t in tags}
+def predict_all(params: GaussParams) -> dict[str, float]:
+    return {t: predict_moment(params, t) for t in CATALOG}
 
 
-def fit(avgs: EnsembleAverages, dim: int | None = None) -> GaussParams:
+def fit(avgs: EnsembleAverages) -> GaussParams:
     """Determine the five parameters from the five fit averages.
 
     The five equations are triangular and invert in closed form; the
@@ -203,10 +203,7 @@ def fit(avgs: EnsembleAverages, dim: int | None = None) -> GaussParams:
     are not strictly positive cannot come from the model and raise
     NonGaussianAveragesError.
     """
-    if dim is None:
-        dim = avgs.dim
-    elif dim != avgs.dim:
-        raise ValueError(f"requested dim {dim} does not match averages dim {avgs.dim}")
+    dim = avgs.dim
     if dim < 2:
         raise ValueError("fitting needs dimension >= 2 (off-diagonal averages vanish at D=1)")
     missing = [t for t in FIT_TAGS if t not in avgs.values]

@@ -104,23 +104,16 @@ def validate_tag(tag: str) -> str:
 def eval_invariant(tag: str, m) -> float:
     """Value of one catalog invariant on a matrix.
 
-    Cost is O(D^2) except for Mo32 and Mo42, which take one dense matrix
-    product.
+    Evaluates the whole catalog, one dense matrix product included, and
+    picks the tag's entry.
     """
     validate_tag(tag)
-    v = _values_of(m)
-    with_cycles = tag in _kernels.CYCLE_TAGS
-    return float(_kernels.catalog_values(v, with_cycles)[CATALOG_INDEX[tag]])
+    return float(_kernels.catalog_values(_values_of(m))[CATALOG_INDEX[tag]])
 
 
-def eval_all(m, tags=CATALOG) -> dict[str, float]:
-    """All requested catalog invariants of one matrix in a single pass."""
-    for t in tags:
-        validate_tag(t)
-    v = _values_of(m)
-    with_cycles = any(t in _kernels.CYCLE_TAGS for t in tags)
-    vec = _kernels.catalog_values(v, with_cycles)
-    return {t: float(vec[CATALOG_INDEX[t]]) for t in tags}
+def eval_all(m) -> dict[str, float]:
+    """All catalog invariants of one matrix in a single pass."""
+    return dict(zip(CATALOG, _kernels.catalog_values(_values_of(m)).tolist()))
 
 
 def eval_graph_invariant(g: GraphInvariant, m) -> float:
@@ -178,10 +171,9 @@ def ensemble_averages(ensemble: Ensemble, tags=CATALOG) -> EnsembleAverages:
     tags = tuple(tags)
     for t in tags:
         validate_tag(t)
-    with_cycles = any(t in _kernels.CYCLE_TAGS for t in tags)
     v = ensemble.values
     size = _kernels.block_size(ensemble.dim)
-    table = np.vstack([_kernels.catalog_values(v[i:i + size], with_cycles)
+    table = np.vstack([_kernels.catalog_values(v[i:i + size])
                        for i in range(0, len(v), size)])
     means = table.sum(axis=0) / len(ensemble)
     values = {t: float(means[CATALOG_INDEX[t]]) for t in tags}

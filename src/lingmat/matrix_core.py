@@ -9,6 +9,7 @@ as on disk; `Ensemble.members` builds WordMatrix copies only on request.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -22,6 +23,15 @@ class ParseError(ValueError):
 
 def _at(path, lineno, msg):
     return ParseError(f"{path}:{lineno}: {msg}")
+
+
+def check_int(name: str, value) -> int:
+    """``value`` as an int, for the integer fields of the config classes;
+    anything else, a bool or an integral float included, raises a
+    ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,10 +273,13 @@ def write_stack(items, dirpath, name: str) -> list[str]:
 
     Items are streamed: each row goes to the file as it arrives, and the
     ``.npy`` header, whose shape field numpy pads to a fixed width, is
-    rewritten with the row count at the end.  The stack, then the
-    manifest, is written to a temporary sibling and moved into place with
-    `os.replace`, so a failed write leaves the previous stack and manifest
-    in place and no temporary file behind.
+    rewritten with the row count at the end.  The stack and the manifest
+    are written to temporary siblings, so a failed write leaves the
+    previous stack and manifest in place and no temporary file behind.
+    Once both are complete, the old manifest is removed before the stack,
+    then the manifest, is moved into place with `os.replace`: a crash
+    between the moves leaves no manifest, which `read_stack` reports,
+    never new rows under old labels.
     """
     os.makedirs(dirpath, exist_ok=True)
     stack_path = os.path.join(dirpath, name)
@@ -296,6 +309,8 @@ def write_stack(items, dirpath, name: str) -> list[str]:
         with open(labels_path + ".tmp", "w", encoding="utf-8") as fh:
             json.dump(labels, fh, indent=0)
             fh.write("\n")
+        if os.path.exists(labels_path):
+            os.remove(labels_path)
         os.replace(stack_path + ".tmp", stack_path)
         os.replace(labels_path + ".tmp", labels_path)
     finally:

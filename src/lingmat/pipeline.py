@@ -38,13 +38,8 @@ from .corpus import (
 )
 from .gauss import GaussParams, averages_report, fit
 from .invariants import CATALOG, EnsembleAverages, ensemble_averages
-from .matrix_core import Ensemble, write_ensemble
-from .regression import (
-    RegressionConfig,
-    TrainingSet,
-    fit_closed_form_logged,
-    fit_gradient_descent_logged,
-)
+from .matrix_core import Ensemble, check_int, write_ensemble
+from .regression import RegressionConfig, TrainingSet, fit_logged
 
 STAGES = ("build-vectors", "select-dataset", "learn-matrices",
           "observables", "fit", "report")
@@ -61,7 +56,7 @@ class PipelineError(RuntimeError):
 class PipelineConfig:
     corpus: str
     pairs: str
-    out_dir: str
+    out_dir: str = "out"
     basis_sizes: tuple[int, ...] = (60, 80, 100)
     window: int = 5
     thresholds: Thresholds = field(default_factory=Thresholds)
@@ -71,7 +66,11 @@ class PipelineConfig:
     threads: int = 1   # accepted for older configs; changes nothing
 
     def __post_init__(self):
-        sizes = tuple(int(d) for d in self.basis_sizes)
+        if not isinstance(self.basis_sizes, (list, tuple)):
+            raise ValueError(f"basis_sizes must be a list, got {self.basis_sizes!r}")
+        sizes = tuple(check_int("basis_sizes", d) for d in self.basis_sizes)
+        for name in ("window", "seed", "threads"):
+            check_int(name, getattr(self, name))
         if not sizes:
             raise ValueError("at least one basis size is required")
         if any(d < 4 for d in sizes):
@@ -119,49 +118,42 @@ class PipelineConfig:
 
     @classmethod
     def from_json_dict(cls, obj, out_dir=None, threads=None) -> "PipelineConfig":
-        known = {"corpus", "pairs", "out_dir", "basis_sizes", "basis_size",
-                 "window", "thresholds", "regression", "seed", "threads"}
+        """Keys left out take the field defaults; ``out_dir`` and
+        ``threads``, when not None, override the config's."""
+        known = {"basis_size", *cls.__dataclass_fields__} - {"regression_method"}
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
         missing = [key for key in ("corpus", "pairs") if key not in obj]
         if missing:
             raise ValueError(f"pipeline config is missing required keys: {missing}")
-        reg_obj = dict(obj.get("regression", {}))
-        method = reg_obj.pop("method", "closed_form")
-        lam = reg_obj.pop("lambda", None)
-        reg = RegressionConfig(
-            ridge_lambda=None if lam is None else float(lam),
-            learning_rate=float(reg_obj.pop("learning_rate", 0.01)),
-            max_epochs=int(reg_obj.pop("max_epochs", 5000)),
-            convergence_tol=float(reg_obj.pop("convergence_tol", 1e-8)),
-            seed=int(obj.get("seed", 0)),
-        )
-        if reg_obj:
-            raise ValueError(f"unknown regression config keys: {sorted(reg_obj)}")
-        sizes = obj.get("basis_sizes")
-        if sizes is None and "basis_size" in obj:
-            sizes = [obj["basis_size"]]
-        if sizes is None:
-            sizes = (60, 80, 100)
-        return cls(
-            corpus=obj["corpus"],
-            pairs=obj["pairs"],
-            out_dir=out_dir if out_dir is not None else obj.get("out_dir", "out"),
-            basis_sizes=tuple(int(d) for d in sizes),
-            window=int(obj.get("window", 5)),
-            thresholds=Thresholds.from_json_dict(obj.get("thresholds", {})),
-            regression=reg,
-            regression_method=method,
-            seed=int(obj.get("seed", 0)),
-            threads=threads if threads is not None else int(obj.get("threads", 1)),
-        )
+        reg = obj.get("regression", {})
+        if not isinstance(reg, dict):
+            raise ValueError(f"regression config must be a JSON object, got {reg!r}")
+        unknown = set(reg) - {"method", "lambda", "learning_rate", "max_epochs",
+                              "convergence_tol"}
+        if unknown:
+            raise ValueError(f"unknown regression config keys: {sorted(unknown)}")
+        kwargs = {k: v for k, v in obj.items()
+                  if k not in ("basis_size", "thresholds", "regression")}
+        if "basis_size" in obj:
+            kwargs.setdefault("basis_sizes", [obj["basis_size"]])
+        if out_dir is not None:
+            kwargs["out_dir"] = out_dir
+        if threads is not None:
+            kwargs["threads"] = threads
+        if "method" in reg:
+            kwargs["regression_method"] = reg["method"]
+        reg_kwargs = {("ridge_lambda" if k == "lambda" else k): v
+                      for k, v in reg.items() if k != "method"}
+        if "seed" in obj:
+            reg_kwargs["seed"] = obj["seed"]
+        return cls(thresholds=Thresholds.from_json_dict(obj.get("thresholds", {})),
+                   regression=RegressionConfig(**reg_kwargs), **kwargs)
 
 
-def write_json(obj, path, provenance=None) -> None:
-    if provenance is not None:
-        obj = dict(obj)
-        obj["provenance"] = provenance
+def write_json(obj, path, provenance) -> None:
+    obj = dict(obj, provenance=provenance)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -176,8 +168,7 @@ def provenance_comment(provenance) -> str:
 # stages
 # ---------------------------------------------------------------------------
 
-def stage_build_vectors(corpus, pairs, basis_size, window, out_dir,
-                        provenance=None):
+def stage_build_vectors(corpus, pairs, basis_size, window, out_dir, provenance):
     """Basis, noun vectors, and compound vectors for every pairs entry.
 
     Takes the read corpus and pairs (see `read_corpus` and `read_pairs`).
@@ -203,19 +194,17 @@ def stage_build_vectors(corpus, pairs, basis_size, window, out_dir,
             skipped[head] = missing
 
     os.makedirs(out_dir, exist_ok=True)
-    header = provenance_comment(provenance) if provenance is not None else None
-    write_basis(basis, os.path.join(out_dir, "basis.txt"), header=header)
+    write_basis(basis, os.path.join(out_dir, "basis.txt"), provenance_comment(provenance))
     write_vectors_dir(noun_vectors, os.path.join(out_dir, "nouns"))
     write_vectors_dir(compound_vectors, os.path.join(out_dir, "compounds"))
     write_json({"skipped_compounds": skipped}, os.path.join(out_dir, "warnings.json"),
                provenance)
-    if provenance is not None:
-        write_json({}, os.path.join(out_dir, "provenance.json"), provenance)
+    write_json({}, os.path.join(out_dir, "provenance.json"), provenance)
     return basis, noun_vectors, compound_vectors
 
 
 def stage_select_dataset(corpus, pairs, thresholds, out_path,
-                         provenance=None) -> DatasetSelection:
+                         provenance) -> DatasetSelection:
     selection = select_dataset(corpus, pairs, thresholds)
     write_json(selection.to_json_dict(), out_path, provenance)
     return selection
@@ -223,7 +212,7 @@ def stage_select_dataset(corpus, pairs, thresholds, out_path,
 
 def stage_learn_matrices(selection: DatasetSelection, noun_vectors, compound_vectors,
                          dim: int, reg: RegressionConfig, method: str, out_dir,
-                         provenance=None) -> Ensemble:
+                         provenance) -> Ensemble:
     """One ridge regression per selected target at dimension 1..vector dim."""
     if not selection.entries:
         raise ValueError("dataset selection is empty; relax the thresholds")
@@ -233,8 +222,6 @@ def stage_learn_matrices(selection: DatasetSelection, noun_vectors, compound_vec
     if not 1 <= dim <= vec_dim:
         raise ValueError(f"matrix dimension {dim} must be between 1 and the "
                          f"vector dimension {vec_dim}")
-    fit_logged = (fit_gradient_descent_logged if method == "gradient_descent"
-                  else fit_closed_form_logged)
     values = np.empty((len(selection.entries), dim, dim))
     logs = {}
     for k, entry in enumerate(selection.entries):
@@ -245,7 +232,7 @@ def stage_learn_matrices(selection: DatasetSelection, noun_vectors, compound_vec
         ts = TrainingSet(entry.word,
                          np.vstack([nouns[n].values[:dim] for n in used]),
                          np.vstack([compounds[f"{entry.word} {n}"].values[:dim] for n in used]))
-        matrix, logs[entry.word] = fit_logged(ts, reg)
+        matrix, logs[entry.word] = fit_logged(ts, reg, method)
         logs[entry.word]["rows"] = len(used)
         values[k] = matrix.values
 
@@ -256,26 +243,23 @@ def stage_learn_matrices(selection: DatasetSelection, noun_vectors, compound_vec
     return ensemble
 
 
-def stage_observables(ensemble: Ensemble, out_path,
-                      provenance=None) -> EnsembleAverages:
+def stage_observables(ensemble: Ensemble, out_path, provenance) -> EnsembleAverages:
     avgs = ensemble_averages(ensemble, CATALOG)
     write_json(avgs.to_json_dict(), out_path, provenance)
     return avgs
 
 
-def stage_fit(avgs: EnsembleAverages, out_path, provenance=None) -> GaussParams:
+def stage_fit(avgs: EnsembleAverages, out_path, provenance) -> GaussParams:
     params = fit(avgs)
     write_json(params.to_json_dict(), out_path, provenance)
     return params
 
 
-def stage_report(params: GaussParams, avgs: EnsembleAverages, out_path,
-                 provenance=None):
+def stage_report(params: GaussParams, avgs: EnsembleAverages, out_path, provenance):
     report = averages_report(params, avgs)
     write_json(report.to_json_dict(), out_path, provenance)
     with open(os.path.splitext(out_path)[0] + ".txt", "w", encoding="utf-8") as fh:
-        if provenance is not None:
-            fh.write(provenance_comment(provenance))
+        fh.write(provenance_comment(provenance))
         fh.write(report.to_text())
     return report
 
@@ -284,11 +268,8 @@ NORMALIZED_KEYS = ("j0_over_D", "lambda_over_D2", "js_over_D",
                    "a_over_D2", "b_over_D2")
 
 
-def sweep_csv(params_by_dim: dict[int, GaussParams], provenance=None) -> str:
-    lines = []
-    if provenance is not None:
-        lines.append(provenance_comment(provenance).rstrip("\n"))
-    lines.append("D," + ",".join(NORMALIZED_KEYS))
+def sweep_csv(params_by_dim: dict[int, GaussParams], provenance) -> str:
+    lines = [provenance_comment(provenance).rstrip("\n"), "D," + ",".join(NORMALIZED_KEYS)]
     for d in sorted(params_by_dim):
         norm = params_by_dim[d].normalized()
         lines.append(f"{d}," + ",".join(repr(norm[k]) for k in NORMALIZED_KEYS))
@@ -327,12 +308,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
         basis_max = max(config.basis_sizes)
         vec_dir = os.path.join(out, "vectors")
         basis, noun_vecs, compound_vecs = stage_build_vectors(
-            corpus, pairs, basis_max, config.window, vec_dir, provenance=prov)
+            corpus, pairs, basis_max, config.window, vec_dir, prov)
 
         stage = "select-dataset"
         selection = stage_select_dataset(
-            corpus, pairs, config.thresholds,
-            os.path.join(out, "selection.json"), provenance=prov)
+            corpus, pairs, config.thresholds, os.path.join(out, "selection.json"), prov)
 
         params_by_dim: dict[int, GaussParams] = {}
         reports = {}
@@ -344,22 +324,17 @@ def run_pipeline(config: PipelineConfig) -> dict:
             stage = "learn-matrices"
             ensemble = stage_learn_matrices(
                 selection, noun_vecs, compound_vecs, dim, config.regression,
-                config.regression_method, os.path.join(ddir, "matrices"),
-                provenance=prov)
+                config.regression_method, os.path.join(ddir, "matrices"), prov)
 
             stage = "observables"
-            avgs = stage_observables(ensemble, os.path.join(ddir, "averages.json"),
-                                     provenance=prov)
+            avgs = stage_observables(ensemble, os.path.join(ddir, "averages.json"), prov)
 
             stage = "fit"
-            params = stage_fit(avgs, os.path.join(ddir, "params.json"),
-                               provenance=prov)
+            params = stage_fit(avgs, os.path.join(ddir, "params.json"), prov)
             params_by_dim[dim] = params
 
             stage = "report"
-            report = stage_report(params, avgs,
-                                  os.path.join(ddir, "report.json"),
-                                  provenance=prov)
+            report = stage_report(params, avgs, os.path.join(ddir, "report.json"), prov)
             reports[tag] = report.to_json_dict()
 
         stage = "report"

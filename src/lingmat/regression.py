@@ -11,11 +11,12 @@ lambda = 0) solves M (X^T X + lambda I) = Y^T X.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import WordMatrix
+from .matrix_core import WordMatrix, check_int
 
 
 class SingularSystemError(ValueError):
@@ -71,6 +72,15 @@ class RegressionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("ridge_lambda", "learning_rate", "convergence_tol"):
+            value = getattr(self, name)
+            if value is None and name == "ridge_lambda":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        check_int("max_epochs", self.max_epochs)
+        check_int("seed", self.seed)
         if self.ridge_lambda is not None and self.ridge_lambda < 0:
             raise ValueError("ridge coefficient must be >= 0")
         if self.learning_rate <= 0:
@@ -160,30 +170,25 @@ def _descend(ts: TrainingSet, ridge_lambda: float, cfg: RegressionConfig):
 
 def fit_gradient_descent(ts: TrainingSet, cfg: RegressionConfig) -> WordMatrix:
     """Gradient descent from zero initialization on the ridge objective."""
+    return fit_logged(ts, cfg, "gradient_descent")[0]
+
+
+def fit_logged(ts: TrainingSet, cfg: RegressionConfig, method: str):
+    """The matrix of ``method`` ("closed_form" or "gradient_descent") at
+    the resolved ridge coefficient, and its training-log dict."""
+    if method not in ("closed_form", "gradient_descent"):
+        raise ValueError(f"unknown regression method {method!r}")
     lam = resolve_lambda(ts, cfg)
-    values, _epochs, _final = _descend(ts, lam, cfg)
-    return WordMatrix(ts.label, values)
+    if method == "gradient_descent":
+        values, epochs, final = _descend(ts, lam, cfg)
+        m = WordMatrix(ts.label, values)
+    else:
+        m, epochs = fit_closed_form(ts, lam), 0
+        final = loss(m, ts, lam)
+    return m, {"method": method, "lambda": lam, "epochs": epochs, "final_loss": final}
 
 
-def fit_gradient_descent_logged(ts: TrainingSet, cfg: RegressionConfig):
-    """Like fit_gradient_descent, also returning a training-log dict."""
-    lam = resolve_lambda(ts, cfg)
-    values, epochs, final = _descend(ts, lam, cfg)
-    log = {"method": "gradient_descent", "lambda": lam, "epochs": epochs,
-           "final_loss": final}
-    return WordMatrix(ts.label, values), log
-
-
-def fit_closed_form_logged(ts: TrainingSet, cfg: RegressionConfig):
-    lam = resolve_lambda(ts, cfg)
-    m = fit_closed_form(ts, lam)
-    log = {"method": "closed_form", "lambda": lam, "epochs": 0,
-           "final_loss": loss(m, ts, lam)}
-    return m, log
-
-
-def resolve_lambda(ts: TrainingSet, cfg: RegressionConfig,
-                   grid=DEFAULT_LAMBDA_GRID) -> float:
+def resolve_lambda(ts: TrainingSet, cfg: RegressionConfig) -> float:
     """The configured ridge coefficient, or a holdout grid choice.
 
     When no coefficient is supplied, the rows are split 80/20 with the
@@ -194,7 +199,7 @@ def resolve_lambda(ts: TrainingSet, cfg: RegressionConfig,
     if cfg.ridge_lambda is not None:
         return cfg.ridge_lambda
     if ts.rows < 5:
-        return grid[len(grid) // 2]
+        return DEFAULT_LAMBDA_GRID[len(DEFAULT_LAMBDA_GRID) // 2]
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     order = rng.permutation(ts.rows)
     n_val = max(1, ts.rows // 5)
@@ -204,7 +209,7 @@ def resolve_lambda(ts: TrainingSet, cfg: RegressionConfig,
     x_val = ts.x[val_idx]
     y_val = ts.y[val_idx]
     best = None
-    for lam in grid:
+    for lam in DEFAULT_LAMBDA_GRID:
         m = fit_closed_form(train, lam)
         resid = m.values @ x_val.T - y_val.T
         err = float(np.sum(resid * resid))

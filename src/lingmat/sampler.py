@@ -163,10 +163,9 @@ def monte_carlo_check(spec: SampleSpec, tags=CATALOG) -> dict[str, McRecord]:
     tags = tuple(tags)
     for t in tags:
         validate_tag(t)
-    with_cycles = any(t in _kernels.CYCLE_TAGS for t in tags)
     per_matrix = np.empty((spec.count, len(CATALOG)))
     for start, block in _blocks(spec):
-        per_matrix[start:start + len(block)] = _kernels.catalog_values(block, with_cycles)
+        per_matrix[start:start + len(block)] = _kernels.catalog_values(block)
 
     out = {}
     for tag in tags:

@@ -11,7 +11,7 @@ from lingmat.invariants import eval_all
 from lingmat.corpus import DatasetSelection, DistVector, read_vectors_dir
 from lingmat.matrix_core import read_ensemble, write_matrix, write_vector
 from lingmat.pipeline import PipelineConfig, run_pipeline, stage_learn_matrices
-from lingmat.regression import RegressionConfig
+from lingmat.regression import DEFAULT_LAMBDA_GRID, RegressionConfig, TrainingSet, loss
 from lingmat.synth import write_synth_corpus
 
 
@@ -233,6 +233,23 @@ class TestErrors:
         assert payload["error"] == "ValueError" and "drop_top" in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("selection, key", [
+        ({"entries": []}, "targets"),
+        ({"targets": [{"word": "big", "freq": 9, "args": [["n0", 3]]}]}, "pos_class"),
+    ])
+    def test_learn_matrices_names_a_missing_selection_key(self, capsys, tmp_path,
+                                                          selection, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            DatasetSelection.from_json_dict(selection)
+        path = tmp_path / "selection.json"
+        path.write_text(json.dumps(selection))
+        code, _, err = run_cli(capsys, "learn-matrices", "--vectors", str(tmp_path / "v"),
+                               "--selection", str(path), "--out", str(tmp_path / "m"))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert str(path) in payload["message"] and repr(key) in payload["message"]
+
     @pytest.mark.parametrize("dim", [0, 8])
     def test_learn_matrices_rejects_dim_outside_the_vectors(self, tmp_path, dim):
         nouns = [DistVector(f"n{i}", np.arange(5.0) + i) for i in range(3)]
@@ -243,7 +260,7 @@ class TestErrors:
         with pytest.raises(ValueError, match=f"dimension {dim} .* vector dimension 5"):
             stage_learn_matrices(selection, nouns, compounds, dim,
                                  RegressionConfig(ridge_lambda=0.1), "closed_form",
-                                 tmp_path / "matrices")
+                                 tmp_path / "matrices", {})
         assert not (tmp_path / "matrices").exists()
 
 
@@ -312,6 +329,38 @@ class TestPipelineCli:
         assert (out_dir / "sweep.csv").exists()
         assert (out_dir / "D020" / "params.json").exists()
         assert not (out_dir / "FAILED").exists()
+
+    def test_gradient_descent_searches_the_lambda_grid(self, capsys, tmp_path):
+        corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+        run_cli(capsys, "gen-corpus", "--seed", "6", "--sentences", "600",
+                "--out-corpus", str(corpus), "--out-pairs", str(pairs))
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig.from_json_dict({
+            "corpus": str(corpus), "pairs": str(pairs), "out_dir": str(out),
+            "basis_sizes": [20],
+            "thresholds": {"min_target_freq": 10, "drop_top": 0,
+                           "min_pair_count": 1, "min_args": 5},
+            "regression": {"method": "gradient_descent", "learning_rate": 0.0005,
+                           "max_epochs": 50}}))
+        log = json.loads((out / "D020" / "matrices" / "training_log.json").read_text())
+        ensemble = read_ensemble(out / "D020" / "matrices")
+        selection = DatasetSelection.from_json_dict(
+            json.loads((out / "selection.json").read_text()))
+        nouns = read_vectors_dir(out / "vectors" / "nouns")
+        compounds = read_vectors_dir(out / "vectors" / "compounds")
+        assert sorted(log["words"]) == sorted(ensemble.labels()) != []
+        for entry, matrix in zip(selection.entries, ensemble.members):
+            used = [n for n, _ in entry.args
+                    if n in nouns and f"{entry.word} {n}" in compounds]
+            ts = TrainingSet(entry.word,
+                             np.vstack([nouns[n].values[:20] for n in used]),
+                             np.vstack([compounds[f"{entry.word} {n}"].values[:20]
+                                        for n in used]))
+            record = log["words"][entry.word]
+            assert record["method"] == "gradient_descent"
+            assert record["epochs"] >= 1
+            assert record["lambda"] in DEFAULT_LAMBDA_GRID
+            assert record["final_loss"] == loss(matrix, ts, record["lambda"])
 
     def test_rerun_with_fewer_dims_removes_stale_trees(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -390,9 +439,9 @@ class TestCatalogPasses:
         calls = []
         real = _kernels.catalog_values
 
-        def counted(m, with_cycles=True):
+        def counted(m):
             calls.append(len(m))
-            return real(m, with_cycles)
+            return real(m)
 
         monkeypatch.setattr(_kernels, "catalog_values", counted)
         n = run_pipeline(config)["selection_size"]
@@ -421,6 +470,38 @@ class TestConfigFile:
             os.close(read_end)
         assert code == 0, err
         assert json.loads(out)["dims"] == [20]
+
+    @pytest.mark.parametrize("change, key", [
+        ({"window": 2.7}, "window"),
+        ({"basis_sizes": [60.5]}, "basis_sizes"),
+        ({"basis_size": 60.0}, "basis_sizes"),
+        ({"seed": 1.9}, "seed"),
+        ({"threads": True}, "threads"),
+        ({"thresholds": {"drop_top": 2.7}}, "drop_top"),
+        ({"thresholds": {"min_freq": 3}}, "min_freq"),
+        ({"thresholds": [1]}, "thresholds"),
+        ({"regression": {"max_epochs": 50.5}}, "max_epochs"),
+        ({"regression": {"learning_rate": "fast"}}, "learning_rate"),
+        ({"regression": [0.1]}, "regression"),
+    ])
+    def test_malformed_pipeline_value_names_its_key(self, change, key):
+        with pytest.raises(ValueError, match=key):
+            PipelineConfig.from_json_dict({"corpus": "c.txt", "pairs": "p.tsv", **change})
+
+    def test_config_defaults_and_hash_are_unchanged(self):
+        """Keys left out take the dataclass defaults; integral numbers are
+        kept as they were, floats as floats, so the hash stays the same."""
+        bare = PipelineConfig.from_json_dict({"corpus": "c.txt", "pairs": "p.tsv"})
+        assert bare == PipelineConfig("c.txt", "p.tsv")
+        assert bare.out_dir == "out" and bare.basis_sizes == (60, 80, 100)
+        assert bare.config_hash() == "d5e43df89022487c"
+        full = PipelineConfig.from_json_dict({
+            "corpus": "c.txt", "pairs": "p.tsv", "basis_size": 20, "window": 2,
+            "seed": 3, "thresholds": {"drop_top": 0},
+            "regression": {"lambda": 1, "learning_rate": 1, "convergence_tol": 1,
+                           "max_epochs": 7, "method": "gradient_descent"}})
+        assert full.regression == RegressionConfig(1.0, 1.0, 7, 1.0, seed=3)
+        assert full.config_hash() == "b336fcb0ba3e3f2f"
 
     def test_stage_subcommand_rejects_unknown_keys(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -78,9 +78,8 @@ class TestStackedCatalog:
     """An (N, D, D) stack gets the bits of evaluating each matrix alone."""
 
     @staticmethod
-    def per_matrix(stack, with_cycles):
-        return np.stack([_kernels.catalog_values(np.array(m, order="C"), with_cycles)
-                         for m in stack])
+    def per_matrix(stack):
+        return np.stack([_kernels.catalog_values(np.array(m, order="C")) for m in stack])
 
     @pytest.mark.parametrize("dim", (1, 2, 3, 7, 30, 100))
     def test_stack_matches_per_matrix(self, dim):
@@ -93,11 +92,10 @@ class TestStackedCatalog:
             "single": wide[2:3, :dim, :dim],
         }
         for layout, stack in stacks.items():
-            for with_cycles in (True, False):
-                got = _kernels.catalog_values(stack, with_cycles)
-                want = self.per_matrix(stack, with_cycles)
-                assert got.shape == (len(stack), len(CATALOG)), layout
-                assert got.tobytes() == want.tobytes(), (layout, with_cycles)
+            got = _kernels.catalog_values(stack)
+            want = self.per_matrix(stack)
+            assert got.shape == (len(stack), len(CATALOG)), layout
+            assert got.tobytes() == want.tobytes(), layout
 
     def test_matrix_input_gives_vector(self):
         m = np.random.default_rng(3).normal(size=(4, 4))

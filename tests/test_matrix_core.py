@@ -267,6 +267,26 @@ class TestEnsembleIO:
         assert back.labels() == old.labels()
         np.testing.assert_array_equal(back.values, old.values)
 
+    def test_crash_between_replaces_leaves_no_stale_labels(self, tmp_path, monkeypatch):
+        """A failure after the stack is moved into place, before the labels
+        are, must not pair the new rows with the old labels."""
+        rng = np.random.default_rng(11)
+        write_ensemble(ens(["a", "b"], rng.normal(size=(2, 3, 3))), tmp_path / "ens")
+        real = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == "labels.json":
+                raise OSError("disk full")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_ensemble(ens(["c", "d"], rng.normal(size=(2, 3, 3))), tmp_path / "ens")
+        monkeypatch.undo()
+        assert os.listdir(tmp_path / "ens") == ["members.npy"]
+        with pytest.raises(ParseError, match="labels.json"):
+            read_ensemble(tmp_path / "ens")
+
     def test_empty_ensemble_is_refused(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             write_ensemble(ens([], np.zeros((0, 3, 3))), tmp_path / "ens")
