@@ -3,8 +3,11 @@ subcommand.
 
 Each subcommand accepts ``--config <file>`` (a JSON object whose keys are
 the flag names with dashes as underscores) with explicit flags taking
-precedence.  Success exits 0; any failure prints a machine-readable JSON
-error object on stderr and exits 1.  Environment variables are never
+precedence.  Success exits 0; a usage error (an unknown or malformed
+flag, a flag value that does not parse, an unknown config key) prints the
+JSON error object ``{"error": "UsageError", "message": ...}`` on stderr
+and exits 2; any other failure prints a JSON error object naming the
+exception on stderr and exits 1.  Environment variables are never
 consulted for configuration.
 """
 
@@ -14,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 import sys
 
@@ -22,7 +26,7 @@ from .counting import count_invariants, count_invariants_stable
 from .corpus import DatasetSelection, Thresholds, read_corpus, read_pairs, read_vectors_dir
 from .gauss import GaussParams, fit as fit_params, moment_report, predict_moment
 from .invariants import CATALOG, EnsembleAverages, element_histogram, validate_tag
-from .matrix_core import MEMBERS_NAME, read_ensemble, write_stack
+from .matrix_core import MEMBERS_NAME, check_int, read_ensemble, write_stack
 from .pipeline import (PipelineConfig, provenance_comment, run_pipeline, stage_build_vectors,
                        stage_learn_matrices, stage_observables, stage_select_dataset,
                        write_json)
@@ -41,8 +45,9 @@ def _merge_config(args):
     """Load --config once.
 
     ``pipeline`` keeps the loaded object for `PipelineConfig`, which checks
-    its keys.  Every other subcommand fills the flags left at None from it
-    and rejects keys that match no flag.
+    its keys.  Every other subcommand fills the flags left at None from it,
+    records them as ``from_config`` (flag dest -> key) for `_number`, and
+    rejects keys that match no flag.
     """
     if not getattr(args, "config", None):
         return args
@@ -56,11 +61,45 @@ def _merge_config(args):
     unknown = sorted(k for k in cfg if k.replace("-", "_") not in flags)
     if unknown:
         raise SystemExit(f"{args.config}: unknown config keys: {', '.join(unknown)}")
+    args.from_config = {}
     for key, val in cfg.items():
         attr = key.replace("-", "_")
         if getattr(args, attr) is None:
             setattr(args, attr, val)
+            args.from_config[attr] = key
     return args
+
+
+def _number(args, name, kind=int, flag=None, nargs=None):
+    """The value of flag ``name`` as an int or a float (``kind``), a list of
+    ``nargs`` of them when given, or None when unset; the converted value
+    is returned, never stored on ``args``.
+
+    A command-line string that does not parse is a usage error naming the
+    flag.  A ``--config`` value must be a JSON integer (see `check_int`)
+    or number, and the ValueError names the config key.
+    """
+    value = getattr(args, name, None)
+    if value is None:
+        return None
+    key = getattr(args, "from_config", {}).get(name)
+    if key is None:
+        flag = flag or "--" + name.replace("_", "-")
+        try:
+            return [kind(v) for v in value] if nargs else kind(value)
+        except ValueError:
+            raise SystemExit(f"{flag}: invalid {kind.__name__} value {value!r}") from None
+    where = f"{args.config}: config key {key!r}"
+    if nargs and not (isinstance(value, list) and len(value) == nargs):
+        raise ValueError(f"{where} must be a list of {nargs} numbers, got {value!r}")
+    out = []
+    for v in value if nargs else [value]:
+        if kind is int:
+            v = check_int(where, v)
+        elif isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{where} must be a number, got {v!r}")
+        out.append(kind(v))
+    return out if nargs else out[0]
 
 
 def _require(args, *names):
@@ -72,7 +111,7 @@ def _require(args, *names):
 
 def _provenance(args, seed=None):
     payload = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("func", "config") and v is not None}
+               if k not in ("func", "config", "from_config") and v is not None}
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return {"tool": "lingmat", "version": __version__,
             "config_hash": hashlib.sha256(blob).hexdigest()[:16],
@@ -82,8 +121,8 @@ def _provenance(args, seed=None):
 def _read_params(args) -> GaussParams:
     """The ``--params`` file, at the ``--dim`` dimension when one is given."""
     params = GaussParams.from_json_dict(_load_json(args.params))
-    dim = getattr(args, "dim", None)
-    return params if dim is None else dataclasses.replace(params, dim=int(dim))
+    dim = _number(args, "dim")
+    return params if dim is None else dataclasses.replace(params, dim=dim)
 
 
 def _tags(args) -> tuple[str, ...]:
@@ -98,25 +137,26 @@ def _tags(args) -> tuple[str, ...]:
 
 def cmd_gen_corpus(args):
     _require(args, "seed", "out_corpus", "out_pairs")
-    cfg = SynthConfig() if args.sentences is None else SynthConfig(
-        n_sentences=int(args.sentences))
-    stats = write_synth_corpus(int(args.seed), args.out_corpus, args.out_pairs, cfg)
+    sentences = _number(args, "sentences")
+    cfg = SynthConfig() if sentences is None else SynthConfig(n_sentences=sentences)
+    stats = write_synth_corpus(_number(args, "seed"), args.out_corpus, args.out_pairs, cfg)
     print(json.dumps(stats, sort_keys=True))
     return 0
 
 
 def cmd_build_vectors(args):
     _require(args, "corpus", "pairs", "basis_size", "out")
-    window = PipelineConfig.window if args.window is None else int(args.window)
-    stage_build_vectors(read_corpus(args.corpus), read_pairs(args.pairs),
-                        int(args.basis_size), window, args.out, _provenance(args))
+    basis_size, window = _number(args, "basis_size"), _number(args, "window")
+    stage_build_vectors(read_corpus(args.corpus), read_pairs(args.pairs), basis_size,
+                        PipelineConfig.window if window is None else window,
+                        args.out, _provenance(args))
     return 0
 
 
 def cmd_select_dataset(args):
     _require(args, "corpus", "pairs", "out")
     thresholds = Thresholds.from_json_dict({
-        key: int(getattr(args, key)) for key in Thresholds.__dataclass_fields__
+        key: _number(args, key) for key in Thresholds.__dataclass_fields__
         if getattr(args, key) is not None})
     selection = stage_select_dataset(read_corpus(args.corpus), read_pairs(args.pairs),
                                      thresholds, args.out, _provenance(args))
@@ -126,37 +166,38 @@ def cmd_select_dataset(args):
 
 def cmd_learn_matrices(args):
     _require(args, "vectors", "selection", "out")
+    dim, seed = _number(args, "dim"), _number(args, "seed")
+    reg = RegressionConfig(ridge_lambda=_number(args, "ridge_lambda", float, "--lambda"),
+                           seed=RegressionConfig.seed if seed is None else seed)
+    _number(args, "threads")  # accepted for older configs; changes nothing
     try:
         selection = DatasetSelection.from_json_dict(_load_json(args.selection))
     except ValueError as exc:
         raise ValueError(f"{args.selection}: {exc}") from None
     nouns = read_vectors_dir(os.path.join(args.vectors, "nouns"))
-    compounds = read_vectors_dir(os.path.join(args.vectors, "compounds"))
-    some = next(iter(nouns.values()), None)
-    if some is None:
+    if not nouns[0]:
         raise SystemExit(f"no noun vectors found under {args.vectors}")
-    dim = some.dim if args.dim is None else int(args.dim)
-    reg = RegressionConfig(
-        ridge_lambda=None if args.ridge_lambda is None else float(args.ridge_lambda),
-        seed=RegressionConfig.seed if args.seed is None else int(args.seed))
+    compounds = read_vectors_dir(os.path.join(args.vectors, "compounds"))
     method = args.method or PipelineConfig.regression_method
-    stage_learn_matrices(selection, list(nouns.values()), list(compounds.values()),
-                         dim, reg, method, args.out, _provenance(args))
+    stage_learn_matrices(selection, nouns, compounds,
+                         nouns[1].shape[1] if dim is None else dim, reg, method,
+                         args.out, _provenance(args))
     return 0
 
 
 def cmd_observables(args):
     _require(args, "ensemble", "out")
+    hist = _number(args, "hist", nargs=3)
     ensemble = read_ensemble(args.ensemble)
     prov = _provenance(args)
     stage_observables(ensemble, args.out, prov)
-    if args.hist:
-        i, j, bins = (int(x) for x in args.hist)
-        hist = element_histogram(ensemble, i, j, bins)
+    if hist:
+        i, j, bins = hist
+        csv = element_histogram(ensemble, i, j, bins).to_csv()
         out = args.hist_out or (os.path.splitext(args.out)[0] + f"_hist_{i}_{j}.csv")
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(provenance_comment(prov))
-            fh.write(hist.to_csv())
+            fh.write(csv)
     return 0
 
 
@@ -194,7 +235,8 @@ def cmd_report(args):
 def cmd_sample(args):
     _require(args, "params", "count", "seed")
     params = _read_params(args)
-    spec = SampleSpec(params=params, count=int(args.count), seed=int(args.seed))
+    spec = SampleSpec(params=params, count=_number(args, "count"),
+                      seed=_number(args, "seed"))
     out = args.out or f"sample-D{params.dim}-N{spec.count}-seed{spec.seed}"
     write_stack(zip(sample_labels(spec.count), iter_matrices(spec)), out, MEMBERS_NAME)
     write_json({"dim": params.dim, "count": spec.count, "seed": spec.seed},
@@ -207,7 +249,8 @@ def cmd_sample(args):
 def cmd_mc_check(args):
     _require(args, "params", "count", "seed")
     params = _read_params(args)
-    spec = SampleSpec(params=params, count=int(args.count), seed=int(args.seed))
+    spec = SampleSpec(params=params, count=_number(args, "count"),
+                      seed=_number(args, "seed"))
     records = monte_carlo_check(spec, _tags(args))
     payload = {"dim": params.dim, "count": spec.count, "seed": spec.seed,
                "records": {t: r.to_json_dict() for t, r in records.items()},
@@ -225,18 +268,15 @@ def cmd_mc_check(args):
 
 def cmd_count_invariants(args):
     _require(args, "k")
-    k = int(args.k)
-    if args.dim is None:
-        print(count_invariants_stable(k))
-    else:
-        print(count_invariants(int(args.dim), k))
+    k, dim = _number(args, "k"), _number(args, "dim")
+    print(count_invariants_stable(k) if dim is None else count_invariants(dim, k))
     return 0
 
 
 def cmd_pipeline(args):
     _require(args, "config")
     config = PipelineConfig.from_json_dict(
-        args.config, out_dir=args.out, threads=None if args.threads is None else int(args.threads))
+        args.config, out_dir=args.out, threads=_number(args, "threads"))
     summary = run_pipeline(config)
     print(json.dumps({"out_dir": config.out_dir,
                       "selection_size": summary["selection_size"],
@@ -248,8 +288,16 @@ def cmd_pipeline(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``SystemExit(message)``, which `main` prints
+    as the JSON error object; subparsers inherit the class."""
+
+    def error(self, message):
+        raise SystemExit(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="lingmat", description=__doc__)
+    top = _Parser(prog="lingmat", description=__doc__)
     top.add_argument("--version", action="version", version=f"lingmat {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -290,10 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(build_parser().parse_args(argv))
         return args.func(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

@@ -9,6 +9,10 @@ list ships, and the pipeline passes `select_basis` none.  Argument pairs
 arrive from a tab-separated ``head<TAB>argument<TAB>count`` file
 (dependency analysis is upstream of this package); lines starting with
 '#' are comments.
+
+A vector set, from the PPMI step to the training sets, is a pair
+(labels, values): one float64 (N, dim) array whose row i is the vector of
+label i, the layout of ``vectors.npy``.
 """
 
 from __future__ import annotations
@@ -300,67 +304,44 @@ def count_cooccurrence(corpus: TokenizedCorpus, targets, basis: BasisSpec,
                      window=window)
 
 
+def _ppmi(joint, totals, table: CoocTable, basis: BasisSpec) -> np.ndarray:
+    """PPMI, natural log, clamped at 0, from the (N, basis.size) integer
+    joint counts of N targets and their totals; 0 where a count is 0."""
+    cc = np.array([table.totals.get(w, 0) for w in basis.words], dtype=np.int64)
+    absent = np.flatnonzero((cc <= 0) & joint.any(axis=0))
+    if absent.size:
+        raise CorpusError(f"context word {basis.words[absent[0]]!r} does not occur in the corpus")
+    out = np.zeros(joint.shape)
+    rows, cols = np.nonzero(joint)
+    out[rows, cols] = np.maximum(0.0, np.log(joint[rows, cols] * table.n_total
+                                             / (totals[rows] * cc[cols])))
+    return out
+
+
 def ppmi(table: CoocTable, target: str, context: str) -> float:
     """Positive pointwise mutual information, natural log, clamped at 0."""
     ct = table.totals.get(target, 0)
-    cc = table.totals.get(context, 0)
     if ct <= 0:
         raise CorpusError(f"target word {target!r} does not occur in the corpus")
-    if cc <= 0:
+    if table.totals.get(context, 0) <= 0:
         raise CorpusError(f"context word {context!r} does not occur in the corpus")
-    joint = table.count(target, context)
-    if joint == 0:
-        return 0.0
-    val = np.log(joint * table.n_total / (ct * cc))
-    return float(max(0.0, val))
+    return float(_ppmi(np.array([[table.count(target, context)]]), np.array([ct]), table,
+                       BasisSpec((context,)))[0, 0])
 
 
-@dataclass(frozen=True, eq=False)
-class DistVector:
-    """PPMI-weighted distributional vector over a fixed basis."""
-
-    word: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("vector must be one-dimensional")
-        if not np.isfinite(v).all() or (v < 0).any():
-            raise ValueError(f"vector for {self.word!r} must be finite and non-negative")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-
-def _ppmi_row(joint, target_total, table, basis) -> np.ndarray:
-    """PPMI over the basis from the integer joint counts of one target."""
-    out = np.zeros(basis.size)
-    nz = np.flatnonzero(joint)
-    cc = np.array([table.totals.get(basis.words[i], 0) for i in nz], dtype=np.int64)
-    if (cc <= 0).any():
-        missing = basis.words[nz[np.argmax(cc <= 0)]]
-        raise CorpusError(f"context word {missing!r} does not occur in the corpus")
-    out[nz] = np.maximum(0.0, np.log(joint[nz] * table.n_total / (target_total * cc)))
-    return out
-
-
-def build_noun_vectors(table: CoocTable, basis: BasisSpec, nouns) -> list[DistVector]:
-    """PPMI vectors over the basis for each noun, in the given order."""
-    out = []
+def build_noun_vectors(table: CoocTable, basis: BasisSpec, nouns
+                       ) -> tuple[list[str], np.ndarray]:
+    """The vector set of the nouns, in the given order, over the basis."""
+    nouns = list(nouns)
     for noun in nouns:
-        total = table.totals.get(noun, 0)
-        if total <= 0:
+        if table.totals.get(noun, 0) <= 0:
             raise CorpusError(f"noun {noun!r} does not occur in the corpus")
         if noun not in table.counts:
             raise CorpusError(f"noun {noun!r} was not counted as a target")
-        row = table.counts[noun]
-        joint = np.array([row.get(c, 0) for c in basis.words], dtype=np.int64)
-        out.append(DistVector(noun, _ppmi_row(joint, total, table, basis)))
-    return out
+    joint = np.array([[table.counts[n].get(c, 0) for c in basis.words] for n in nouns],
+                     dtype=np.int64).reshape(len(nouns), basis.size)
+    totals = np.array([table.totals[n] for n in nouns], dtype=np.int64)
+    return nouns, _ppmi(joint, totals, table, basis)
 
 
 def _reach_of(pos_class: str, window: int) -> int:
@@ -415,13 +396,13 @@ def build_compound_vectors(corpus: TokenizedCorpus, table: CoocTable,
                            basis: BasisSpec, target: str, nouns,
                            pos_class: str = "adjective",
                            window: int | None = None
-                           ) -> tuple[list[DistVector], list[str]]:
+                           ) -> tuple[tuple[list[str], np.ndarray], list[str]]:
     """PPMI vectors for target-noun compounds, treating each compound
     occurrence as one token spanning its positions.
 
     Context is every token within `window` of the span on either side,
-    excluding the span itself.  Nouns whose compound never occurs are
-    skipped and returned in the second list.
+    excluding the span itself.  Returns the vector set, labelled
+    ``"<target> <noun>"``, and the skipped nouns, whose compound never occurs.
     """
     if window is None:
         window = table.window
@@ -429,22 +410,15 @@ def build_compound_vectors(corpus: TokenizedCorpus, table: CoocTable,
     start, end, noun, sent = _spans(corpus, target, distinct,
                                     _reach_of(pos_class, window))
     totals = np.bincount(noun, minlength=len(distinct))
-    joint = np.zeros(len(distinct) * basis.size, dtype=np.int64)
+    joint = np.zeros((len(distinct), basis.size), dtype=np.int64)
     _kernels.context_counts(start, end, corpus.offsets[sent], corpus.offsets[sent + 1],
                             noun * basis.size, corpus.word_ids,
-                            corpus.lookup(basis.words), window, joint)
-    joint = joint.reshape(len(distinct), basis.size)
+                            corpus.lookup(basis.words), window, joint.reshape(-1))
     index = {n: i for i, n in enumerate(distinct)}
-    vectors = []
-    skipped = []
-    for n in nouns:
-        i = index[n]
-        if totals[i] == 0:
-            skipped.append(n)
-            continue
-        values = _ppmi_row(joint[i], int(totals[i]), table, basis)
-        vectors.append(DistVector(f"{target} {n}", values))
-    return vectors, skipped
+    kept = [index[n] for n in nouns if totals[index[n]]]
+    labels = [f"{target} {distinct[i]}" for i in kept]
+    skipped = [n for n in nouns if not totals[index[n]]]
+    return (labels, _ppmi(joint[kept], totals[kept], table, basis)), skipped
 
 
 # ---------------------------------------------------------------------------
@@ -605,14 +579,19 @@ VECTORS_NAME = "vectors.npy"
 
 
 def write_vectors_dir(vectors, dirpath) -> list[str]:
-    """Write the vectors as one stack plus the label manifest (see
-    `matrix_core.write_stack`); returns the labels."""
-    return write_stack(((v.word, v.values) for v in vectors), dirpath, VECTORS_NAME)
+    """Write a (labels, values) vector set as one stack plus the label
+    manifest (see `matrix_core.write_stack`); returns the labels."""
+    labels, values = vectors
+    if len(labels) != len(values):
+        raise ValueError(f"{len(labels)} labels for {len(values)} vectors")
+    return write_stack(zip(labels, values), dirpath, VECTORS_NAME)
 
 
-def read_vectors_dir(dirpath) -> dict[str, DistVector]:
+def read_vectors_dir(dirpath) -> tuple[list[str], np.ndarray]:
+    """The vector set of `write_vectors_dir`; every entry must be finite
+    and non-negative."""
     labels, values = read_stack(dirpath, VECTORS_NAME, 2)
-    try:
-        return {label: DistVector(label, v) for label, v in zip(labels, values)}
-    except ValueError as exc:
-        raise ParseError(f"{os.path.join(dirpath, VECTORS_NAME)}: {exc}") from None
+    if values.size and not (np.isfinite(values.max()) and values.min() >= 0):
+        raise ParseError(f"{os.path.join(dirpath, VECTORS_NAME)}: vectors must be "
+                         "finite and non-negative")
+    return labels, values

@@ -66,6 +66,9 @@ class PipelineConfig:
     threads: int = 1   # accepted for older configs; changes nothing
 
     def __post_init__(self):
+        for name in ("corpus", "pairs", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
         if not isinstance(self.basis_sizes, (list, tuple)):
             raise ValueError(f"basis_sizes must be a list, got {self.basis_sizes!r}")
         sizes = tuple(check_int("basis_sizes", d) for d in self.basis_sizes)
@@ -183,15 +186,16 @@ def stage_build_vectors(corpus, pairs, basis_size, window, out_dir, provenance):
     table = count_cooccurrence(corpus, nouns, basis, window)
     noun_vectors = build_noun_vectors(table, basis, nouns)
 
-    compound_vectors = []
-    skipped: dict[str, list[str]] = {}
+    labels, rows, skipped = [], [np.zeros((0, basis.size))], {}
     for head in sorted(pairs):
         pos_class = pos_class_of(head, corpus)
-        vecs, missing = build_compound_vectors(
+        (head_labels, head_rows), missing = build_compound_vectors(
             corpus, table, basis, head, sorted(pairs[head]), pos_class, window)
-        compound_vectors.extend(vecs)
+        labels += head_labels
+        rows.append(head_rows)
         if missing:
             skipped[head] = missing
+    compound_vectors = (labels, np.concatenate(rows))
 
     os.makedirs(out_dir, exist_ok=True)
     write_basis(basis, os.path.join(out_dir, "basis.txt"), provenance_comment(provenance))
@@ -216,9 +220,10 @@ def stage_learn_matrices(selection: DatasetSelection, noun_vectors, compound_vec
     """One ridge regression per selected target at dimension 1..vector dim."""
     if not selection.entries:
         raise ValueError("dataset selection is empty; relax the thresholds")
-    nouns = {v.word: v for v in noun_vectors}
-    compounds = {v.word: v for v in compound_vectors}
-    vec_dim = min((v.dim for v in (*noun_vectors, *compound_vectors)), default=dim)
+    nouns = {label: i for i, label in enumerate(noun_vectors[0])}
+    compounds = {label: i for i, label in enumerate(compound_vectors[0])}
+    noun_values, compound_values = noun_vectors[1], compound_vectors[1]
+    vec_dim = min((v.shape[1] for v in (noun_values, compound_values) if len(v)), default=dim)
     if not 1 <= dim <= vec_dim:
         raise ValueError(f"matrix dimension {dim} must be between 1 and the "
                          f"vector dimension {vec_dim}")
@@ -230,8 +235,8 @@ def stage_learn_matrices(selection: DatasetSelection, noun_vectors, compound_vec
         if not used:
             raise ValueError(f"target {entry.word!r} has no usable argument vectors")
         ts = TrainingSet(entry.word,
-                         np.vstack([nouns[n].values[:dim] for n in used]),
-                         np.vstack([compounds[f"{entry.word} {n}"].values[:dim] for n in used]))
+                         noun_values[[nouns[n] for n in used], :dim],
+                         compound_values[[compounds[f"{entry.word} {n}"] for n in used], :dim])
         matrix, logs[entry.word] = fit_logged(ts, reg, method)
         logs[entry.word]["rows"] = len(used)
         values[k] = matrix.values

@@ -8,7 +8,7 @@ import pytest
 from lingmat import _kernels, cli
 from lingmat.gauss import GaussParams
 from lingmat.invariants import eval_all
-from lingmat.corpus import DatasetSelection, DistVector, read_vectors_dir
+from lingmat.corpus import DatasetSelection, read_vectors_dir
 from lingmat.matrix_core import read_ensemble, write_matrix, write_vector
 from lingmat.pipeline import PipelineConfig, run_pipeline, stage_learn_matrices
 from lingmat.regression import DEFAULT_LAMBDA_GRID, RegressionConfig, TrainingSet, loss
@@ -44,10 +44,10 @@ def _to_text_layout(out_dir):
         os.remove(ens_dir / "members.npy")
         os.remove(ens_dir / "labels.json")
     for vec_dir in (out_dir / "vectors" / "nouns", out_dir / "vectors" / "compounds"):
-        vectors = read_vectors_dir(vec_dir)
-        names = [label.replace(" ", "_") + ".txt" for label in vectors]
-        for name, v in zip(names, vectors.values()):
-            write_vector(v.word, v.values, vec_dir / name)
+        labels, values = read_vectors_dir(vec_dir)
+        names = [label.replace(" ", "_") + ".txt" for label in labels]
+        for name, label, v in zip(names, labels, values):
+            write_vector(label, v, vec_dir / name)
         (vec_dir / "manifest.txt").write_text("".join(n + "\n" for n in names))
         os.remove(vec_dir / "vectors.npy")
         os.remove(vec_dir / "labels.json")
@@ -252,8 +252,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("dim", [0, 8])
     def test_learn_matrices_rejects_dim_outside_the_vectors(self, tmp_path, dim):
-        nouns = [DistVector(f"n{i}", np.arange(5.0) + i) for i in range(3)]
-        compounds = [DistVector(f"big n{i}", np.arange(5.0) * i) for i in range(3)]
+        nouns = ([f"n{i}" for i in range(3)], np.arange(5.0) + np.arange(3.0)[:, None])
+        compounds = ([f"big n{i}" for i in range(3)],
+                     np.arange(5.0) * np.arange(3.0)[:, None])
         selection = DatasetSelection.from_json_dict({"targets": [
             {"word": "big", "pos_class": "adjective", "freq": 9,
              "args": [[f"n{i}", 3] for i in range(3)]}]})
@@ -262,6 +263,98 @@ class TestErrors:
                                  RegressionConfig(ridge_lambda=0.1), "closed_form",
                                  tmp_path / "matrices", {})
         assert not (tmp_path / "matrices").exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, flag", [
+        (("gen-corpus", "--seed", "1", "--sentences", "1e3", "--out-corpus", "c",
+          "--out-pairs", "p"), "--sentences"),
+        (("build-vectors", "--corpus", "c", "--pairs", "p", "--basis-size", "x",
+          "--out", "o"), "--basis-size"),
+        (("select-dataset", "--corpus", "c", "--pairs", "p", "--drop-top", "2.7",
+          "--out", "o"), "--drop-top"),
+        (("learn-matrices", "--vectors", "v", "--selection", "s", "--lambda", "small",
+          "--out", "o"), "--lambda"),
+        (("learn-matrices", "--vectors", "v", "--selection", "s", "--threads", "two",
+          "--out", "o"), "--threads"),
+        (("observables", "--ensemble", "e", "--out", "o", "--hist", "0", "1", "ten"),
+         "--hist"),
+        (("count-invariants", "--k", "four"), "--k"),
+        (("count-invariants", "--k", "2", "--dim", "3.5"), "--dim"),
+        (("sample", "--params", "p.json", "--count", "2.5", "--seed", "1"), "--count"),
+        (("mc-check", "--params", "p.json", "--count", "3", "--seed", "x"), "--seed"),
+    ])
+    def test_bad_flag_value_names_the_flag(self, capsys, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        write_params(tmp_path / "p.json")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "UsageError" and payload["message"].startswith(flag)
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("select-dataset", {"corpus": "c", "pairs": "p", "out": "o", "drop_top": 2.7},
+         "drop_top"),
+        ("select-dataset", {"corpus": "c", "pairs": "p", "out": "o", "min-args": "5"},
+         "min-args"),
+        ("count-invariants", {"k": 4.0}, "k"),
+        ("count-invariants", {"k": True}, "k"),
+        ("gen-corpus", {"seed": 1, "sentences": 99.5, "out_corpus": "c", "out_pairs": "p"},
+         "sentences"),
+        ("learn-matrices", {"vectors": "v", "selection": "s", "out": "o",
+                            "ridge_lambda": "0.1"}, "ridge_lambda"),
+        ("learn-matrices", {"vectors": "v", "selection": "s", "out": "o", "threads": 2.0},
+         "threads"),
+        ("observables", {"ensemble": "e", "out": "o", "hist": [0, 1]}, "hist"),
+        ("observables", {"ensemble": "e", "out": "o", "hist": [0, 1, 2.5]}, "hist"),
+    ])
+    def test_config_value_of_the_wrong_type_names_its_key(self, capsys, tmp_path,
+                                                          command, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert f"{path}: config key {key!r}" in payload["message"]
+
+    def test_values_are_hashed_as_given(self, capsys, tmp_path, monkeypatch):
+        """Converting a value leaves the provenance hash of the flags and
+        config values as they were given."""
+        monkeypatch.chdir(tmp_path)
+        write_params(tmp_path / "p.json")
+        (tmp_path / "cfg.json").write_text(json.dumps({"dim": 4, "count": 2, "seed": 1}))
+        run_cli(capsys, "sample", "--params", "p.json", "--dim", "4", "--count", "2",
+                "--seed", "1", "--out", "flags")
+        run_cli(capsys, "sample", "--config", "cfg.json", "--params", "p.json",
+                "--out", "config")
+        hashes = [json.loads((tmp_path / out / "provenance.json").read_text())
+                  ["provenance"]["config_hash"] for out in ("flags", "config")]
+        assert hashes == ["7ddc0438e3331b17", "f76feb9a6efd74d3"]
+
+    @pytest.mark.parametrize("argv, text", [
+        (("sample", "--bogus", "1"), "--bogus"),
+        (("sample", "--count"), "--count"),
+        (("bogus",), "bogus"),
+        ((), "command"),
+    ])
+    def test_parser_error_prints_the_json_error(self, capsys, argv, text):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "UsageError" and text in payload["message"]
+
+    @pytest.mark.parametrize("argv, start", [
+        (("--help",), "usage: lingmat"),
+        (("sample", "--help"), "usage: lingmat sample"),
+        (("--version",), "lingmat "),
+    ])
+    def test_help_and_version_print_text(self, capsys, argv, start):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(start) and captured.err == ""
 
 
 class TestStageSubcommands:
@@ -301,6 +394,38 @@ class TestStageSubcommands:
         ens = read_ensemble(mat_dir)
         assert ens.dim == 20 and len(ens) == len(selected)
         assert (mat_dir / "training_log.json").exists()
+
+
+    def test_stage_path_writes_the_pipeline_bytes(self, capsys, tmp_path):
+        """build-vectors, select-dataset and learn-matrices, run one by one
+        on the README desk config, write the vector and ensemble stacks of
+        `run_pipeline` byte for byte."""
+        corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+        write_synth_corpus(2, corpus, pairs)
+        thresholds = {"min_target_freq": 100, "drop_top": 0,
+                      "min_pair_count": 5, "min_args": 10}
+        out, stage = tmp_path / "out", tmp_path / "stage"
+        run_pipeline(PipelineConfig.from_json_dict({
+            "corpus": str(corpus), "pairs": str(pairs), "out_dir": str(out),
+            "basis_sizes": [60, 80, 100], "window": 5, "thresholds": thresholds,
+            "regression": {"lambda": 0.001, "method": "closed_form"}}))
+        inputs = ("--corpus", str(corpus), "--pairs", str(pairs))
+        flags = [x for key, n in thresholds.items() for x in ("--" + key.replace("_", "-"), str(n))]
+        for argv in (
+                ("build-vectors", *inputs, "--basis-size", "100", "--out", str(stage / "vectors")),
+                ("select-dataset", *inputs, *flags, "--out", str(stage / "selection.json")),
+                *(("learn-matrices", "--vectors", str(stage / "vectors"),
+                   "--selection", str(stage / "selection.json"), "--lambda", "0.001",
+                   "--dim", str(d), "--out", str(stage / f"D{d:03d}" / "matrices"))
+                  for d in (60, 80, 100))):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+        stacks = [f"vectors/{kind}/{name}" for kind in ("nouns", "compounds")
+                  for name in ("vectors.npy", "labels.json")]
+        stacks += [f"D{d:03d}/matrices/{name}" for d in (60, 80, 100)
+                   for name in ("members.npy", "labels.json")]
+        for path in stacks:
+            assert (stage / path).read_bytes() == (out / path).read_bytes(), path
 
 
 class TestPipelineCli:
@@ -346,15 +471,15 @@ class TestPipelineCli:
         ensemble = read_ensemble(out / "D020" / "matrices")
         selection = DatasetSelection.from_json_dict(
             json.loads((out / "selection.json").read_text()))
-        nouns = read_vectors_dir(out / "vectors" / "nouns")
-        compounds = read_vectors_dir(out / "vectors" / "compounds")
+        nouns = dict(zip(*read_vectors_dir(out / "vectors" / "nouns")))
+        compounds = dict(zip(*read_vectors_dir(out / "vectors" / "compounds")))
         assert sorted(log["words"]) == sorted(ensemble.labels()) != []
         for entry, matrix in zip(selection.entries, ensemble.members):
             used = [n for n, _ in entry.args
                     if n in nouns and f"{entry.word} {n}" in compounds]
             ts = TrainingSet(entry.word,
-                             np.vstack([nouns[n].values[:20] for n in used]),
-                             np.vstack([compounds[f"{entry.word} {n}"].values[:20]
+                             np.vstack([nouns[n][:20] for n in used]),
+                             np.vstack([compounds[f"{entry.word} {n}"][:20]
                                         for n in used]))
             record = log["words"][entry.word]
             assert record["method"] == "gradient_descent"
@@ -486,6 +611,17 @@ class TestConfigFile:
     ])
     def test_malformed_pipeline_value_names_its_key(self, change, key):
         with pytest.raises(ValueError, match=key):
+            PipelineConfig.from_json_dict({"corpus": "c.txt", "pairs": "p.tsv", **change})
+
+    @pytest.mark.parametrize("change, key", [
+        ({"corpus": 0, "pairs": 1}, "corpus"),
+        ({"pairs": ["p.tsv"]}, "pairs"),
+        ({"out_dir": 3}, "out_dir"),
+    ])
+    def test_non_string_path_names_its_key(self, change, key):
+        """A path must be a string: ``os.path.exists(0)`` would test file
+        descriptor 0."""
+        with pytest.raises(ValueError, match=f"^{key} must be a path string"):
             PipelineConfig.from_json_dict({"corpus": "c.txt", "pairs": "p.tsv", **change})
 
     def test_config_defaults_and_hash_are_unchanged(self):

@@ -22,7 +22,6 @@ from lingmat.corpus import (
     select_dataset,
     write_vectors_dir,
 )
-from lingmat.corpus import DistVector
 from lingmat.matrix_core import ParseError
 from lingmat.synth import SynthConfig, generate_corpus, write_synth_corpus
 
@@ -194,8 +193,9 @@ class TestNounVectors:
         c = corpus_of("a\nb\nc")
         basis = BasisSpec(("b", "c"))
         table = count_cooccurrence(c, ["a"], basis)
-        (vec,) = build_noun_vectors(table, basis, ["a"])
-        np.testing.assert_array_equal(vec.values, [0.0, 0.0])
+        labels, values = build_noun_vectors(table, basis, ["a"])
+        assert labels == ["a"]
+        np.testing.assert_array_equal(values, [[0.0, 0.0]])
 
     def test_values_nonnegative(self):
         rng = np.random.default_rng(72)
@@ -204,8 +204,8 @@ class TestNounVectors:
         c = TokenizedCorpus.from_sentences(sentences)
         basis = BasisSpec(tuple(f"w{i}" for i in range(8)))
         table = count_cooccurrence(c, ["w0", "w1"], basis)
-        for v in build_noun_vectors(table, basis, ["w0", "w1"]):
-            assert (v.values >= 0).all()
+        _, values = build_noun_vectors(table, basis, ["w0", "w1"])
+        assert values.shape == (2, 8) and (values >= 0).all()
 
 
 class TestCompounds:
@@ -225,35 +225,33 @@ class TestCompounds:
         c = corpus_of("p q big cat r s")
         basis = BasisSpec(("p", "q", "r", "s"))
         table = count_cooccurrence(c, ["cat"], basis, window=2)
-        vecs, skipped = build_compound_vectors(c, table, basis, "big", ["cat"],
-                                               "adjective", window=2)
+        (labels, (v,)), skipped = build_compound_vectors(c, table, basis, "big", ["cat"],
+                                                         "adjective", window=2)
         assert skipped == []
-        (v,) = vecs
-        assert v.word == "big cat"
+        assert labels == ["big cat"]
         # every context word occurs once near the single compound occurrence
         n = c.n_total
         for i, w in enumerate(basis.words):
             expect = max(0.0, math.log(1 * n / (1 * table.totals[w])))
-            assert v.values[i] == pytest.approx(expect)
+            assert v[i] == pytest.approx(expect)
 
     def test_span_interior_excluded(self):
         c = corpus_of("sees very old cheese here")
         basis = BasisSpec(("very", "old", "here"))
         table = count_cooccurrence(c, ["cheese"], basis, window=5)
-        vecs, _ = build_compound_vectors(c, table, basis, "sees", ["cheese"],
-                                         "verb", window=5)
-        (v,) = vecs
-        assert v.values[basis.index("very")] == 0.0  # inside the span
-        assert v.values[basis.index("old")] == 0.0   # inside the span
-        assert v.values[basis.index("here")] > 0.0
+        (_, (v,)), _ = build_compound_vectors(c, table, basis, "sees", ["cheese"],
+                                              "verb", window=5)
+        assert v[basis.index("very")] == 0.0  # inside the span
+        assert v[basis.index("old")] == 0.0   # inside the span
+        assert v[basis.index("here")] > 0.0
 
     def test_zero_occurrences_skipped_with_warning(self):
         c = corpus_of("big cat")
         basis = BasisSpec(("cat",))
         table = count_cooccurrence(c, ["cat"], basis)
-        vecs, skipped = build_compound_vectors(c, table, basis, "big",
-                                               ["cat", "dog"])
-        assert [v.word for v in vecs] == ["big cat"]
+        (labels, values), skipped = build_compound_vectors(c, table, basis, "big",
+                                                           ["cat", "dog"])
+        assert labels == ["big cat"] and values.shape == (1, 1)
         assert skipped == ["dog"]
 
 
@@ -355,44 +353,40 @@ class TestPairsFile:
 
 class TestVectorsDir:
     def test_roundtrip(self, tmp_path):
-        vecs = [DistVector("red car", np.array([0.0, 1.5])),
-                DistVector("car", np.array([2.0, 0.0]))]
+        vecs = (["red car", "car"], np.array([[0.0, 1.5], [2.0, 0.0]]))
         write_vectors_dir(vecs, tmp_path / "v")
-        back = read_vectors_dir(tmp_path / "v")
-        assert set(back) == {"red car", "car"}
-        np.testing.assert_array_equal(back["red car"].values, [0.0, 1.5])
+        labels, values = read_vectors_dir(tmp_path / "v")
+        assert labels == ["red car", "car"]
+        np.testing.assert_array_equal(values, vecs[1])
 
     def test_rewrite_removes_stale_vector_files(self, tmp_path):
-        a = DistVector("a", np.array([1.0, 2.0]))
-        b = DistVector("b", np.array([3.0, 4.0]))
-        write_vectors_dir([a, b], tmp_path / "v")
+        write_vectors_dir((["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]])), tmp_path / "v")
         (tmp_path / "v" / "notes.txt").write_text("kept\n")
-        write_vectors_dir([a], tmp_path / "v")
+        write_vectors_dir((["a"], np.array([[1.0, 2.0]])), tmp_path / "v")
         assert sorted(p.name for p in (tmp_path / "v").iterdir()) == [
             "labels.json", "notes.txt", "vectors.npy"]
-        back = read_vectors_dir(tmp_path / "v")
-        assert list(back) == ["a"]
-        np.testing.assert_array_equal(back["a"].values, [1.0, 2.0])
+        labels, values = read_vectors_dir(tmp_path / "v")
+        assert labels == ["a"]
+        np.testing.assert_array_equal(values, [[1.0, 2.0]])
 
     def test_vector_named_manifest_keeps_its_own_file(self, tmp_path):
-        vecs = [DistVector("manifest", np.array([1.0, 2.0])),
-                DistVector("labels.json", np.array([0.5, 0.0])),
-                DistVector("car", np.array([3.0, 0.0]))]
+        vecs = (["manifest", "labels.json", "car"],
+                np.array([[1.0, 2.0], [0.5, 0.0], [3.0, 0.0]]))
         labels = write_vectors_dir(vecs, tmp_path / "v")
         assert labels == ["manifest", "labels.json", "car"]
         assert sorted(p.name for p in (tmp_path / "v").iterdir()) == [
             "labels.json", "vectors.npy"]
-        back = read_vectors_dir(tmp_path / "v")
-        assert list(back) == labels
-        for v in vecs:
-            np.testing.assert_array_equal(back[v.word].values, v.values)
+        back_labels, values = read_vectors_dir(tmp_path / "v")
+        assert back_labels == labels
+        np.testing.assert_array_equal(values, vecs[1])
 
     def test_empty_vector_set_round_trips(self, tmp_path):
-        assert write_vectors_dir([], tmp_path / "v") == []
-        assert read_vectors_dir(tmp_path / "v") == {}
+        assert write_vectors_dir(([], np.zeros((0, 3))), tmp_path / "v") == []
+        labels, values = read_vectors_dir(tmp_path / "v")
+        assert labels == [] and values.size == 0
 
     def test_negative_entry_names_the_path(self, tmp_path):
-        write_vectors_dir([DistVector("a", np.array([1.0, 2.0]))], tmp_path)
+        write_vectors_dir((["a"], np.array([[1.0, 2.0]])), tmp_path)
         np.save(tmp_path / "vectors.npy", np.array([[1.0, -2.0]]))
         with pytest.raises(ParseError, match=re.escape(str(tmp_path / "vectors.npy"))):
             read_vectors_dir(tmp_path)

@@ -198,14 +198,14 @@ def check_compounds(text, window, pos_class):
         spans = oracles.spans_by_noun(sentences, target, nouns, reach)
         for noun in nouns:
             assert compound_spans(corpus, target, noun, pos_class, window) == spans[noun]
-        vectors, skipped = build_compound_vectors(corpus, table, basis, target, nouns,
-                                                  pos_class, window)
+        (labels, values), skipped = build_compound_vectors(corpus, table, basis, target,
+                                                           nouns, pos_class, window)
         assert skipped == [n for n in nouns if not spans[n]]
-        assert [v.word for v in vectors] == [f"{target} {n}" for n in nouns if spans[n]]
-        for v in vectors:
-            noun = v.word[len(target) + 1:]
+        assert labels == [f"{target} {n}" for n in nouns if spans[n]]
+        for label, v in zip(labels, values):
+            noun = label[len(target) + 1:]
             want = oracles.compound_values(sentences, spans[noun], basis.words, window)
-            assert v.values.tobytes() == want.tobytes(), v.word
+            assert v.tobytes() == want.tobytes(), label
 
 
 def test_edge_case_tokens_and_lines(tmp_path):

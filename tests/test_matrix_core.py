@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lingmat.corpus import DistVector, read_vectors_dir, write_vectors_dir
+from lingmat.corpus import read_vectors_dir, write_vectors_dir
 from lingmat.matrix_core import (
     MEMBERS_NAME,
     Ensemble,
@@ -322,8 +322,7 @@ def _write_good(kind, dirpath):
     if kind == "ensemble":
         write_ensemble(ens(["a", "b"], [np.eye(3), 2 * np.eye(3)]), dirpath)
         return read_ensemble, dirpath / "members.npy", (2, 3, 3)
-    write_vectors_dir([DistVector("a", [1.0, 0.0, 2.0]), DistVector("b", [0.0, 3.0, 0.0])],
-                      dirpath)
+    write_vectors_dir((["a", "b"], np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])), dirpath)
     return read_vectors_dir, dirpath / "vectors.npy", (2, 3)
 
 
@@ -382,8 +381,8 @@ class TestStackDirectories:
             write_ensemble(ens(labels, [np.eye(2)] * 2), tmp_path)
             assert read_ensemble(tmp_path).labels() == labels
         else:
-            write_vectors_dir([DistVector(x, [1.0, 2.0]) for x in labels], tmp_path)
-            assert list(read_vectors_dir(tmp_path)) == labels
+            write_vectors_dir((labels, np.array([[1.0, 2.0]] * len(labels))), tmp_path)
+            assert read_vectors_dir(tmp_path)[0] == labels
 
     @pytest.mark.parametrize("kind", ["ensemble", "vectors"])
     @pytest.mark.parametrize("case", sorted(BAD_STACKS))

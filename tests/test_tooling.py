@@ -1,5 +1,7 @@
 """The test configuration itself: a failing property must fail like any test."""
 
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,17 @@ def test_failing_property_is_an_ordinary_failure(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "1 failed" in proc.stdout
+
+
+def test_every_traced_name_resolves():
+    """Each (module, function) pair that ``lmbench/tracing.py`` wraps exists
+    in lingmat, so renaming or deleting a traced function fails here, not
+    only in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("lmbench_tracing",
+                                                  REPO / "lmbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"lingmat.{module}.{attr}" for module, attr, _ in tracing.TRACED
+               if not callable(getattr(importlib.import_module(f"lingmat.{module}"), attr,
+                                       None))]
+    assert tracing.TRACED and not missing
