@@ -1,10 +1,12 @@
 """Hot numeric kernels, in numpy.
 
-Two kernel families live here: the per-matrix evaluation of the fixed
-catalog of permutation-invariant polynomials, and windowed co-occurrence
-pair counting over an integer-encoded corpus.  Every full-corpus pass runs
-over chunks of ``_CHUNK`` token positions, so no per-token temporary
-outgrows one chunk.
+Three kernel families live here: the per-matrix evaluation of the fixed
+catalog of permutation-invariant polynomials, windowed co-occurrence pair
+counting over an integer-encoded corpus, and the byte-block tokenizer with
+its table of token types, which the corpus reader runs on each block.
+Every full-corpus pass runs over chunks of ``_CHUNK`` token positions, and
+the reader reads ``_CHUNK`` bytes at a time, so no per-token temporary
+outgrows one chunk or block.
 """
 
 import numpy as np
@@ -161,3 +163,194 @@ def window_pair_counts(word_ids, tmap, cmap, offsets, window, n_targets, n_conte
         context_counts(pos, pos, offsets[sent - 1], offsets[sent],
                        t.astype(np.int64) * n_contexts, word_ids, cmap, window, counts)
     return counts.reshape(n_targets, n_contexts)
+
+
+# ---------------------------------------------------------------------------
+# byte-block tokenizing
+# ---------------------------------------------------------------------------
+
+#: The 19 non-ASCII separators of `str.split`.
+_UNICODE_SPACES = ("\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
+                   + "\u2028\u2029\u202f\u205f\u3000")
+
+#: The big-endian integers of their 2- and 3-byte UTF-8 forms, each of
+#: which starts with a byte >= 0xC2.
+_SPACE_CODES = {width: np.array(sorted(
+    int.from_bytes(c.encode(), "big") for c in _UNICODE_SPACES if len(c.encode()) == width))
+    for width in (2, 3)}
+
+#: Zero bytes that follow a block given to `tokens` or `TypeTable.nodes`,
+#: so that an 8-byte load at any block position stays inside the buffer.
+PAD = bytes(8)
+
+#: Per n in 0..8, the mask of the low n bytes of a little-endian uint64.
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+#: Marks a continuation key: (previous node id | _LINK, next 8 bytes).
+_LINK = np.uint64(1 << 63)
+
+
+def blocks(fh):
+    """The bytes of binary file `fh` in blocks that end after their last
+    line end or at the end of the file.  Each block holds the rest of the
+    previous read plus one read of ``_CHUNK`` bytes, and a line longer
+    than a read extends its block."""
+    parts = []
+    while data := fh.read(_CHUNK):
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        if cut:
+            parts.append(data[:cut])
+            yield b"".join(parts)
+            parts, data = [], data[cut:]
+        if data:
+            parts.append(data)
+    if parts:
+        yield b"".join(parts)
+
+
+def line_ends(data: bytes, after_cr: bool) -> int:
+    """Line ends in `data` as text-mode reading counts them: ``\\n``, ``\\r``
+    and ``\\r\\n`` each count once, also when `data` follows a ``\\r``."""
+    n = data.count(b"\n")
+    if b"\r" in data:
+        n += data.count(b"\r") - data.count(b"\r\n")
+    return n - (after_cr and data[:1] == b"\n")
+
+
+def tokens(padded: bytes):
+    """The tokens of a block, given as its bytes followed by `PAD`.
+
+    A token is a maximal run of bytes that are neither separators nor line
+    ends.  Returns the int32 start and length of each token and the index
+    of the first token of each sentence: tokens split as ``str.split``
+    splits the lines of text-mode reading, and lines without tokens drop.
+    """
+    buf = np.frombuffer(padded, dtype=np.uint8)
+    n = buf.size - len(PAD)
+    b = buf[:n]
+    inside = np.zeros(n + 2, dtype=bool)
+    body = inside[1:-1]
+    # every byte but the ASCII separators 09-0D and 1C-20
+    np.greater(b, 0x20, out=body)
+    body |= b < 0x09
+    body |= (b > 0x0D) & (b < 0x1C)
+    if b.max() >= 0xC2:
+        lead = np.flatnonzero(b >= 0xC2)
+        code = (buf[lead].astype(np.int32) << 16) | (buf[lead + 1].astype(np.int32) << 8)
+        code |= buf[lead + 2]
+        for width, spaces in _SPACE_CODES.items():
+            hit = lead[np.isin(code >> 8 * (3 - width), spaces)]
+            for k in range(width):
+                body[hit + k] = False
+    edges = np.flatnonzero(inside[1:] != inside[:-1]).astype(np.int32)
+    del inside, body
+    start, length = edges[0::2], edges[1::2] - edges[0::2]
+    # the first token after each line end, and the block's first token
+    first = np.searchsorted(start, np.flatnonzero((b == 0x0A) | (b == 0x0D)))
+    first = np.concatenate(([0], first[first < start.size])) if start.size else first[:0]
+    return start, length, first[np.diff(first, prepend=-1) != 0]
+
+
+class TypeTable:
+    """Node ids 0, 1, ... for exact two-word uint64 keys, in insertion order.
+
+    Open addressing with linear probing over power-of-two arrays that stay
+    at most half full and double when they would fill.  A first word of 0
+    marks an empty slot; no key has one.
+    """
+
+    def __init__(self):
+        self.size = 0
+        self._alloc(16)
+
+    def _alloc(self, slots):
+        self.k0 = np.zeros(slots, dtype=np.uint64)
+        self.k1 = np.zeros(slots, dtype=np.uint64)
+        self.ids = np.zeros(slots, dtype=np.int32)
+        self.shift = np.uint64(65 - slots.bit_length())
+
+    def _slots(self, k0, k1):
+        h = k0 * np.uint64(0x9E3779B97F4A7C15)
+        h ^= k1
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(32)
+        h *= np.uint64(0x94D049BB133111EB)
+        return (h >> self.shift).astype(np.intp)
+
+    def find(self, k0, k1):
+        """The node id of each key, or -1."""
+        mask = self.k0.size - 1
+        slot = self._slots(k0, k1)
+        at = self.k0.take(slot)
+        hit = (at == k0) & (self.k1.take(slot) == k1)
+        out = self.ids.take(slot)
+        if hit.all():
+            return out
+        out[~hit] = -1
+        todo = np.flatnonzero(~hit & (at != 0))
+        slot = slot[todo]
+        while todo.size:
+            slot = (slot + 1) & mask
+            at = self.k0.take(slot)
+            hit = (at == k0[todo]) & (self.k1.take(slot) == k1[todo])
+            out[todo[hit]] = self.ids.take(slot[hit])
+            go = ~hit & (at != 0)
+            todo, slot = todo[go], slot[go]
+        return out
+
+    def _insert(self, k0, k1, ids):
+        """Store keys absent from the table; where several probe to one
+        free slot, the first of them takes it."""
+        mask = self.k0.size - 1
+        slot = self._slots(k0, k1)
+        todo = np.arange(k0.size)
+        while todo.size:
+            free = np.flatnonzero(self.k0[slot] == 0)
+            _, first = np.unique(slot[free], return_index=True)
+            won = free[first]
+            s, i = slot[won], todo[won]
+            self.k0[s], self.k1[s], self.ids[s] = k0[i], k1[i], ids[i]
+            lost = np.ones(todo.size, dtype=bool)
+            lost[won] = False
+            todo, slot = todo[lost], (slot[lost] + 1) & mask
+
+    def add(self, k0, k1):
+        """The node id of each key; new keys get the next ids in order of
+        their first position."""
+        ids = self.find(k0, k1)
+        miss = np.flatnonzero(ids < 0)
+        if not miss.size:
+            return ids
+        m0, m1 = k0[miss], k1[miss]
+        order = np.lexsort((m1, m0))  # stable: equal keys in position order
+        s0, s1 = m0[order], m1[order]
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = (s0[1:] != s0[:-1]) | (s1[1:] != s1[:-1])
+        first = order[head]
+        rank = np.empty(first.size, dtype=np.int32)
+        rank[np.argsort(first)] = np.arange(self.size, self.size + first.size)
+        ids[miss[order]] = rank[np.cumsum(head) - 1]
+        new = np.sort(first)
+        self.size += new.size
+        if 2 * self.size > self.k0.size:
+            used = np.flatnonzero(self.k0)
+            old = self.k0[used], self.k1[used], self.ids[used]
+            self._alloc(1 << (2 * self.size - 1).bit_length())
+            self._insert(*old)
+        self._insert(m0[new], m1[new], ids[miss[new]])
+        return ids
+
+    def nodes(self, padded: bytes, start, length):
+        """The node of each token's whole byte string, for the tokens of
+        `tokens`: the key of its length and first 8 bytes, then per further
+        8 bytes the continuation key of the previous node and those bytes."""
+        u64 = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
+        node = self.add(length.astype(np.uint64),
+                        u64.take(start) & _LOW_BYTES.take(np.minimum(length, 8)))
+        at, k = np.flatnonzero(length > 8), 8
+        while at.size:
+            rest = length[at] - k
+            node[at] = self.add(node[at].astype(np.uint64) | _LINK,
+                                u64.take(start[at] + k) & _LOW_BYTES.take(np.minimum(rest, 8)))
+            at, k = at[rest > 8], k + 8
+        return node

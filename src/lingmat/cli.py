@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -41,13 +42,21 @@ def _load_json(path):
         return json.load(fh)
 
 
+#: Flags whose values are strings (paths, a method, a tag list); every
+#: other flag but ``--text`` takes numbers, through `_number`.
+_STRING_FLAGS = frozenset({"corpus", "pairs", "vectors", "selection", "ensemble",
+                           "averages", "params", "out", "out_corpus", "out_pairs",
+                           "hist_out", "csv", "method", "tags"})
+
+
 def _merge_config(args):
     """Load --config once.
 
     ``pipeline`` keeps the loaded object for `PipelineConfig`, which checks
     its keys.  Every other subcommand fills the flags left at None from it,
     records them as ``from_config`` (flag dest -> key) for `_number`, and
-    rejects keys that match no flag.
+    rejects keys that match no flag and values of string flags that are
+    not strings, so that a number is never opened as a file descriptor.
     """
     if not getattr(args, "config", None):
         return args
@@ -65,6 +74,9 @@ def _merge_config(args):
     for key, val in cfg.items():
         attr = key.replace("-", "_")
         if getattr(args, attr) is None:
+            if attr in _STRING_FLAGS and not isinstance(val, str):
+                raise ValueError(f"{args.config}: config key {key!r} must be a string, "
+                                 f"got {val!r}")
             setattr(args, attr, val)
             args.from_config[attr] = key
     return args
@@ -75,9 +87,10 @@ def _number(args, name, kind=int, flag=None, nargs=None):
     ``nargs`` of them when given, or None when unset; the converted value
     is returned, never stored on ``args``.
 
-    A command-line string that does not parse is a usage error naming the
-    flag.  A ``--config`` value must be a JSON integer (see `check_int`)
-    or number, and the ValueError names the config key.
+    A command-line string that does not parse, or a float that is not
+    finite, is a usage error naming the flag.  A ``--config`` value must
+    be a JSON integer (see `check_int`) or finite number, and the
+    ValueError names the config key.
     """
     value = getattr(args, name, None)
     if value is None:
@@ -86,9 +99,12 @@ def _number(args, name, kind=int, flag=None, nargs=None):
     if key is None:
         flag = flag or "--" + name.replace("_", "-")
         try:
-            return [kind(v) for v in value] if nargs else kind(value)
+            out = [kind(v) for v in value] if nargs else [kind(value)]
         except ValueError:
             raise SystemExit(f"{flag}: invalid {kind.__name__} value {value!r}") from None
+        if kind is float and not all(map(math.isfinite, out)):
+            raise SystemExit(f"{flag}: {value!r} is not a finite number")
+        return out if nargs else out[0]
     where = f"{args.config}: config key {key!r}"
     if nargs and not (isinstance(value, list) and len(value) == nargs):
         raise ValueError(f"{where} must be a list of {nargs} numbers, got {value!r}")
@@ -96,8 +112,8 @@ def _number(args, name, kind=int, flag=None, nargs=None):
     for v in value if nargs else [value]:
         if kind is int:
             v = check_int(where, v)
-        elif isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ValueError(f"{where} must be a number, got {v!r}")
+        elif isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ValueError(f"{where} must be a finite number, got {v!r}")
         out.append(kind(v))
     return out if nargs else out[0]
 

@@ -2,7 +2,8 @@
 weighting, dataset selection, and noun/compound distributional vectors.
 
 Corpus format: UTF-8 text, one sentence per line, tokens separated by
-spaces, optionally tagged as ``word|POS``.  A corpus counts as tagged if
+whitespace (exactly as ``str.split`` splits; see `read_corpus`),
+optionally tagged as ``word|POS``.  A corpus counts as tagged if
 any token carries a tag; content words are those whose tag starts with
 N, V, J or R.  In an untagged corpus every word is content: no stopword
 list ships, and the pipeline passes `select_basis` none.  Argument pairs
@@ -20,7 +21,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
 
 import numpy as np
 
@@ -45,7 +45,8 @@ class TokenizedCorpus:
     delimits the sentences, and ``words``/``tags`` map ids back to strings
     (``tags[0]`` is None, the id of an untagged token).  Every statistic is
     derived from these arrays and cached on the corpus; they are the only
-    per-token memory that outlives a chunk of ``_kernels.chunks``.
+    per-token memory that outlives a chunk of ``_kernels.chunks`` or a
+    block of the reader.
     """
 
     word_ids: np.ndarray
@@ -54,10 +55,25 @@ class TokenizedCorpus:
     words: tuple
     tags: tuple
 
+    def __post_init__(self):
+        for arr in (self.word_ids, self.tag_ids, self.offsets):
+            arr.setflags(write=False)
+
     @classmethod
     def from_sentences(cls, sentences) -> "TokenizedCorpus":
-        """From sentences of (word, tag) tokens; empty sentences are dropped."""
-        return _encode(([tuple(tok) for tok in s] for s in sentences), tuple)
+        """From sentences of (word, tag) tokens, with a dict per table;
+        empty sentences are dropped."""
+        words, tags = _FirstSeenIds(), _FirstSeenIds({None: 0})
+        word_ids, tag_ids, offsets = [], [], [0]
+        for sentence in sentences:
+            for word, tag in sentence:
+                word_ids.append(words[word])
+                tag_ids.append(tags[tag])
+            if len(word_ids) > offsets[-1]:
+                offsets.append(len(word_ids))
+        return cls(np.array(word_ids, dtype=np.int32),
+                   np.array(tag_ids, dtype=_tag_dtype(len(tags))),
+                   np.array(offsets, dtype=np.int64), tuple(words), tuple(tags))
 
     @property
     def n_total(self) -> int:
@@ -108,10 +124,6 @@ class TokenizedCorpus:
         return out
 
 
-#: Lines `_encode` takes at a time; bounds the token strings alive at once.
-_ENCODE_LINES = 256
-
-
 class _FirstSeenIds(dict):
     """Maps each new key to the next id, in first-occurrence order."""
 
@@ -120,51 +132,8 @@ class _FirstSeenIds(dict):
         return n
 
 
-def _encode(token_lists, parse, capacity=0) -> TokenizedCorpus:
-    """Encode sentences of raw tokens in one pass.
-
-    Each distinct raw token gets an id in first-occurrence order; `parse`
-    then runs once per distinct raw token and maps it to (word, tag).  Raw
-    ids are written, `_ENCODE_LINES` lines at a time, into one buffer of
-    `capacity` tokens that is copied into one twice as large when full
-    and cut to size in place at the end, so an exact capacity means one
-    allocation and no copy.  The tag ids are gathered first, then the
-    raw-id array is remapped to word ids in place, chunk by chunk.
-    """
-    raw_ids = _FirstSeenIds()
-    raw = np.empty(capacity, dtype=np.int32)
-    ends = [np.zeros(1, dtype=np.int64)]
-    n = 0
-    lines = iter(token_lists)
-    while block := list(islice(lines, _ENCODE_LINES)):
-        block = [toks for toks in block if toks]
-        lengths = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
-        k = int(lengths.sum())
-        if n + k > raw.size:
-            grown = np.empty(max(2 * raw.size, n + k), dtype=np.int32)
-            grown[:n] = raw[:n]
-            raw = grown
-        raw[n:n + k] = np.fromiter(map(raw_ids.__getitem__, chain.from_iterable(block)),
-                                   dtype=np.int32, count=k)
-        ends.append(n + np.cumsum(lengths))
-        n += k
-    raw.resize(n, refcheck=False)
-    parsed = [parse(token) for token in raw_ids]
-    word_index = _FirstSeenIds()
-    tag_index = _FirstSeenIds({None: 0})
-    raw_word = [word_index[word] for word, _ in parsed]
-    raw_tag = [tag_index[tag] for _, tag in parsed]
-    tag_dtype = np.int8 if len(tag_index) <= 128 else np.int32
-    tag_ids = np.array(raw_tag, dtype=tag_dtype)[raw]
-    word_of_raw = np.array(raw_word, dtype=np.int32)
-    for lo, hi in _kernels.chunks(raw.size):
-        raw[lo:hi] = word_of_raw.take(raw[lo:hi])
-    word_ids = raw
-    offsets = np.concatenate(ends)
-    for arr in (word_ids, tag_ids, offsets):
-        arr.setflags(write=False)
-    return TokenizedCorpus(word_ids=word_ids, tag_ids=tag_ids, offsets=offsets,
-                           words=tuple(word_index), tags=tuple(tag_index))
+def _tag_dtype(n_tags):
+    return np.int8 if n_tags <= 128 else np.int32
 
 
 def _parse_token(raw: str):
@@ -175,11 +144,90 @@ def _parse_token(raw: str):
     return (raw, None)
 
 
+class _BlockEncoder:
+    """Encodes a corpus block by block into one word-id and one tag-id
+    buffer of `capacity` tokens, which double when full.
+
+    Each token's bytes map to a node of a `_kernels.TypeTable`.  A new
+    type is decoded and parsed once, at its first position, which fixes its
+    word and tag ids; the ids of a block's tokens are then two gathers from
+    the per-node arrays.
+    """
+
+    def __init__(self, path, capacity):
+        self.path = path
+        self.table = _kernels.TypeTable()
+        self.word_of = np.empty(0, dtype=np.int32)  # per node: word id, or -1
+        self.tag_of = np.empty(0, dtype=np.int32)
+        self.words, self.tags = _FirstSeenIds(), _FirstSeenIds({None: 0})
+        self.word_ids = np.empty(capacity, dtype=np.int32)
+        self.tag_ids = np.empty(capacity, dtype=np.int8)
+        self.n = 0
+        self.starts = [np.zeros(0, dtype=np.int64)]  # first token of each sentence
+        self.lines = 0  # line ends before the current block
+        self.after_cr = False  # whether the previous block ended with "\r"
+
+    def add(self, block: bytes):
+        padded = block + _kernels.PAD
+        start, length, first = _kernels.tokens(padded)
+        known = self.table.size  # a token whose node is newer is of a new type
+        node = self.table.nodes(padded, start, length)
+        if self.word_of.size < self.table.size:
+            grow = np.full(2 * self.table.size - self.word_of.size, -1, dtype=np.int32)
+            self.word_of = np.concatenate([self.word_of, grow])
+            self.tag_of = np.concatenate([self.tag_of, grow])
+        if node.size and node.max() >= known:
+            self._add_types(block, start, length, node, known)
+        k = node.size
+        if self.n + k > self.word_ids.size:
+            self._grow(self.n + k)
+        np.take(self.word_of, node, out=self.word_ids[self.n:self.n + k])
+        self.tag_ids[self.n:self.n + k] = self.tag_of.take(node)
+        self.starts.append(first + self.n)
+        self.n += k
+        self.lines += _kernels.line_ends(block, self.after_cr)
+        self.after_cr = block.endswith(b"\r")
+
+    def _add_types(self, block, start, length, node, known):
+        """Decode and parse each new type once, in order of first position."""
+        new = np.flatnonzero(node >= known)
+        _, first = np.unique(node[new], return_index=True)
+        for t in np.sort(new[first]).tolist():
+            lo = int(start[t])
+            raw = block[lo:lo + int(length[t])]
+            try:
+                word, tag = _parse_token(raw.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                line = self.lines + _kernels.line_ends(block[:lo], self.after_cr) + 1
+                raise CorpusError(f"{self.path}:{line}: invalid UTF-8 ({exc.reason}) "
+                                  f"in token {raw[:40]!r}") from None
+            self.word_of[node[t]] = self.words[word]
+            self.tag_of[node[t]] = self.tags[tag]
+        if _tag_dtype(len(self.tags)) != self.tag_ids.dtype:
+            self.tag_ids = self.tag_ids.astype(_tag_dtype(len(self.tags)))
+
+    def _grow(self, need):
+        cap = max(2 * self.word_ids.size, need)
+        for name in ("word_ids", "tag_ids"):
+            old = getattr(self, name)
+            grown = np.empty(cap, dtype=old.dtype)
+            grown[:self.n] = old[:self.n]
+            setattr(self, name, grown)
+
+    def corpus(self) -> TokenizedCorpus:
+        """The encoded corpus; the buffers are cut to size in place."""
+        self.word_ids.resize(self.n, refcheck=False)
+        self.tag_ids.resize(self.n, refcheck=False)
+        self.starts.append(np.array([self.n], dtype=np.int64))
+        return TokenizedCorpus(self.word_ids, self.tag_ids, np.concatenate(self.starts),
+                               tuple(self.words), tuple(self.tags))
+
+
 def _token_count_hint(path) -> int:
     """Spaces plus newlines plus one: the token count of a file whose
-    tokens are separated by single spaces, as `_encode`'s capacity.  Other
-    layouts only make the buffer grow or shrink.  0 for a pipe or another
-    file that is not regular, which cannot be read twice."""
+    tokens are separated by single spaces, as the reader's capacity.
+    Other layouts only make the buffers grow or shrink.  0 for a pipe or
+    another file that is not regular, which cannot be read twice."""
     if not os.path.isfile(path):
         return 0
     n = 1
@@ -191,11 +239,22 @@ def _token_count_hint(path) -> int:
 
 
 def read_corpus(path) -> TokenizedCorpus:
-    """One pass over the file, after a byte count that sizes the id
-    array; `_parse_token` runs once per distinct token."""
-    with open(path, encoding="utf-8") as fh:
-        corpus = _encode((line.split() for line in fh), _parse_token,
-                         _token_count_hint(path))
+    """The corpus at `path`, read in byte blocks after a byte count that
+    sizes the id buffers.
+
+    The tokens and sentences are those of text-mode UTF-8 reading with
+    ``str.split`` per line: the separators are the bytes 09-0D, 1C-1F and
+    20 and the UTF-8 forms of the 19 non-ASCII whitespace code points,
+    ``\\n``, ``\\r`` and ``\\r\\n`` end a sentence, and lines without tokens
+    drop.  Numpy tokenizes and looks up each block; Python runs once per
+    distinct token, which it decodes strictly (invalid UTF-8 is a
+    `CorpusError` naming ``path:line``) and parses with `_parse_token`.
+    """
+    encoder = _BlockEncoder(path, _token_count_hint(path))
+    with open(path, "rb") as fh:
+        for block in _kernels.blocks(fh):
+            encoder.add(block)
+    corpus = encoder.corpus()
     if corpus.n_total == 0:
         raise CorpusError(f"{path}: corpus is empty")
     return corpus
@@ -350,8 +409,33 @@ def _reach_of(pos_class: str, window: int) -> int:
     return 1 if pos_class in ("adjective", "unknown") else window
 
 
-def _spans(corpus, target, nouns, reach):
-    """Compound spans of `target` with each of `nouns`, as arrays.
+def head_positions(corpus: TokenizedCorpus, heads) -> dict[str, np.ndarray]:
+    """The int64 corpus positions of each head word, in position order.
+
+    One scan finds every head; a counting sort, sized by the cached
+    `word_tag_counts`, places each chunk's positions in one array that the
+    returned arrays are views of.
+    """
+    heads = list(dict.fromkeys(heads))
+    totals = corpus.word_tag_counts.sum(axis=1)
+    counts = np.array([totals[corpus.word_index[h]] if h in corpus.word_index else 0
+                       for h in heads], dtype=np.int64)
+    end = np.cumsum(counts)
+    free = end - counts  # the next free slot of each head
+    out = np.empty(int(end[-1]) if heads else 0, dtype=np.int64)
+    for pos, head in _kernels.scan(corpus.word_ids, corpus.lookup(heads)):
+        order = np.argsort(head, kind="stable")
+        head = head[order]
+        n = np.bincount(head, minlength=len(heads))
+        rank = np.arange(head.size) - (np.cumsum(n) - n)[head]
+        out[free[head] + rank] = pos[order]
+        free += n
+    return dict(zip(heads, np.split(out, end[:-1])))
+
+
+def _spans(corpus, pos, nouns, reach):
+    """Compound spans of the target at positions `pos` with each of
+    `nouns`, as arrays.
 
     For each target occurrence, each distinct noun takes its nearest
     occurrence within reach to the right as the compound span.  Returns
@@ -359,8 +443,6 @@ def _spans(corpus, target, nouns, reach):
     by noun index; start and end are corpus positions.
     """
     none = np.zeros(0, dtype=np.int64)
-    pos = np.concatenate([none] + [p for p, _ in _kernels.scan(corpus.word_ids,
-                                                               corpus.lookup([target]))])
     sent = np.searchsorted(corpus.offsets, pos, side="right")
     hi = corpus.offsets[sent]
     noun_of = corpus.lookup(nouns).astype(np.int64)
@@ -387,7 +469,8 @@ def compound_spans(corpus: TokenizedCorpus, target: str, noun: str,
     `window` tokens to the right of the verb.  The span covers every
     token from target to noun inclusive.
     """
-    start, end, _, sent = _spans(corpus, target, [noun], _reach_of(pos_class, window))
+    start, end, _, sent = _spans(corpus, head_positions(corpus, [target])[target], [noun],
+                                 _reach_of(pos_class, window))
     base = corpus.offsets[sent]
     return list(zip(sent.tolist(), (start - base).tolist(), (end - base).tolist()))
 
@@ -395,19 +478,24 @@ def compound_spans(corpus: TokenizedCorpus, target: str, noun: str,
 def build_compound_vectors(corpus: TokenizedCorpus, table: CoocTable,
                            basis: BasisSpec, target: str, nouns,
                            pos_class: str = "adjective",
-                           window: int | None = None
+                           window: int | None = None, positions=None
                            ) -> tuple[tuple[list[str], np.ndarray], list[str]]:
     """PPMI vectors for target-noun compounds, treating each compound
     occurrence as one token spanning its positions.
 
     Context is every token within `window` of the span on either side,
-    excluding the span itself.  Returns the vector set, labelled
-    ``"<target> <noun>"``, and the skipped nouns, whose compound never occurs.
+    excluding the span itself.  `positions` are the target's corpus
+    positions as `head_positions` gives them, which one scan finds for
+    every head; None scans for this target alone.  Returns the vector
+    set, labelled ``"<target> <noun>"``, and the skipped nouns, whose
+    compound never occurs.
     """
     if window is None:
         window = table.window
+    if positions is None:
+        positions = head_positions(corpus, [target])[target]
     distinct = list(dict.fromkeys(nouns))
-    start, end, noun, sent = _spans(corpus, target, distinct,
+    start, end, noun, sent = _spans(corpus, positions, distinct,
                                     _reach_of(pos_class, window))
     totals = np.bincount(noun, minlength=len(distinct))
     joint = np.zeros((len(distinct), basis.size), dtype=np.int64)

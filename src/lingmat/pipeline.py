@@ -28,6 +28,7 @@ from .corpus import (
     build_noun_vectors,
     build_vocab,
     count_cooccurrence,
+    head_positions,
     pos_class_of,
     read_corpus,
     read_pairs,
@@ -187,10 +188,12 @@ def stage_build_vectors(corpus, pairs, basis_size, window, out_dir, provenance):
     noun_vectors = build_noun_vectors(table, basis, nouns)
 
     labels, rows, skipped = [], [np.zeros((0, basis.size))], {}
+    positions = head_positions(corpus, sorted(pairs))
     for head in sorted(pairs):
         pos_class = pos_class_of(head, corpus)
         (head_labels, head_rows), missing = build_compound_vectors(
-            corpus, table, basis, head, sorted(pairs[head]), pos_class, window)
+            corpus, table, basis, head, sorted(pairs[head]), pos_class, window,
+            positions[head])
         labels += head_labels
         rows.append(head_rows)
         if missing:

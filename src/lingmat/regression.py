@@ -11,6 +11,7 @@ lambda = 0) solves M (X^T X + lambda I) = Y^T X.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -78,6 +79,8 @@ class RegressionConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, float(value))
         check_int("max_epochs", self.max_epochs)
         check_int("seed", self.seed)

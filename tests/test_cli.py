@@ -250,6 +250,19 @@ class TestErrors:
         assert payload["error"] == "ValueError"
         assert str(path) in payload["message"] and repr(key) in payload["message"]
 
+    def test_invalid_utf8_corpus_names_its_line(self, capsys, tmp_path):
+        corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+        corpus.write_bytes(b"big cat\nsmall \xff dog\n")
+        pairs.write_text("big\tcat\t1\n")
+        for argv in (("build-vectors", "--basis-size", "2", "--out", str(tmp_path / "v")),
+                     ("select-dataset", "--out", str(tmp_path / "s.json"))):
+            code, _, err = run_cli(capsys, *argv, "--corpus", str(corpus),
+                                   "--pairs", str(pairs))
+            assert code == 1
+            payload = json.loads(err)
+            assert payload["error"] == "CorpusError"
+            assert payload["message"].startswith(f"{corpus}:2: invalid UTF-8")
+
     @pytest.mark.parametrize("dim", [0, 8])
     def test_learn_matrices_rejects_dim_outside_the_vectors(self, tmp_path, dim):
         nouns = ([f"n{i}" for i in range(3)], np.arange(5.0) + np.arange(3.0)[:, None])
@@ -317,6 +330,50 @@ class TestUsageErrors:
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
         assert f"{path}: config key {key!r}" in payload["message"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_names_its_flag_or_key(self, capsys, tmp_path, value):
+        code, out, err = run_cli(capsys, "learn-matrices", "--vectors", "v",
+                                 "--selection", "s", f"--lambda={value}", "--out", "o")
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "UsageError"
+        assert payload["message"].startswith("--lambda: ")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"vectors": "v", "selection": "s", "out": "o",
+                                    "ridge_lambda": float(value)}))
+        code, _, err = run_cli(capsys, "learn-matrices", "--config", str(path))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert f"{path}: config key 'ridge_lambda' must be a finite number" in payload["message"]
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("build-vectors", {"corpus": 12345, "pairs": "p", "basis_size": 4, "out": "o"},
+         "corpus"),
+        ("select-dataset", {"corpus": "c", "pairs": ["p.tsv"], "out": "o"}, "pairs"),
+        ("learn-matrices", {"vectors": {"nouns": "n"}, "selection": "s", "out": "o"},
+         "vectors"),
+        ("learn-matrices", {"vectors": "v", "selection": 2.5, "out": "o"}, "selection"),
+        ("observables", {"ensemble": ["e"], "out": "o"}, "ensemble"),
+        ("fit", {"averages": "a.json", "out": 3.0}, "out"),
+        ("report", {"params": "p.json", "ensemble": "e", "out": ["r.json"]}, "out"),
+        ("predict", {"params": 12345}, "params"),
+        ("sample", {"params": "p.json", "count": 2, "seed": 1, "out": {"d": 0}}, "out"),
+        ("gen-corpus", {"seed": 1, "out_corpus": ["c"], "out_pairs": "p"}, "out_corpus"),
+        ("mc-check", {"params": "p.json", "count": 2, "seed": 1, "csv": 1.0}, "csv"),
+    ])
+    def test_config_path_that_is_not_a_string_names_its_key(self, capsys, tmp_path,
+                                                            command, cfg, key):
+        """The integer values are no open file descriptor, so that code
+        which opens them fails without closing one."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"{path}: config key {key!r} must be a string")
 
     def test_values_are_hashed_as_given(self, capsys, tmp_path, monkeypatch):
         """Converting a value leaves the provenance hash of the flags and

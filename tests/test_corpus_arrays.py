@@ -4,12 +4,13 @@ Random tagged and untagged corpora go through the array paths and through
 the oracles in ``oracles.py``; every result must match exactly, PPMI
 values bit for bit.  Each check also runs with the chunk of the
 full-corpus passes cut to 1, 3 and 7 token positions, so that anchors,
-windows and spans cross chunk edges, and with the encoder's blocks cut to
-as many lines.
+windows and spans cross chunk edges, and with the reader's reads cut to
+as many bytes, so that tokens, UTF-8 forms and line ends cross reads.
 """
 
 import contextlib
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -37,8 +38,17 @@ from lingmat.synth import write_synth_corpus
 
 import oracles
 
-WORDS = ("a", "b", "big", "cat", "eats", "x")
+#: Words: ASCII, tokens of 8, 9-16 and more than 16 bytes (equal lengths
+#: sharing their first 8 or 16 bytes), NUL and other control bytes, and
+#: multibyte letters, some whose UTF-8 forms resemble a separator's
+#: (U+200B and U+2030 are not whitespace).
+WORDS = ("a", "b", "big", "cat", "eats", "x", "abcdefgh", "abcdefghij", "abcdefghik",
+         "abcdefghijklmnopq", "abcdefghijklmnopr", "a\x00b", "\x00", "\x1b", "\x7f",
+         "\u00e9", "\u540d", "caf\u00e9\u540d", "\u200b", "\u2030", "\u0185")
 TAGS = ("N", "NN", "V", "vb", "J", "R", "D", "F", "")
+
+#: The separators of `str.split` that are not ASCII, from `str.isspace`.
+UNICODE_SPACES = tuple(chr(c) for c in range(0x80, 0x110000) if chr(c).isspace())
 
 word = st.sampled_from(WORDS)
 tag = st.sampled_from(TAGS)
@@ -50,19 +60,23 @@ tagged_token = st.one_of(
     st.builds(lambda t: f"|{t}", tag),
     st.builds(lambda w, v, t: f"{w}|{v}|{t}", word, word, tag),
 )
-separator = st.sampled_from([" ", "  ", "\t", "\x0c", "\u2028"])
-line_end = st.sampled_from(["\n", "\r\n"])
+separator = st.sampled_from((" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f")
+                            + UNICODE_SPACES)
+line_end = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @st.composite
 def corpus_text(draw, token=tagged_token):
-    """Corpus file text: token lines, blank lines and mixed line endings."""
+    """Corpus file text: token lines, blank lines and mixed line endings,
+    perhaps a BOM first and no line end last."""
     lines = []
     for toks in draw(st.lists(st.lists(token, max_size=9), min_size=1, max_size=12)):
         seps = draw(st.lists(separator, min_size=len(toks), max_size=len(toks)))
         body = "".join(s + t for s, t in zip(seps, toks))
         lines.append(body + draw(line_end))
-    return "".join(lines)
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(lines)
 
 
 def read_both(text):
@@ -87,19 +101,11 @@ CHUNKS = (None, 1, 3, 7)
 
 @contextlib.contextmanager
 def chunk_length(chunk):
-    """Full-corpus passes run in chunks of `chunk` token positions."""
+    """Full-corpus passes run in chunks of `chunk` token positions, and the
+    reader reads `chunk` bytes at a time."""
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             mp.setattr(_kernels, "_CHUNK", chunk)
-        yield
-
-
-@contextlib.contextmanager
-def encoder_blocks(lines):
-    """The encoder reads blocks of `lines` lines."""
-    with pytest.MonkeyPatch.context() as mp:
-        if lines is not None:
-            mp.setattr(corpus_module, "_ENCODE_LINES", lines)
         yield
 
 
@@ -107,7 +113,7 @@ def encoder_blocks(lines):
 @given(any_corpus)
 def test_read_corpus_round_trip(text):
     for chunk in CHUNKS:
-        with chunk_length(chunk), encoder_blocks(chunk):
+        with chunk_length(chunk):
             corpus, sentences = read_both(text)
         if corpus is None:
             return
@@ -126,7 +132,7 @@ def test_read_corpus_round_trip(text):
 def test_from_sentences_round_trip(sentences):
     want = tuple(tuple(s) for s in sentences if s)
     for chunk in CHUNKS:
-        with chunk_length(chunk), encoder_blocks(chunk):
+        with chunk_length(chunk):
             corpus = TokenizedCorpus.from_sentences(sentences)
             assert corpus.sentences == want, chunk
             assert corpus.tagged == oracles.is_tagged(want)
@@ -212,7 +218,7 @@ def test_edge_case_tokens_and_lines(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes("word| |tag a|b|N\r\n\n   \nsolo\nx\x0cy\u2028z|J\n".encode())
     for chunk in CHUNKS:
-        with chunk_length(chunk), encoder_blocks(chunk):
+        with chunk_length(chunk):
             corpus = read_corpus(path)
             assert corpus.sentences == (
                 (("word", None), ("|tag", None), ("a|b", "N")),
@@ -226,6 +232,108 @@ def test_edge_case_tokens_and_lines(tmp_path):
             table = count_cooccurrence(corpus, ["solo", "x"],
                                        BasisSpec(("y", "z", "solo")), 50)
             assert table.counts == {"solo": {}, "x": {"y": 1, "z": 1}}, chunk
+
+
+def test_separators_are_those_of_str_split():
+    assert len(UNICODE_SPACES) == 19
+    assert _kernels._UNICODE_SPACES == "".join(UNICODE_SPACES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 40)), max_size=60),
+                max_size=8))
+def test_type_table_numbers_keys_in_first_occurrence_order(batches):
+    """Batch after batch, each distinct key gets the next id at its first
+    position, and the table stays at most half full."""
+    table, want = _kernels.TypeTable(), {}
+    for batch in batches:
+        k0 = np.array([a for a, _ in batch], dtype=np.uint64)
+        k1 = np.array([b << 58 | b for _, b in batch], dtype=np.uint64)
+        ids = table.add(k0, k1)
+        assert ids.tolist() == [want.setdefault(key, len(want)) for key in batch]
+        assert table.size == len(want) and 2 * table.size <= table.k0.size
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.binary(min_size=1, max_size=30).map(
+    lambda b: bytes(b"ab\x00\xe2"[c % 4] for c in b)), min_size=1, max_size=40),
+    st.lists(st.sampled_from([b" ", b"\n", b"\t\r\n"]), min_size=40, max_size=40))
+def test_type_table_nodes_are_the_byte_strings(words, seps):
+    """Two tokens share a node exactly when their bytes are equal, whatever
+    their lengths and whatever follows them."""
+    block = b"".join(w + sep for w, sep in zip(words, seps))
+    start, length, _ = _kernels.tokens(block + _kernels.PAD)
+    assert [block[a:a + n] for a, n in zip(start.tolist(), length.tolist())] == words
+    node = _kernels.TypeTable().nodes(block + _kernels.PAD, start, length).tolist()
+    first = {}
+    assert node == [first.setdefault(w, n) for w, n in zip(words, node)]
+    assert len(set(node)) == len(first)
+
+
+def test_long_token_tails_are_not_short_tokens(tmp_path):
+    """A long token's later bytes never read as the short token they spell,
+    whichever node its first 8 bytes get."""
+    lines = [" ".join([f"f{i}" for i in range(k)] + ["abcdefgh" + tail, tail])
+             for k in range(12) for tail in ("i", "ij", "ijklmnop", "ijklmnopq")]
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = oracles.read_sentences(path)
+    for chunk in CHUNKS:
+        with chunk_length(chunk):
+            assert read_corpus(path).sentences == want, chunk
+
+
+def test_more_than_5000_types_read_as_the_oracle_reads_them(tmp_path):
+    """Enough distinct tokens, of 1 to 40 bytes, that the type table
+    doubles several times; many share their first 8 or 16 bytes."""
+    rng = np.random.default_rng(7)
+    stems = ["", "w", "prefix08", "sixteen-byte-pre", "\u00e9\u540d", "x|N"]
+    types = [f"{stems[i % len(stems)]}{i:x}" + "z" * int(rng.integers(0, 20))
+             + ("|" + "NVJR"[i % 4] if i % 3 else "") for i in range(6000)]
+    picks = np.concatenate([rng.permutation(len(types)),
+                            rng.integers(0, len(types), size=4000)])
+    lines = [" ".join(types[i] for i in line) + ("\n", "\r\n", "\r")[k % 3] for k, line
+             in enumerate(np.split(picks, np.flatnonzero(rng.random(picks.size) < 0.1)))]
+    path = tmp_path / "corpus.txt"
+    path.write_bytes("".join(lines).encode())
+    want = oracles.read_sentences(path)
+    for chunk in CHUNKS:
+        with chunk_length(chunk):
+            corpus = read_corpus(path)
+        assert len(corpus.words) > 5000
+        assert corpus.sentences == want, chunk
+        assert corpus.word_ids.dtype == np.int32 and corpus.tag_ids.dtype == np.int8
+
+
+def test_more_than_128_tags_widen_the_tag_ids(tmp_path):
+    """The tag ids turn int32 in the block where the 129th tag appears."""
+    path = tmp_path / "corpus.txt"
+    path.write_text("".join(f"w{i % 7}|T{i} x\n" for i in range(300)), encoding="utf-8")
+    want = oracles.read_sentences(path)
+    for chunk in CHUNKS:
+        with chunk_length(chunk):
+            corpus = read_corpus(path)
+        assert corpus.sentences == want, chunk
+        assert len(corpus.tags) == 301 and corpus.tag_ids.dtype == np.int32
+        assert corpus.tag_ids.base is None and not corpus.tag_ids.flags.writeable
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"\x85\n", 1),
+    (b"ok\n\nok \xff\n", 3),
+    (b"a b\r\nc\rd\n\r\n  e \xc3( f\n", 5),
+    (b"x\r\n\xed\xa0\x80 y\r\n", 2),
+    (b"fine\nfine a\xe2\x80", 2),
+])
+def test_invalid_utf8_names_its_line(tmp_path, data, line):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError):
+        oracles.read_sentences(path)
+    for chunk in CHUNKS:
+        with chunk_length(chunk), pytest.raises(
+                CorpusError, match=f"^{re.escape(str(path))}:{line}: invalid UTF-8"):
+            read_corpus(path)
 
 
 def test_token_count_hint_is_exact_for_space_separated_lines(desk_corpus):

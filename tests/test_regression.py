@@ -193,6 +193,12 @@ class TestLambdaSelection:
         with pytest.raises(ValueError):
             RegressionConfig(convergence_tol=0.0)
 
+    @pytest.mark.parametrize("field", ["ridge_lambda", "learning_rate", "convergence_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            RegressionConfig(**{field: value})
+
 
 class TestWordMatrixIntegration:
     def test_loss_accepts_word_matrix(self):
