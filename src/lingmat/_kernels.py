@@ -252,11 +252,14 @@ def tokens(padded: bytes):
 
 
 class TypeTable:
-    """Node ids 0, 1, ... for exact two-word uint64 keys, in insertion order.
+    """The token types of a corpus: node ids 0, 1, ... for exact two-word
+    uint64 keys, in insertion order, where a token's byte string is a chain
+    of keys ending in its type's node (see `nodes`).
 
     Open addressing with linear probing over power-of-two arrays that stay
-    at most half full and double when they would fill.  A first word of 0
-    marks an empty slot; no key has one.
+    at most half full and double when they would fill; every call looks up
+    a whole array of keys at once.  A first word of 0 marks an empty slot;
+    no key has one.
     """
 
     def __init__(self):
@@ -270,6 +273,8 @@ class TypeTable:
         self.shift = np.uint64(65 - slots.bit_length())
 
     def _slots(self, k0, k1):
+        """Home slots: the top bits of a multiply-xorshift mix of both
+        words (the constants of splitmix64)."""
         h = k0 * np.uint64(0x9E3779B97F4A7C15)
         h ^= k1
         h *= np.uint64(0xBF58476D1CE4E5B9)

@@ -163,7 +163,7 @@ class _BlockEncoder:
         self.word_ids = np.empty(capacity, dtype=np.int32)
         self.tag_ids = np.empty(capacity, dtype=np.int8)
         self.n = 0
-        self.starts = [np.zeros(0, dtype=np.int64)]  # first token of each sentence
+        self.starts = []  # per block: the first token of each sentence
         self.lines = 0  # line ends before the current block
         self.after_cr = False  # whether the previous block ended with "\r"
 
@@ -203,8 +203,9 @@ class _BlockEncoder:
                                   f"in token {raw[:40]!r}") from None
             self.word_of[node[t]] = self.words[word]
             self.tag_of[node[t]] = self.tags[tag]
-        if _tag_dtype(len(self.tags)) != self.tag_ids.dtype:
-            self.tag_ids = self.tag_ids.astype(_tag_dtype(len(self.tags)))
+        dtype = _tag_dtype(len(self.tags))
+        if dtype != self.tag_ids.dtype:
+            self.tag_ids = self.tag_ids.astype(dtype)
 
     def _grow(self, need):
         cap = max(2 * self.word_ids.size, need)
