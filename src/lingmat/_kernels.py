@@ -221,9 +221,10 @@ def tokens(padded: bytes):
     """The tokens of a block, given as its bytes followed by `PAD`.
 
     A token is a maximal run of bytes that are neither separators nor line
-    ends.  Returns the int32 start and length of each token and the index
-    of the first token of each sentence: tokens split as ``str.split``
-    splits the lines of text-mode reading, and lines without tokens drop.
+    ends.  Returns the start and length of each token (int32 unless the
+    block holds 2**31 bytes or more) and the index of the first token of
+    each sentence: tokens split as ``str.split`` splits the lines of
+    text-mode reading, and lines without tokens drop.
     """
     buf = np.frombuffer(padded, dtype=np.uint8)
     n = buf.size - len(PAD)
@@ -242,7 +243,8 @@ def tokens(padded: bytes):
             hit = lead[np.isin(code >> 8 * (3 - width), spaces)]
             for k in range(width):
                 body[hit + k] = False
-    edges = np.flatnonzero(inside[1:] != inside[:-1]).astype(np.int32)
+    edges = np.flatnonzero(inside[1:] != inside[:-1])
+    edges = edges.astype(np.int32 if n < 2**31 else np.int64)  # one line can exceed 2 GB
     del inside, body
     start, length = edges[0::2], edges[1::2] - edges[0::2]
     # the first token after each line end, and the block's first token
