@@ -333,11 +333,14 @@ class TypeTable:
         s0, s1 = m0[order], m1[order]
         head = np.ones(order.size, dtype=bool)
         head[1:] = (s0[1:] != s0[:-1]) | (s1[1:] != s1[:-1])
-        first = order[head]
-        rank = np.empty(first.size, dtype=np.int32)
-        rank[np.argsort(first)] = np.arange(self.size, self.size + first.size)
-        ids[miss[order]] = rank[np.cumsum(head) - 1]
-        new = np.sort(first)
+        first = order[head]  # per distinct key, in key order: its first index
+        is_first = np.zeros(miss.size, dtype=bool)
+        is_first[first] = True
+        # the same indices in position order, from a mask: numpy's default
+        # sort would fault in ~0.3 MB more of its SIMD library code
+        new = np.flatnonzero(is_first)
+        id_at = np.cumsum(is_first, dtype=np.int32) + np.int32(self.size - 1)
+        ids[miss[order]] = id_at[first][np.cumsum(head) - 1]
         self.size += new.size
         if 2 * self.size > self.k0.size:
             used = np.flatnonzero(self.k0)

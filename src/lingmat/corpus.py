@@ -192,7 +192,7 @@ class _BlockEncoder:
         """Decode and parse each new type once, in order of first position."""
         new = np.flatnonzero(node >= known)
         _, first = np.unique(node[new], return_index=True)
-        for t in np.sort(new[first]).tolist():
+        for t in sorted(new[first].tolist()):
             lo = int(start[t])
             raw = block[lo:lo + int(length[t])]
             try:
