@@ -144,9 +144,19 @@ def _parse_token(raw: str):
     return (raw, None)
 
 
+def _room(buf, used, need):
+    """`buf` if it holds `need` entries, else a copy of its first `used`
+    entries in a buffer at least twice as large."""
+    if need <= buf.size:
+        return buf
+    grown = np.empty(max(2 * buf.size, need), dtype=buf.dtype)
+    grown[:used] = buf[:used]
+    return grown
+
+
 class _BlockEncoder:
-    """Encodes a corpus block by block into one word-id and one tag-id
-    buffer of `capacity` tokens, which double when full.
+    """Encodes a corpus block by block into one word-id, one tag-id and
+    one offset buffer, sized by `_token_count_hint` and doubled when full.
 
     Each token's bytes map to a node of a `_kernels.TypeTable`.  A new
     type is decoded and parsed once, at its first position, which fixes its
@@ -155,15 +165,16 @@ class _BlockEncoder:
     """
 
     def __init__(self, path, capacity):
+        tokens, lines = capacity
         self.path = path
         self.table = _kernels.TypeTable()
         self.word_of = np.empty(0, dtype=np.int32)  # per node: word id, or -1
         self.tag_of = np.empty(0, dtype=np.int32)
         self.words, self.tags = _FirstSeenIds(), _FirstSeenIds({None: 0})
-        self.word_ids = np.empty(capacity, dtype=np.int32)
-        self.tag_ids = np.empty(capacity, dtype=np.int8)
-        self.n = 0
-        self.starts = []  # per block: the first token of each sentence
+        self.word_ids = np.empty(tokens, dtype=np.int32)
+        self.tag_ids = np.empty(tokens, dtype=np.int8)
+        self.offsets = np.empty(lines, dtype=np.int64)
+        self.n = self.n_sentences = 0
         self.lines = 0  # line ends before the current block
         self.after_cr = False  # whether the previous block ended with "\r"
 
@@ -178,13 +189,15 @@ class _BlockEncoder:
             self.tag_of = np.concatenate([self.tag_of, grow])
         if node.size and node.max() >= known:
             self._add_types(block, start, length, node, known)
-        k = node.size
-        if self.n + k > self.word_ids.size:
-            self._grow(self.n + k)
-        np.take(self.word_of, node, out=self.word_ids[self.n:self.n + k])
-        self.tag_ids[self.n:self.n + k] = self.tag_of.take(node)
-        self.starts.append(first + self.n)
-        self.n += k
+        n, k = self.n, node.size
+        self.word_ids = _room(self.word_ids, n, n + k)
+        self.tag_ids = _room(self.tag_ids, n, n + k)
+        np.take(self.word_of, node, out=self.word_ids[n:n + k])
+        self.tag_ids[n:n + k] = self.tag_of.take(node)
+        s, m = self.n_sentences, first.size
+        self.offsets = _room(self.offsets, s, s + m + 1)
+        np.add(first, n, out=self.offsets[s:s + m])
+        self.n, self.n_sentences = n + k, s + m
         self.lines += _kernels.line_ends(block, self.after_cr)
         self.after_cr = block.endswith(b"\r")
 
@@ -207,36 +220,32 @@ class _BlockEncoder:
         if dtype != self.tag_ids.dtype:
             self.tag_ids = self.tag_ids.astype(dtype)
 
-    def _grow(self, need):
-        cap = max(2 * self.word_ids.size, need)
-        for name in ("word_ids", "tag_ids"):
-            old = getattr(self, name)
-            grown = np.empty(cap, dtype=old.dtype)
-            grown[:self.n] = old[:self.n]
-            setattr(self, name, grown)
-
     def corpus(self) -> TokenizedCorpus:
         """The encoded corpus; the buffers are cut to size in place."""
-        self.word_ids.resize(self.n, refcheck=False)
-        self.tag_ids.resize(self.n, refcheck=False)
-        self.starts.append(np.array([self.n], dtype=np.int64))
-        return TokenizedCorpus(self.word_ids, self.tag_ids, np.concatenate(self.starts),
+        self.offsets = _room(self.offsets, self.n_sentences, self.n_sentences + 1)
+        self.offsets[self.n_sentences] = self.n
+        for buf, size in ((self.word_ids, self.n), (self.tag_ids, self.n),
+                          (self.offsets, self.n_sentences + 1)):
+            buf.resize(size, refcheck=False)
+        return TokenizedCorpus(self.word_ids, self.tag_ids, self.offsets,
                                tuple(self.words), tuple(self.tags))
 
 
-def _token_count_hint(path) -> int:
-    """Spaces plus newlines plus one: the token count of a file whose
-    tokens are separated by single spaces, as the reader's capacity.
-    Other layouts only make the buffers grow or shrink.  0 for a pipe or
-    another file that is not regular, which cannot be read twice."""
+def _token_count_hint(path) -> tuple[int, int]:
+    """The reader's buffer sizes: spaces plus newlines plus one, the token
+    count of a file whose tokens are separated by single spaces, and
+    newlines plus one, its sentence count plus one when no line is blank.
+    Other layouts only make the buffers grow or shrink.  (0, 0) for a pipe
+    or another file that is not regular, which cannot be read twice."""
     if not os.path.isfile(path):
-        return 0
-    n = 1
+        return 0, 0
+    tokens = lines = 1
     with open(path, "rb") as fh:
         while block := fh.read(1 << 16):
-            b = np.frombuffer(block, dtype=np.uint8)
-            n += int(np.count_nonzero(b == ord(" ")) + np.count_nonzero(b == ord("\n")))
-    return n
+            newlines = block.count(b"\n")
+            tokens += block.count(b" ") + newlines
+            lines += newlines
+    return tokens, lines
 
 
 def read_corpus(path) -> TokenizedCorpus:

@@ -338,7 +338,8 @@ def test_invalid_utf8_names_its_line(tmp_path, data, line):
 
 def test_token_count_hint_is_exact_for_space_separated_lines(desk_corpus):
     path, _ = desk_corpus
-    assert corpus_module._token_count_hint(path) == read_corpus(path).n_total + 1
+    corpus = read_corpus(path)
+    assert corpus_module._token_count_hint(path) == (corpus.n_total + 1, corpus.offsets.size)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
