@@ -284,7 +284,7 @@ def test_long_token_tails_are_not_short_tokens(tmp_path):
 
 
 def test_more_than_5000_types_read_as_the_oracle_reads_them(tmp_path):
-    """Enough distinct tokens, of 1 to 40 bytes, that the type table
+    """Enough distinct tokens, of 2 to 39 bytes, that the type table
     doubles several times; many share their first 8 or 16 bytes."""
     rng = np.random.default_rng(7)
     stems = ["", "w", "prefix08", "sixteen-byte-pre", "\u00e9\u540d", "x|N"]
