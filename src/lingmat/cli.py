@@ -28,25 +28,28 @@ from .corpus import DatasetSelection, Thresholds, read_corpus, read_pairs, read_
 from .gauss import GaussParams, fit as fit_params, moment_report, predict_moment
 from .invariants import CATALOG, EnsembleAverages, element_histogram, validate_tag
 from .matrix_core import MEMBERS_NAME, check_int, read_ensemble, write_stack
-from .pipeline import (PipelineConfig, provenance_comment, run_pipeline, stage_build_vectors,
-                       stage_learn_matrices, stage_observables, stage_select_dataset,
-                       write_json)
+from .pipeline import (PipelineConfig, run_pipeline, stage_build_vectors, stage_learn_matrices,
+                       stage_observables, stage_select_dataset, write_json, write_text)
 from .regression import RegressionConfig
 from .sampler import (SampleSpec, iter_matrices, mc_records_csv, monte_carlo_check,
                       sample_labels)
 from .synth import SynthConfig, write_synth_corpus
 
 
-def _load_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path, from_json=lambda obj: obj):
+    """``from_json`` of the JSON in ``path``; bad content is a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return from_json(json.load(fh))
+    except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-#: Flags whose values are strings (paths, a method, a tag list); every
-#: other flag but ``--text`` takes numbers, through `_number`.
-_STRING_FLAGS = frozenset({"corpus", "pairs", "vectors", "selection", "ensemble",
-                           "averages", "params", "out", "out_corpus", "out_pairs",
-                           "hist_out", "csv", "method", "tags"})
+#: The JSON type of each flag that takes no number: paths, a method and a
+#: tag list are strings, ``--text`` a bool; the rest go through `_number`.
+_FLAG_TYPES = dict.fromkeys(("corpus", "pairs", "vectors", "selection", "ensemble", "averages",
+                             "params", "out", "out_corpus", "out_pairs", "hist_out", "csv",
+                             "method", "tags"), str) | {"text": bool}
 
 
 def _merge_config(args):
@@ -55,14 +58,14 @@ def _merge_config(args):
     ``pipeline`` keeps the loaded object for `PipelineConfig`, which checks
     its keys.  Every other subcommand fills the flags left at None from it,
     records them as ``from_config`` (flag dest -> key) for `_number`, and
-    rejects keys that match no flag and values of string flags that are
-    not strings, so that a number is never opened as a file descriptor.
+    rejects keys that match no flag and values not of the `_FLAG_TYPES`
+    type, so that a number is never opened as a file descriptor.
     """
     if not getattr(args, "config", None):
         return args
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
-        raise SystemExit(f"{args.config}: the config must be a JSON object")
+        raise ValueError(f"{args.config}: the config must be a JSON object")
     if args.func is cmd_pipeline:
         args.config = cfg
         return args
@@ -74,9 +77,10 @@ def _merge_config(args):
     for key, val in cfg.items():
         attr = key.replace("-", "_")
         if getattr(args, attr) is None:
-            if attr in _STRING_FLAGS and not isinstance(val, str):
-                raise ValueError(f"{args.config}: config key {key!r} must be a string, "
-                                 f"got {val!r}")
+            kind = _FLAG_TYPES.get(attr, object)
+            if not isinstance(val, kind):
+                raise ValueError(f"{args.config}: config key {key!r} must be a "
+                                 f"{'string' if kind is str else 'bool'}, got {val!r}")
             setattr(args, attr, val)
             args.from_config[attr] = key
     return args
@@ -136,7 +140,7 @@ def _provenance(args, seed=None):
 
 def _read_params(args) -> GaussParams:
     """The ``--params`` file, at the ``--dim`` dimension when one is given."""
-    params = GaussParams.from_json_dict(_load_json(args.params))
+    params = _load_json(args.params, GaussParams.from_json_dict)
     dim = _number(args, "dim")
     return params if dim is None else dataclasses.replace(params, dim=dim)
 
@@ -186,10 +190,7 @@ def cmd_learn_matrices(args):
     reg = RegressionConfig(ridge_lambda=_number(args, "ridge_lambda", float, "--lambda"),
                            seed=RegressionConfig.seed if seed is None else seed)
     _number(args, "threads")  # accepted for older configs; changes nothing
-    try:
-        selection = DatasetSelection.from_json_dict(_load_json(args.selection))
-    except ValueError as exc:
-        raise ValueError(f"{args.selection}: {exc}") from None
+    selection = _load_json(args.selection, DatasetSelection.from_json_dict)
     nouns = read_vectors_dir(os.path.join(args.vectors, "nouns"))
     if not nouns[0]:
         raise SystemExit(f"no noun vectors found under {args.vectors}")
@@ -209,17 +210,14 @@ def cmd_observables(args):
     stage_observables(ensemble, args.out, prov)
     if hist:
         i, j, bins = hist
-        csv = element_histogram(ensemble, i, j, bins).to_csv()
         out = args.hist_out or (os.path.splitext(args.out)[0] + f"_hist_{i}_{j}.csv")
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(provenance_comment(prov))
-            fh.write(csv)
+        write_text(out, element_histogram(ensemble, i, j, bins).to_csv(), prov)
     return 0
 
 
 def cmd_fit(args):
     _require(args, "averages", "out")
-    avgs = EnsembleAverages.from_json_dict(_load_json(args.averages))
+    avgs = _load_json(args.averages, EnsembleAverages.from_json_dict)
     params = fit_params(avgs)
     write_json(params.to_json_dict(), args.out, _provenance(args))
     return 0
@@ -242,6 +240,7 @@ def cmd_report(args):
     params = _read_params(args)
     ensemble = read_ensemble(args.ensemble)
     report = moment_report(params, ensemble)
+    args.text = bool(args.text)  # unset counts as False in the provenance hash
     write_json(report.to_json_dict(), args.out, _provenance(args))
     if args.text:
         print(report.to_text(), end="")
@@ -272,9 +271,7 @@ def cmd_mc_check(args):
                "records": {t: r.to_json_dict() for t, r in records.items()},
                "max_abs_z": max(abs(r.z_score) for r in records.values())}
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(provenance_comment(_provenance(args, seed=spec.seed)))
-            fh.write(mc_records_csv(records))
+        write_text(args.csv, mc_records_csv(records), _provenance(args, seed=spec.seed))
     if args.out:
         write_json(payload, args.out, _provenance(args, seed=spec.seed))
     else:
@@ -344,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("fit", cmd_fit, averages={}, out={})
     add("predict", cmd_predict, params={}, tags={}, out={})
     p = add("report", cmd_report, params={}, ensemble={}, out={})
-    p.add_argument("--text", action="store_true")
+    p.add_argument("--text", action="store_true", default=None)
     add("sample", cmd_sample, params={}, count={}, seed={}, dim={}, out={})
     add("mc-check", cmd_mc_check,
         params={}, count={}, seed={}, dim={}, tags={}, out={}, csv={})

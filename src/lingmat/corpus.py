@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .matrix_core import ParseError, check_int, read_stack, write_stack
+from .matrix_core import ParseError, atomic_open, check_int, read_stack, write_stack
 
 
 class CorpusError(ValueError):
@@ -327,14 +327,6 @@ def select_basis(vocab: dict[str, int], corpus: TokenizedCorpus, size: int,
     return BasisSpec(tuple(ranked[:size]))
 
 
-def write_basis(basis: BasisSpec, path, header: str) -> None:
-    """``header`` (a ``#`` comment line), then one basis word per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        for w in basis.words:
-            fh.write(w + "\n")
-
-
 @dataclass(frozen=True, eq=False)
 class CoocTable:
     """Sparse windowed co-occurrence counts plus the unigram totals.
@@ -594,10 +586,12 @@ class DatasetSelection:
 
 
 def read_pairs(path) -> dict[str, dict[str, int]]:
-    """head<TAB>argument<TAB>count, aggregated per (head, argument)."""
+    """head<TAB>argument<TAB>count, summed per (head, argument); invalid UTF-8 names path:line."""
     pairs: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
+                raise CorpusError(f"{path}:{lineno}: invalid UTF-8")
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
@@ -619,7 +613,7 @@ def read_pairs(path) -> dict[str, dict[str, int]]:
 
 
 def write_pairs(pairs: dict[str, dict[str, int]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for head in sorted(pairs):
             for arg in sorted(pairs[head]):
                 fh.write(f"{head}\t{arg}\t{pairs[head][arg]}\n")

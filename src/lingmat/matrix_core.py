@@ -8,6 +8,7 @@ as on disk; `Ensemble.members` builds WordMatrix copies only on request.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import numbers
 import os
@@ -23,6 +24,27 @@ class ParseError(ValueError):
 
 def _at(path, lineno, msg):
     return ParseError(f"{path}:{lineno}: {msg}")
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """A UTF-8 text (or ``"wb"`` byte) handle on ``path.tmp``, flushed, fsynced
+    and moved onto ``path`` on a clean exit, removed on any exception.  The
+    directory is not fsynced, so a power cut may leave either version.  An
+    existing ``path`` that is not a regular file raises a ValueError."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"{path}: not a regular file; refusing to replace it")
+    tmp = f"{path}.tmp"
+    fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def check_int(name: str, value) -> int:
@@ -216,7 +238,7 @@ def _content_lines(path):
 
 
 def _write_text(label, dim, rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"label {label}\ndim {dim}\n")
         fh.writelines(_format_row(row) + "\n" for row in rows)
 
@@ -269,17 +291,14 @@ MEMBERS_NAME = "members.npy"
 
 def write_stack(items, dirpath, name: str) -> list[str]:
     """Write ``(label, values)`` items as the stack ``name`` plus the label
-    manifest; returns the labels.  No items give a (0, 0) stack.
+    manifest, each through `atomic_open`; returns the labels.  No items
+    give a (0, 0) stack.
 
-    Items are streamed: each row goes to the file as it arrives, and the
-    ``.npy`` header, whose shape field numpy pads to a fixed width, is
-    rewritten with the row count at the end.  The stack and the manifest
-    are written to temporary siblings, so a failed write leaves the
-    previous stack and manifest in place and no temporary file behind.
-    Once both are complete, the old manifest is removed before the stack,
-    then the manifest, is moved into place with `os.replace`: a crash
-    between the moves leaves no manifest, which `read_stack` reports,
-    never new rows under old labels.
+    Rows are streamed, and the ``.npy`` header, whose shape field numpy
+    pads to a fixed width, is rewritten with the row count at the end.
+    The old manifest is removed before the new stack, then the new
+    manifest, is put in place: a failure in between leaves no manifest,
+    which `read_stack` reports, never new rows under old labels.
     """
     os.makedirs(dirpath, exist_ok=True)
     stack_path = os.path.join(dirpath, name)
@@ -287,36 +306,28 @@ def write_stack(items, dirpath, name: str) -> list[str]:
     header = {"descr": "<f8", "fortran_order": False, "shape": (0, 0)}
     data_start = None
     labels = []
-    try:
-        with open(stack_path + ".tmp", "wb") as fh:
-            for label, values in items:
-                row = np.ascontiguousarray(values, dtype="<f8")
-                if data_start is None:
-                    header["shape"] = (0, *row.shape)
-                    np.lib.format.write_array_header_1_0(fh, header)
-                    data_start = fh.tell()
-                elif row.shape != header["shape"][1:]:
-                    raise ValueError(f"row {label!r} has shape {row.shape}, "
-                                     f"expected {header['shape'][1:]}")
-                fh.write(row.data)
-                labels.append(label)
-            header["shape"] = (len(labels), *header["shape"][1:])
-            fh.seek(0)
-            np.lib.format.write_array_header_1_0(fh, header)
-            if data_start is not None and fh.tell() != data_start:
-                raise ValueError(f"{stack_path}: shape {header['shape']} "
-                                 "does not fit the header written first")
-        with open(labels_path + ".tmp", "w", encoding="utf-8") as fh:
-            json.dump(labels, fh, indent=0)
-            fh.write("\n")
+    with atomic_open(stack_path, "wb") as fh:
+        for label, values in items:
+            row = np.ascontiguousarray(values, dtype="<f8")
+            if data_start is None:
+                header["shape"] = (0, *row.shape)
+                np.lib.format.write_array_header_1_0(fh, header)
+                data_start = fh.tell()
+            elif row.shape != header["shape"][1:]:
+                raise ValueError(f"row {label!r} has shape {row.shape}, "
+                                 f"expected {header['shape'][1:]}")
+            fh.write(row.data)
+            labels.append(label)
+        header["shape"] = (len(labels), *header["shape"][1:])
+        fh.seek(0)
+        np.lib.format.write_array_header_1_0(fh, header)
+        if data_start is not None and fh.tell() != data_start:
+            raise ValueError(f"{stack_path}: shape {header['shape']} "
+                             "does not fit the header written first")
         if os.path.exists(labels_path):
             os.remove(labels_path)
-        os.replace(stack_path + ".tmp", stack_path)
-        os.replace(labels_path + ".tmp", labels_path)
-    finally:
-        for tmp in (stack_path + ".tmp", labels_path + ".tmp"):
-            if os.path.exists(tmp):
-                os.remove(tmp)
+    with atomic_open(labels_path) as fh:
+        fh.write(json.dumps(labels, indent=0) + "\n")
     return labels
 
 

@@ -5,8 +5,8 @@ Every stage writes its outputs as files and can be re-run independently
 through the CLI; a run with identical config and seed is byte-identical
 (no artifact records timing or thread information).  A run first removes
 the ``D###`` and ``vectors`` trees of an earlier run in the same out_dir,
-so a rerun leaves the tree a fresh run writes.  On failure a FAILED
-marker naming the stage is left next to the partial outputs.
+so a rerun leaves the tree a fresh run writes.  A failed run leaves a
+FAILED marker naming the stage, and only complete files (`atomic_open`).
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from .corpus import (
     read_pairs,
     select_basis,
     select_dataset,
-    write_basis,
     write_vectors_dir,
 )
 from .gauss import GaussParams, averages_report, fit
 from .invariants import CATALOG, EnsembleAverages, ensemble_averages
-from .matrix_core import Ensemble, check_int, write_ensemble
+from .matrix_core import Ensemble, atomic_open, check_int, write_ensemble
 from .regression import RegressionConfig, TrainingSet, fit_logged
 
 STAGES = ("build-vectors", "select-dataset", "learn-matrices",
@@ -157,15 +156,15 @@ class PipelineConfig:
 
 
 def write_json(obj, path, provenance) -> None:
-    obj = dict(obj, provenance=provenance)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(dict(obj, provenance=provenance), indent=2, sort_keys=True) + "\n")
 
 
-def provenance_comment(provenance) -> str:
-    return (f"# lingmat {provenance['version']} "
-            f"config={provenance['config_hash']} seed={provenance['seed']}\n")
+def write_text(path, text: str, provenance) -> None:
+    """The ``# lingmat`` provenance comment line, then ``text``."""
+    with atomic_open(path) as fh:
+        fh.write(f"# lingmat {provenance['version']} config={provenance['config_hash']} "
+                 f"seed={provenance['seed']}\n{text}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +200,8 @@ def stage_build_vectors(corpus, pairs, basis_size, window, out_dir, provenance):
     compound_vectors = (labels, np.concatenate(rows))
 
     os.makedirs(out_dir, exist_ok=True)
-    write_basis(basis, os.path.join(out_dir, "basis.txt"), provenance_comment(provenance))
+    write_text(os.path.join(out_dir, "basis.txt"),
+               "".join(w + "\n" for w in basis.words), provenance)
     write_vectors_dir(noun_vectors, os.path.join(out_dir, "nouns"))
     write_vectors_dir(compound_vectors, os.path.join(out_dir, "compounds"))
     write_json({"skipped_compounds": skipped}, os.path.join(out_dir, "warnings.json"),
@@ -266,9 +266,7 @@ def stage_fit(avgs: EnsembleAverages, out_path, provenance) -> GaussParams:
 def stage_report(params: GaussParams, avgs: EnsembleAverages, out_path, provenance):
     report = averages_report(params, avgs)
     write_json(report.to_json_dict(), out_path, provenance)
-    with open(os.path.splitext(out_path)[0] + ".txt", "w", encoding="utf-8") as fh:
-        fh.write(provenance_comment(provenance))
-        fh.write(report.to_text())
+    write_text(os.path.splitext(out_path)[0] + ".txt", report.to_text(), provenance)
     return report
 
 
@@ -276,8 +274,8 @@ NORMALIZED_KEYS = ("j0_over_D", "lambda_over_D2", "js_over_D",
                    "a_over_D2", "b_over_D2")
 
 
-def sweep_csv(params_by_dim: dict[int, GaussParams], provenance) -> str:
-    lines = [provenance_comment(provenance).rstrip("\n"), "D," + ",".join(NORMALIZED_KEYS)]
+def sweep_csv(params_by_dim: dict[int, GaussParams]) -> str:
+    lines = ["D," + ",".join(NORMALIZED_KEYS)]
     for d in sorted(params_by_dim):
         norm = params_by_dim[d].normalized()
         lines.append(f"{d}," + ",".join(repr(norm[k]) for k in NORMALIZED_KEYS))
@@ -321,6 +319,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         stage = "select-dataset"
         selection = stage_select_dataset(
             corpus, pairs, config.thresholds, os.path.join(out, "selection.json"), prov)
+        del corpus  # nothing after the selection reads it
 
         params_by_dim: dict[int, GaussParams] = {}
         reports = {}
@@ -346,8 +345,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             reports[tag] = report.to_json_dict()
 
         stage = "report"
-        with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:
-            fh.write(sweep_csv(params_by_dim, prov))
+        write_text(os.path.join(out, "sweep.csv"), sweep_csv(params_by_dim), prov)
         summary = {
             "config": config.semantic_dict(),
             "selection_size": len(selection.entries),
@@ -360,6 +358,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         write_json(summary, os.path.join(out, "report.json"), prov)
         return summary
     except Exception as exc:
-        with open(marker, "w", encoding="utf-8") as fh:
+        with atomic_open(marker) as fh:
             fh.write(f"stage: {stage}\nerror: {exc}\n")
         raise PipelineError(stage, exc) from exc

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import write_pairs
+from .matrix_core import atomic_open
 
 #: Harmonic period; sweep dimensions should be multiples of this.
 PERIOD = 20
@@ -237,9 +238,8 @@ def write_synth_corpus(seed: int, corpus_path, pairs_path,
                        config: SynthConfig = SynthConfig()) -> dict:
     """Generate and write the corpus and pairs files; returns run stats."""
     sentences, pairs = generate_corpus(seed, config)
-    with open(corpus_path, "w", encoding="utf-8") as fh:
-        for sent in sentences:
-            fh.write(" ".join(sent) + "\n")
+    with atomic_open(corpus_path) as fh:
+        fh.writelines(" ".join(sent) + "\n" for sent in sentences)
     write_pairs(pairs, pairs_path)
     n_tokens = sum(len(s) for s in sentences)
     return {

@@ -1,18 +1,19 @@
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from lingmat import _kernels, cli
+from lingmat import _kernels, cli, pipeline
 from lingmat.gauss import GaussParams
 from lingmat.invariants import eval_all
-from lingmat.corpus import DatasetSelection, read_vectors_dir
+from lingmat.corpus import DatasetSelection, read_corpus, read_vectors_dir
 from lingmat.matrix_core import read_ensemble, write_matrix, write_vector
 from lingmat.pipeline import PipelineConfig, run_pipeline, stage_learn_matrices
 from lingmat.regression import DEFAULT_LAMBDA_GRID, RegressionConfig, TrainingSet, loss
-from lingmat.synth import write_synth_corpus
+from lingmat.synth import SynthConfig, write_synth_corpus
 
 
 def run_cli(capsys, *argv):
@@ -605,6 +606,30 @@ class TestPipelineCli:
         marker = (tmp_path / "out" / "FAILED").read_text()
         assert "stage:" in marker
 
+    def test_corpus_is_dropped_before_learn_matrices(self, monkeypatch, tmp_path):
+        """Nothing after select-dataset reads the corpus arrays, so the run
+        holds no reference to them through the per-dimension stages."""
+        corpus_path, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+        write_synth_corpus(6, corpus_path, pairs, SynthConfig(n_sentences=600))
+        refs, alive = [], []
+
+        def read(path):
+            corpus = read_corpus(path)
+            refs.append(weakref.ref(corpus))
+            return corpus
+
+        def learn(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return stage_learn_matrices(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "read_corpus", read)
+        monkeypatch.setattr(pipeline, "stage_learn_matrices", learn)
+        run_pipeline(PipelineConfig.from_json_dict({
+            "corpus": str(corpus_path), "pairs": str(pairs), "out_dir": str(tmp_path / "out"),
+            "basis_sizes": [20], "thresholds": {"min_target_freq": 10, "drop_top": 0,
+                                                "min_pair_count": 1, "min_args": 5}}))
+        assert alive == [False]
+
 
 class TestCatalogPasses:
     def test_desk_run_evaluates_each_catalog_once(self, monkeypatch, tmp_path):
@@ -711,3 +736,27 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "build-vectors", "--config", str(cfg))
         assert code == 2
         assert "--pairs" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("text", [True, False])
+    def test_report_config_text_is_honoured(self, capsys, tmp_path, text):
+        params = tmp_path / "p.json"
+        write_params(params, dim=4)
+        run_cli(capsys, "sample", "--params", str(params), "--count", "20",
+                "--seed", "3", "--out", str(tmp_path / "e"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"text": text, "params": str(params),
+                                   "ensemble": str(tmp_path / "e"),
+                                   "out": str(tmp_path / "report.json")}))
+        code, out, err = run_cli(capsys, "report", "--config", str(cfg))
+        assert code == 0, err
+        assert ("invariant" in out) == text
+
+    @pytest.mark.parametrize("value", ["yes", 1, None, [True]])
+    def test_report_config_text_must_be_a_bool(self, capsys, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"text": value}))
+        code, _, err = run_cli(capsys, "report", "--config", str(cfg))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"{cfg}: config key 'text' must be a bool")

@@ -1,5 +1,8 @@
-"""The test configuration itself: a failing property must fail like any test."""
+"""The test configuration and source rules: a failing property must fail
+like any test, the benchmark's traced names must exist, and every file
+lingmat writes goes through one writer."""
 
+import ast
 import importlib
 import importlib.util
 import subprocess
@@ -39,3 +42,46 @@ def test_every_traced_name_resolves():
                if not callable(getattr(importlib.import_module(f"lingmat.{module}"), attr,
                                        None))]
     assert tracing.TRACED and not missing
+
+
+#: Calls that write a file without `matrix_core.atomic_open`.
+_DIRECT_WRITERS = {"save", "savez", "savez_compressed", "savetxt", "tofile",
+                   "write_text", "write_bytes"}
+
+
+def _open_mode(call):
+    """The mode node of an ``open(...)`` call, or None for the default "r"."""
+    if len(call.args) > 1:
+        return call.args[1]
+    return next((k.value for k in call.keywords if k.arg == "mode"), None)
+
+
+def test_atomic_open_is_the_only_writer():
+    """No ``open`` call in ``src/lingmat`` outside `atomic_open` has a mode
+    with w, a or x (or a mode the scan cannot read), and nothing calls
+    ``np.save``, ``Path.write_text`` or ``Path.write_bytes``, so a crash in
+    a write never leaves part of a file."""
+    offences, inside = [], 0
+    for path in sorted((REPO / "src" / "lingmat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "atomic_open"
+                   for node in ast.walk(fn)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            where = f"{path.name}:{call.lineno}"
+            if name == "open":
+                mode = _open_mode(call)
+                writes = not (mode is None or (isinstance(mode, ast.Constant)
+                                               and not set("wax") & set(mode.value)))
+                if writes and id(call) in allowed:
+                    inside += 1
+                elif writes:
+                    offences.append(f"{where}: open for writing")
+            elif isinstance(func, ast.Attribute) and name in _DIRECT_WRITERS:
+                offences.append(f"{where}: {name}")
+    assert offences == []
+    assert inside == 1  # the scan sees atomic_open's own open
