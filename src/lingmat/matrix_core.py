@@ -29,11 +29,12 @@ def _at(path, lineno, msg):
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w"):
     """A UTF-8 text (or ``"wb"`` byte) handle on ``path.tmp``, flushed, fsynced
-    and moved onto ``path`` on a clean exit, removed on any exception.  The
-    directory is not fsynced, so a power cut may leave either version.  An
-    existing ``path`` that is not a regular file raises a ValueError."""
+    and moved onto ``path`` (a symlink's target) on a clean exit, removed on
+    any exception.  The directory is not fsynced, so a power cut may leave
+    either version.  A ``path`` that is not a regular file raises ValueError."""
     if os.path.exists(path) and not os.path.isfile(path):
         raise ValueError(f"{path}: not a regular file; refusing to replace it")
+    path = os.path.realpath(path)
     tmp = f"{path}.tmp"
     fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
     try:
@@ -292,13 +293,13 @@ MEMBERS_NAME = "members.npy"
 def write_stack(items, dirpath, name: str) -> list[str]:
     """Write ``(label, values)`` items as the stack ``name`` plus the label
     manifest, each through `atomic_open`; returns the labels.  No items
-    give a (0, 0) stack.
+    give a (0, 0) stack.  Rows are streamed, and the ``.npy`` header, whose
+    shape field numpy pads to a fixed width, is rewritten at the end.
 
-    Rows are streamed, and the ``.npy`` header, whose shape field numpy
-    pads to a fixed width, is rewritten with the row count at the end.
-    The old manifest is removed before the new stack, then the new
-    manifest, is put in place: a failure in between leaves no manifest,
-    which `read_stack` reports, never new rows under old labels.
+    Both files are written and fsynced before the old manifest is removed,
+    so a failed write leaves the previous directory as it was.  A failure
+    between the two moves on exit, stack first, leaves no manifest, which
+    `read_stack` reports, never new rows under old labels.
     """
     os.makedirs(dirpath, exist_ok=True)
     stack_path = os.path.join(dirpath, name)
@@ -306,7 +307,7 @@ def write_stack(items, dirpath, name: str) -> list[str]:
     header = {"descr": "<f8", "fortran_order": False, "shape": (0, 0)}
     data_start = None
     labels = []
-    with atomic_open(stack_path, "wb") as fh:
+    with atomic_open(labels_path) as lf, atomic_open(stack_path, "wb") as fh:
         for label, values in items:
             row = np.ascontiguousarray(values, dtype="<f8")
             if data_start is None:
@@ -324,22 +325,21 @@ def write_stack(items, dirpath, name: str) -> list[str]:
         if data_start is not None and fh.tell() != data_start:
             raise ValueError(f"{stack_path}: shape {header['shape']} "
                              "does not fit the header written first")
+        lf.write(json.dumps(labels, indent=0) + "\n")
+        for f in (fh, lf):
+            f.flush()
+            os.fsync(f.fileno())
         if os.path.exists(labels_path):
             os.remove(labels_path)
-    with atomic_open(labels_path) as fh:
-        fh.write(json.dumps(labels, indent=0) + "\n")
     return labels
 
 
 def read_stack(dirpath, name: str, ndim: int) -> tuple[list[str], np.ndarray]:
-    """Labels and the stack written by `write_stack`; the caller checks
-    the values.
-
-    Raises ParseError naming the file for a missing or unreadable file, a
-    manifest that is not a list of nonempty strings, a stack that is not
-    a float64 ``.npy`` array of rank `ndim` (a truncated file counts), or
-    a row count that differs from the label count.
-    """
+    """Labels and the stack written by `write_stack`; the caller checks the
+    values.  A missing or unreadable file, a manifest that is not a list of
+    nonempty strings, a stack that is not a float64 ``.npy`` array of rank
+    `ndim` (a truncated file counts), or a row count that differs from the
+    label count raises a ParseError naming the file."""
     labels_path = os.path.join(dirpath, LABELS_NAME)
     try:
         with open(labels_path, encoding="utf-8") as fh:

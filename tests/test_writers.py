@@ -14,8 +14,8 @@ import pytest
 
 from lingmat import cli, matrix_core
 from lingmat.corpus import write_pairs
-from lingmat.matrix_core import (LABELS_NAME, Ensemble, ParseError, WordMatrix, atomic_open,
-                                 read_ensemble, write_ensemble, write_matrix, write_vector)
+from lingmat.matrix_core import (Ensemble, WordMatrix, atomic_open, read_ensemble,
+                                 write_ensemble, write_matrix, write_vector)
 from lingmat.pipeline import PipelineConfig, PipelineError, run_pipeline, write_json, write_text
 from lingmat.synth import SynthConfig, write_synth_corpus
 
@@ -149,16 +149,13 @@ def test_failed_write_leaves_previous_or_no_file(tmp_path, monkeypatch, writer, 
     for name, data in after.items():
         # a writer of two files may have put the first in place
         assert data == new[name] or (previous and data == old[name]), name
-    if previous:  # only write_stack removes a file: the old label manifest
-        assert new.keys() - after.keys() <= {LABELS_NAME}
-    if writer == "write_stack":  # rows are never read under other labels
-        try:
+    if previous:  # no file is removed, the old label manifest included
+        assert after.keys() == old.keys()
+    if writer == "write_stack":  # every write and fsync precedes the removal
+        assert after == (old if previous else {})
+        if previous:
             back = read_ensemble(work)
-        except ParseError:
-            pass
-        else:
-            assert previous and back.labels() == ["x", "y"]
-            assert (back.values == 0.5).all()
+            assert back.labels() == ["x", "y"] and (back.values == 0.5).all()
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
@@ -182,6 +179,23 @@ def test_cli_refuses_a_fifo_out_path(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "ValueError" and str(fifo) in payload["message"]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_symlinked_out_path_is_written_through(tmp_path, writer):
+    first, write = WRITERS[writer]
+    target, links = tmp_path / "target", tmp_path / "links"
+    target.mkdir()
+    links.mkdir()
+    write(target, 0)
+    for name in os.listdir(target):
+        os.symlink(target / name, links / name)
+    write(links, 1)
+    new = tmp_path / "new"
+    new.mkdir()
+    write(new, 1)
+    assert all((links / name).is_symlink() for name in os.listdir(links))
+    assert files(target) == files(new)
 
 
 def test_atomic_open_streams_bytes_and_replaces_on_exit(tmp_path):
