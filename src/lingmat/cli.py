@@ -18,7 +18,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys
 
@@ -27,7 +26,7 @@ from .counting import count_invariants, count_invariants_stable
 from .corpus import DatasetSelection, Thresholds, read_corpus, read_pairs, read_vectors_dir
 from .gauss import GaussParams, fit as fit_params, moment_report, predict_moment
 from .invariants import CATALOG, EnsembleAverages, element_histogram, validate_tag
-from .matrix_core import MEMBERS_NAME, check_int, read_ensemble, write_stack
+from .matrix_core import MEMBERS_NAME, check_int, check_real, read_ensemble, write_stack
 from .pipeline import (PipelineConfig, run_pipeline, stage_build_vectors, stage_learn_matrices,
                        stage_observables, stage_select_dataset, write_json, write_text)
 from .regression import RegressionConfig
@@ -55,20 +54,17 @@ _FLAG_TYPES = dict.fromkeys(("corpus", "pairs", "vectors", "selection", "ensembl
 def _merge_config(args):
     """Load --config once.
 
-    ``pipeline`` keeps the loaded object for `PipelineConfig`, which checks
-    its keys.  Every other subcommand fills the flags left at None from it,
-    records them as ``from_config`` (flag dest -> key) for `_number`, and
-    rejects keys that match no flag and values not of the `_FLAG_TYPES`
-    type, so that a number is never opened as a file descriptor.
+    ``pipeline`` loads its config itself, into a `PipelineConfig`.  Every
+    other subcommand fills the flags left at None from it, records them as
+    ``from_config`` (flag dest -> key) for `_number`, and rejects keys that
+    match no flag and values not of the `_FLAG_TYPES` type, so that a
+    number is never opened as a file descriptor.
     """
-    if not getattr(args, "config", None):
+    if not getattr(args, "config", None) or args.func is cmd_pipeline:
         return args
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
         raise ValueError(f"{args.config}: the config must be a JSON object")
-    if args.func is cmd_pipeline:
-        args.config = cfg
-        return args
     flags = set(vars(args)) - {"command", "config", "func"}
     unknown = sorted(k for k in cfg if k.replace("-", "_") not in flags)
     if unknown:
@@ -93,8 +89,8 @@ def _number(args, name, kind=int, flag=None, nargs=None):
 
     A command-line string that does not parse, or a float that is not
     finite, is a usage error naming the flag.  A ``--config`` value must
-    be a JSON integer (see `check_int`) or finite number, and the
-    ValueError names the config key.
+    be a JSON integer (see `check_int`) or finite number (`check_real`),
+    and the ValueError names the config key.
     """
     value = getattr(args, name, None)
     if value is None:
@@ -112,13 +108,8 @@ def _number(args, name, kind=int, flag=None, nargs=None):
     where = f"{args.config}: config key {key!r}"
     if nargs and not (isinstance(value, list) and len(value) == nargs):
         raise ValueError(f"{where} must be a list of {nargs} numbers, got {value!r}")
-    out = []
-    for v in value if nargs else [value]:
-        if kind is int:
-            v = check_int(where, v)
-        elif isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-            raise ValueError(f"{where} must be a finite number, got {v!r}")
-        out.append(kind(v))
+    check = check_int if kind is int else check_real
+    out = [check(where, v) for v in (value if nargs else [value])]
     return out if nargs else out[0]
 
 
@@ -288,8 +279,9 @@ def cmd_count_invariants(args):
 
 def cmd_pipeline(args):
     _require(args, "config")
-    config = PipelineConfig.from_json_dict(
-        args.config, out_dir=args.out, threads=_number(args, "threads"))
+    threads = _number(args, "threads")
+    config = _load_json(args.config, lambda obj: PipelineConfig.from_json_dict(
+        obj, out_dir=args.out, threads=threads))
     summary = run_pipeline(config)
     print(json.dumps({"out_dir": config.out_dir,
                       "selection_size": summary["selection_size"],

@@ -574,15 +574,31 @@ class DatasetSelection:
     @classmethod
     def from_json_dict(cls, obj) -> "DatasetSelection":
         """A missing ``targets`` key, or a target key, raises a ValueError
-        that names it."""
+        that names it; so does a word or argument noun that is not a
+        nonempty string, a ``pos_class`` other than adjective, verb or
+        unknown, or a count that is not a JSON integer (`check_int`)."""
         try:
             return cls(entries=tuple(
-                SelectionEntry(word=t["word"], pos_class=t["pos_class"],
-                               freq=int(t["freq"]),
-                               args=tuple((n, int(c)) for n, c in t["args"]))
+                SelectionEntry(word=_word("word", t["word"]),
+                               pos_class=_pos_class(t["pos_class"]),
+                               freq=check_int("freq", t["freq"]),
+                               args=tuple((_word("args noun", n), check_int("args count", c))
+                                          for n, c in t["args"]))
                 for t in obj["targets"]))
         except KeyError as exc:
             raise ValueError(f"dataset selection has no {exc} key") from None
+
+
+def _word(key, value) -> str:
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"{key} must be a nonempty string, got {value!r}")
+    return value
+
+
+def _pos_class(value) -> str:
+    if value not in ("adjective", "verb", "unknown"):
+        raise ValueError(f"pos_class must be adjective, verb or unknown, got {value!r}")
+    return value
 
 
 def read_pairs(path) -> dict[str, dict[str, int]]:

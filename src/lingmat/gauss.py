@@ -12,22 +12,20 @@ then follows from Wick's theorem applied to
                                 <M_ij M_ji>_c = 1/a - 1/b   (i != j)
 
 with entries at unequal index pairs independent.  ``predict_moment``
-applies these rules to the multigraph of any catalog invariant
-(``invariants.CATALOG_GRAPHS``), so one exact formula gives all 19
-expectations; seeded Monte Carlo sampling checks each of them.
+sums these over the partial matchings of the edges of any catalog
+invariant's multigraph (``invariants.CATALOG_GRAPHS``), so one Wick sum
+gives all 19 expectations; seeded Monte Carlo sampling checks each of them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import (CATALOG, CATALOG_GRAPHS, EnsembleAverages, ensemble_averages,
-                         validate_tag)
-from .matrix_core import Ensemble
+from .invariants import CATALOG_GRAPHS, EnsembleAverages, ensemble_averages, validate_tag
+from .matrix_core import Ensemble, check_int, check_real
 
 
 class NonGaussianAveragesError(ValueError):
@@ -125,9 +123,9 @@ class GaussParams:
     @classmethod
     def from_json_dict(cls, obj) -> "GaussParams":
         try:
-            return cls(dim=int(obj["dim"]), lam=float(obj["lambda"]),
-                       a=float(obj["a"]), b=float(obj["b"]),
-                       j0=float(obj["j0"]), js=float(obj["js"]))
+            return cls(dim=check_int("dim", obj["dim"]), lam=check_real("lambda", obj["lambda"]),
+                       a=check_real("a", obj["a"]), b=check_real("b", obj["b"]),
+                       j0=check_real("j0", obj["j0"]), js=check_real("js", obj["js"]))
         except KeyError as exc:
             raise ValueError(f"params JSON missing key {exc}") from None
 
@@ -139,28 +137,34 @@ class GaussParams:
                    b=b_over_D2 * d ** 2, j0=j0_over_D * d, js=js_over_D * d)
 
 
-def _matchings(n: int) -> int:
-    """Perfect matchings of n (even) items: (n - 1)!!."""
-    return math.factorial(n) // (2 ** (n // 2) * math.factorial(n // 2))
+def _edge_mean(params: GaussParams, e) -> float:
+    return params.mean_diag if e[0] == e[1] else params.mean_off
 
 
-def _normal_moment(p: int, q: int, mean: float, var: float, cov: float) -> float:
-    """E[X^p Y^q] for jointly normal X, Y with equal means and variances.
+def _edge_cov(params: GaussParams, e, f) -> float:
+    """Connected <M_e M_f> of the entries at edges e and f."""
+    if e == f:
+        return params.var_diag if e[0] == e[1] else params.var_off_plus
+    return params.var_off_minus if e == f[::-1] else 0.0
 
-    With X = mean + x and Y = mean + y, each centered moment E[x^i y^j] is
-    a sum over the Isserlis pairings of its i + j factors: k cross pairs
-    weigh cov each, and the x-x and y-y pairs weigh var each.
-    """
-    total = 0.0
-    for i in range(p + 1):
-        for j in range(q + 1):
-            central = 0.0
-            for k in range(i % 2, min(i, j) + 1, 2):
-                if (j - k) % 2 == 0:
-                    pairings = (math.comb(i, k) * math.comb(j, k) * math.factorial(k)
-                                * _matchings(i - k) * _matchings(j - k))
-                    central += pairings * var ** ((i + j) // 2 - k) * cov ** k
-            total += math.comb(p, i) * math.comb(q, j) * mean ** (p - i + q - j) * central
+
+def _wick(params: GaussParams, edges, free=()) -> float:
+    """E[product of the entries at ``edges``] times the means of the edges
+    ``free``, by Isserlis' theorem: a sum over the partial matchings of the
+    edges, in which a matched pair weighs its covariance and an unmatched
+    edge its mean.  The k unmatched means of one vertex pair are one power
+    mean**k, so a one-pair moment has the bits of its closed form (Md2 is
+    mean**2 + var, and pow differs from a product in the last ulp)."""
+    if not edges:
+        pairs = [tuple(sorted(e)) for e in free]
+        return math.prod((_edge_mean(params, p) ** pairs.count(p) for p in dict.fromkeys(pairs)),
+                         start=1.0)
+    e, rest = edges[0], edges[1:]
+    total = _wick(params, rest, free + (e,))
+    for k, f in enumerate(rest):
+        cov = _edge_cov(params, e, f)
+        if cov:
+            total += cov * _wick(params, rest[:k] + rest[k + 1:], free)
     return total
 
 
@@ -169,29 +173,17 @@ def predict_moment(params: GaussParams, tag: str) -> float:
 
     Every injective assignment of the invariant's v graph vertices to
     basis indices has the same expectation, so the restricted sum is the
-    falling factorial D^(v) times that of one assignment.  There the
-    diagonal entries and the index pairs are independent: a vertex with k
-    loops gives the k-th moment of M_ii, and a vertex pair {u, w} with p
-    edges u->w and q edges w->u gives E[M_uw^p M_wu^q].  Dimensions too
-    small for the graph give +0.0, the empty restricted sum (a zero
-    falling factorial times a negative moment would give -0.0).
+    falling factorial D^(v) times the Wick sum of one assignment over the
+    edges of ``CATALOG_GRAPHS[tag]`` (`_wick`, with the means and
+    covariances of the module docstring).  Dimensions too small for the
+    graph give +0.0, the empty restricted sum (a zero falling factorial
+    times a negative moment would give -0.0).
     """
     validate_tag(tag)
     g = CATALOG_GRAPHS[tag]
     if params.dim < g.vertex_count:
         return 0.0
-    count = Counter(g.edges)
-    moment = 1.0
-    for u in range(g.vertex_count):
-        moment *= _normal_moment(count[u, u], 0, params.mean_diag, params.var_diag, 0.0)
-        for w in range(u + 1, g.vertex_count):
-            moment *= _normal_moment(count[u, w], count[w, u], params.mean_off,
-                                     params.var_off_plus, params.var_off_minus)
-    return math.perm(params.dim, g.vertex_count) * moment
-
-
-def predict_all(params: GaussParams) -> dict[str, float]:
-    return {t: predict_moment(params, t) for t in CATALOG}
+    return math.perm(params.dim, g.vertex_count) * _wick(params, g.edges)
 
 
 def fit(avgs: EnsembleAverages) -> GaussParams:

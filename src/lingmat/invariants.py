@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .matrix_core import Ensemble, WordMatrix
+from .matrix_core import Ensemble, WordMatrix, check_int, check_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +154,9 @@ class EnsembleAverages:
         for key in ("dim", "count", "values"):
             if key not in obj:
                 raise ValueError(f"ensemble averages JSON missing {key!r}")
-        values = {validate_tag(t): float(x) for t, x in obj["values"].items()}
-        return cls(dim=int(obj["dim"]), count=int(obj["count"]), values=values)
+        values = {validate_tag(t): check_real(t, x) for t, x in obj["values"].items()}
+        return cls(dim=check_int("dim", obj["dim"]), count=check_int("count", obj["count"]),
+                   values=values)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)

@@ -8,8 +8,10 @@ as on disk; `Ensemble.members` builds WordMatrix copies only on request.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -55,6 +57,17 @@ def check_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float, for the real fields read from JSON; a bool, a
+    string or a number that is not finite raises a ValueError naming
+    ``name``."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            if math.isfinite(value):
+                return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,8 +244,11 @@ def _parse_row(line, lineno, dim, path):
 
 
 def _content_lines(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         raw = fh.read().split("\n")
+    for lineno, line in enumerate(raw, start=1):
+        if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
+            raise _at(path, lineno, "invalid UTF-8")
     while raw and raw[-1].strip() == "":
         raw.pop()
     return raw
@@ -334,12 +350,42 @@ def write_stack(items, dirpath, name: str) -> list[str]:
     return labels
 
 
+def _read_npy(fh, path, ndim: int) -> np.ndarray:
+    """The stack in the open ``.npy`` file ``fh``.  Its header must be format
+    1.0 (what `write_stack` and ``np.save`` write for such a stack) and
+    describe a C-order float64 array of rank ``ndim`` whose data fill the
+    rest of the file exactly; this is checked before the data are
+    allocated, and anything else raises a ParseError naming ``path``."""
+    head = fh.read(10)
+    if head[:8] != b"\x93NUMPY\x01\x00" or len(head) < 10:
+        raise ParseError(f"{path}: not a format 1.0 .npy file")
+    text = fh.read(int.from_bytes(head[8:], "little")).decode("latin1")
+    try:
+        header = ast.literal_eval(text)
+    except (SyntaxError, ValueError, TypeError, MemoryError, RecursionError):
+        raise ParseError(f"{path}: unreadable .npy header {text!r}") from None
+    shape = header.get("shape") if isinstance(header, dict) else None
+    if (header != {"descr": "<f8", "fortran_order": False, "shape": shape}
+            or not isinstance(shape, tuple) or len(shape) != ndim
+            or not all(type(n) is int and n >= 0 for n in shape)):
+        raise ParseError(f"{path}: expected a C-order float64 stack of rank {ndim}, "
+                         f"got the .npy header {header!r}")
+    size, left = 8 * math.prod(shape), os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != left:
+        raise ParseError(f"{path}: the .npy header's shape {shape} needs {size} bytes "
+                         f"of data, the file holds {left}")
+    values = np.empty(shape, dtype="<f8")
+    if fh.readinto(values.data) != size:
+        raise ParseError(f"{path}: the file shrank while it was read")
+    return values
+
+
 def read_stack(dirpath, name: str, ndim: int) -> tuple[list[str], np.ndarray]:
     """Labels and the stack written by `write_stack`; the caller checks the
     values.  A missing or unreadable file, a manifest that is not a list of
-    nonempty strings, a stack that is not a float64 ``.npy`` array of rank
-    `ndim` (a truncated file counts), or a row count that differs from the
-    label count raises a ParseError naming the file."""
+    nonempty strings, a stack that `_read_npy` refuses (a truncated file
+    counts), or a row count that differs from the label count raises a
+    ParseError naming the file."""
     labels_path = os.path.join(dirpath, LABELS_NAME)
     try:
         with open(labels_path, encoding="utf-8") as fh:
@@ -351,14 +397,9 @@ def read_stack(dirpath, name: str, ndim: int) -> tuple[list[str], np.ndarray]:
     path = os.path.join(dirpath, name)
     try:
         with open(path, "rb") as fh:
-            values = np.load(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
+            values = _read_npy(fh, path, ndim)
+    except OSError as exc:
         raise ParseError(f"{path}: unreadable stack: {exc}") from None
-    if not isinstance(values, np.ndarray) or values.dtype != np.dtype("<f8"):
-        raise ParseError(f"{path}: expected a float64 array, got "
-                         f"{getattr(values, 'dtype', type(values).__name__)}")
-    if values.ndim != ndim:
-        raise ParseError(f"{path}: expected a {ndim}-d stack, got shape {values.shape}")
     if len(values) != len(labels):
         raise ParseError(f"{path}: {len(values)} rows for {len(labels)} labels "
                          f"in {labels_path}")

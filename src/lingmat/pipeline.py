@@ -123,6 +123,8 @@ class PipelineConfig:
     def from_json_dict(cls, obj, out_dir=None, threads=None) -> "PipelineConfig":
         """Keys left out take the field defaults; ``out_dir`` and
         ``threads``, when not None, override the config's."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"the pipeline config must be a JSON object, got {obj!r}")
         known = {"basis_size", *cls.__dataclass_fields__} - {"regression_method"}
         unknown = set(obj) - known
         if unknown:

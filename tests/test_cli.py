@@ -222,6 +222,21 @@ class TestErrors:
         payload = json.loads(err)
         assert payload["error"] == "ValueError" and repr(key) in payload["message"]
 
+    @pytest.mark.parametrize("cfg", [
+        {"corpus": "c", "pairs": "p", "thresholds": []},
+        {"corpus": "c", "pairs": "p", "window": 2.5},
+        {"corpus": "c"},
+        ["corpus", "pairs"],
+    ])
+    def test_pipeline_config_error_names_the_file(self, capsys, tmp_path, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "pipeline", "--config", str(cfg_path))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"{cfg_path}: ")
+
     def test_select_dataset_rejects_negative_threshold(self, capsys, tmp_path):
         corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
         write_synth_corpus(2, corpus, pairs)

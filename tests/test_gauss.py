@@ -12,7 +12,6 @@ from lingmat.gauss import (
     fit,
     log_partition,
     moment_report,
-    predict_all,
     predict_moment,
 )
 from lingmat.invariants import CATALOG, CATALOG_GRAPHS, EnsembleAverages, ensemble_averages
@@ -284,8 +283,3 @@ class TestLogPartition:
                                 source=rng.normal(size=(d, d)))
         assert math.isfinite(log_partition(spec))
 
-
-def test_predict_all_covers_catalog():
-    p = GaussParams(dim=6, lam=1.0, a=1.0, b=1.0, j0=0.1, js=0.1)
-    out = predict_all(p)
-    assert set(out) == set(CATALOG)

@@ -5,6 +5,7 @@ import argparse
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from lingmat import cli
 from lingmat.corpus import CorpusError, DatasetSelection, read_pairs
 from lingmat.invariants import EnsembleAverages
-from lingmat.matrix_core import LABELS_NAME, MEMBERS_NAME, read_stack, write_stack
+from lingmat.matrix_core import (LABELS_NAME, MEMBERS_NAME, ParseError, read_ensemble,
+                                 read_matrix, read_stack, read_vector, write_stack)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -39,6 +41,33 @@ pairs_bytes = st.lists(
     max_size=4).map(b"\n".join)
 
 
+def _npy(descr="<f8", fortran="False", shape="(2, 2, 2)", length_shift=0, data_len=64):
+    """A format 1.0 ``.npy`` file of zero bytes whose header fields, written
+    as text, may be wrong; ``length_shift`` moves its header length field."""
+    header = f"{{'descr': {descr!r}, 'fortran_order': {fortran}, 'shape': {shape}, }}\n"
+    length = min(max(len(header) + length_shift, 0), 0xFFFF)
+    return (b"\x93NUMPY\x01\x00" + length.to_bytes(2, "little") + header.encode("latin1")
+            + bytes(data_len))
+
+
+#: Stacks with mutated descr, order, shape, header length and data length.
+npy_bytes = st.builds(
+    _npy,
+    st.sampled_from(["<f8", ">f8", "<f4", "<i8", "|O", "float64"]),
+    st.sampled_from(["False", "True", "0", "None"]),
+    st.lists(st.integers(0, 3) | st.just(10 ** 6), max_size=4).map(lambda s: repr(tuple(s)))
+    | st.sampled_from(["(2L, 2L, 2L)", "(2, 2", "[2, 2, 2]", "(True, 2, 2)", "(2.0, 2, 2)",
+                       "(-1, 2, 2)", "(2, 2, 2) + (1,)"]),
+    st.integers(-6, 6),
+    st.integers(0, 80))
+
+#: Lines of a single-item matrix or vector text file, some not UTF-8.
+text_bytes = st.lists(
+    st.sampled_from([b"label w", b"dim 1", b"dim 2", b"1.5", b"1 2", b"x", b"nan", b"",
+                     b"\xff", b"caf\xc3\xa9"]),
+    max_size=5).map(b"\n".join)
+
+
 def _read_config(path):
     """The config reader of a subcommand with string, bool and path flags."""
     return cli._merge_config(cli.build_parser().parse_args(["report", "--config", path]))
@@ -60,6 +89,10 @@ def _read_labels(path):
     return read_stack(os.path.dirname(path), MEMBERS_NAME, 3)
 
 
+def _read_stack(path):
+    return read_ensemble(os.path.dirname(path))
+
+
 #: reader name -> (file name, read(path), contents shaped to reach its checks)
 READERS = {
     "pairs": ("pairs.tsv", read_pairs, pairs_bytes),
@@ -76,6 +109,9 @@ READERS = {
                       objects(["word", "pos_class", "freq", "args"]), max_size=3)))),
     "labels": (LABELS_NAME, _read_labels,
                json_bytes(st.lists(st.text(max_size=3), max_size=3))),
+    "stack": (MEMBERS_NAME, _read_stack, npy_bytes),
+    "matrix": ("matrix.txt", read_matrix, text_bytes),
+    "vector": ("vector.txt", read_vector, text_bytes),
 }
 
 
@@ -113,13 +149,30 @@ def test_reader_parses_or_names_its_file(reader):
 
 @pytest.mark.parametrize("reader, raw", [
     ("params", b"[1, 2]"),
+    ("params", b'{"dim": 2.5, "lambda": 1, "a": 1, "b": 1, "j0": 0, "js": 0}'),
+    ("params", b'{"dim": true, "lambda": 1, "a": 1, "b": 1, "j0": 0, "js": 0}'),
+    ("params", b'{"dim": 2, "lambda": "3", "a": 1, "b": 1, "j0": 0, "js": 0}'),
     ("averages", b'{"dim": 3, "count": 2, "values": [1]}'),
     ("averages", b'{"dim": 3, "count": 2, "values": {"nope": 1}}'),
+    ("averages", b'{"dim": 4.7, "count": 2.9, "values": {"Md1": 1}}'),
+    ("averages", b'{"dim": 4, "count": 2, "values": {"Md1": "1"}}'),
     ("config", b"not json"),
     ("config", b"[1]"),
     ("config", b'{"text": "yes"}'),
     ("selection", b'{"targets": [7]}'),
+    ("selection", b'{"targets": [{"word": "big", "pos_class": "adjective", "freq": 7.9, '
+                  b'"args": []}]}'),
+    ("selection", b'{"targets": [{"word": "big", "pos_class": "adjective", "freq": 7, '
+                  b'"args": [["cat", 2.5]]}]}'),
+    ("selection", b'{"targets": [{"word": "big", "pos_class": "adjective", "freq": 7, '
+                  b'"args": [["cat", true]]}]}'),
+    ("selection", b'{"targets": [{"word": 3, "pos_class": "adjective", "freq": 7, '
+                  b'"args": []}]}'),
+    ("selection", b'{"targets": [{"word": "big", "pos_class": "bogus", "freq": 7, '
+                  b'"args": []}]}'),
     ("labels", b'["a", 1]'),
+    ("stack", _npy(length_shift=-20)),
+    ("stack", _npy(shape="(2L, 2L, 2L)")),
 ])
 def test_malformed_file_names_its_path(reader, raw):
     name, read, _ = READERS[reader]
@@ -131,6 +184,29 @@ def test_malformed_file_names_its_path(reader, raw):
         with pytest.raises(ValueError) as info:
             read(path)
     assert path in str(info.value)
+
+
+@pytest.mark.parametrize("shape", ["(1, 1000000, 1000000)", "(1, 3000, 3000)"])
+def test_stack_header_is_checked_before_the_data_are_allocated(tmp_path, shape):
+    write_stack([("a", np.zeros((2, 2)))], tmp_path, MEMBERS_NAME)
+    (tmp_path / MEMBERS_NAME).write_bytes(_npy(shape=shape, data_len=64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"^{tmp_path / MEMBERS_NAME}: "):
+            read_ensemble(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("reader", ["matrix", "vector"])
+def test_invalid_utf8_text_line_is_named(tmp_path, reader):
+    name, read, _ = READERS[reader]
+    path = tmp_path / name
+    path.write_bytes(b"label w\ndim 1\n\xff\n")
+    with pytest.raises(ParseError, match=f"^{path}:3: invalid UTF-8"):
+        read(path)
 
 
 def test_invalid_utf8_pairs_line_is_named(tmp_path):

@@ -1,6 +1,6 @@
 """The test configuration and source rules: a failing property must fail
-like any test, the benchmark's traced names must exist, and every file
-lingmat writes goes through one writer."""
+like any test, the benchmark's traced names must exist, every file
+lingmat writes goes through one writer, and no JSON reader coerces."""
 
 import ast
 import importlib
@@ -85,3 +85,21 @@ def test_atomic_open_is_the_only_writer():
                 offences.append(f"{where}: {name}")
     assert offences == []
     assert inside == 1  # the scan sees atomic_open's own open
+
+
+def test_json_readers_do_not_coerce():
+    """No ``from_json_dict`` method in ``src/lingmat`` calls the builtin
+    ``int`` or ``float``, which would read ``2.5`` as 2, ``true`` as 1 and
+    ``"3"`` as 3.0; values go through `check_int` and `check_real`."""
+    offences, readers = [], 0
+    for path in sorted((REPO / "src" / "lingmat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn in ast.walk(tree):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "from_json_dict"):
+                continue
+            readers += 1
+            offences += [f"{path.name}:{call.lineno}: {call.func.id}" for call in ast.walk(fn)
+                         if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                         and call.func.id in ("int", "float")]
+    assert offences == []
+    assert readers >= 5  # the scan sees the readers it guards
