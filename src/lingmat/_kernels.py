@@ -2,11 +2,11 @@
 
 Three kernel families live here: the per-matrix evaluation of the fixed
 catalog of permutation-invariant polynomials, windowed co-occurrence pair
-counting over an integer-encoded corpus, and the byte-block tokenizer with
-its table of token types, which the corpus reader runs on each block.
-Every full-corpus pass runs over chunks of ``_CHUNK`` token positions, and
-the reader reads ``_CHUNK`` bytes at a time, so no per-token temporary
-outgrows one chunk or block.
+counting over one chunk of an integer-encoded corpus, and the byte-block
+tokenizer with its table of token types, which the corpus reader runs on
+each block.  The reader reads ``_CHUNK`` bytes at a time, and the corpus
+is read back in chunks of whole sentences of at least ``_CHUNK`` tokens,
+so no per-token temporary outgrows one block or chunk.
 """
 
 import numpy as np
@@ -22,28 +22,11 @@ def block_size(dim):
     return max(1, _BLOCK_BYTES // (8 * dim * dim))
 
 
-#: Token positions per chunk of a full-corpus pass: about 1 MB of
-#: temporaries per pass, and few enough chunks that per-chunk call
-#: overhead stays below the gather work (shorter chunks ran slower).
+#: Bytes per read of the corpus reader, and the fewest tokens per chunk
+#: of the corpus read back: about 1 MB of temporaries per chunk, and few
+#: enough chunks that per-chunk call overhead stays below the gather work
+#: (shorter chunks ran slower).
 _CHUNK = 1 << 16
-
-
-def chunks(n):
-    """``(start, stop)`` of consecutive ``_CHUNK``-position chunks of ``range(n)``."""
-    step = _CHUNK
-    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
-
-
-def scan(word_ids, table):
-    """Positions ``p`` with ``table[word_ids[p]] >= 0``, chunk by chunk.
-
-    ``table`` maps each word id to an index or -1.  Yields, per chunk, the
-    int64 positions found and their table values, in position order.
-    """
-    member = table >= 0
-    for lo, hi in chunks(word_ids.size):
-        pos = np.flatnonzero(member.take(word_ids[lo:hi])) + lo
-        yield pos, table.take(word_ids.take(pos))
 
 
 def catalog_values(m):
@@ -148,20 +131,21 @@ def context_counts(left, right, lo, hi, rows, word_ids, cmap, window, counts):
 
 
 def window_pair_counts(word_ids, tmap, cmap, offsets, window, n_targets, n_contexts):
-    """Co-occurrence counts between targets and contexts inside sentences.
+    """Co-occurrence counts between targets and contexts inside the
+    sentences of one chunk.
 
     ``tmap``/``cmap`` map each word id to a target respectively context
-    index, or -1.  ``offsets`` delimits sentences.  A pair is counted for
-    every (target position, context position) within distance ``window``
-    in the same sentence; a position never pairs with itself.  Targets are
-    found chunk by chunk, and their windows read the whole ``word_ids``, so
-    windows that cross a chunk edge count in full.
+    index, or -1.  ``offsets`` delimits the chunk's sentences, its end
+    last.  A pair is counted for every (target position, context position)
+    within distance ``window`` in the same sentence; a position never
+    pairs with itself.
     """
     counts = np.zeros(n_targets * n_contexts, dtype=np.int64)
-    for pos, t in scan(word_ids, tmap):
-        sent = np.searchsorted(offsets, pos, side="right")
-        context_counts(pos, pos, offsets[sent - 1], offsets[sent],
-                       t.astype(np.int64) * n_contexts, word_ids, cmap, window, counts)
+    t = tmap.take(word_ids)
+    pos = np.flatnonzero(t >= 0)
+    sent = np.searchsorted(offsets, pos, side="right")
+    context_counts(pos, pos, offsets[sent - 1], offsets[sent],
+                   t.take(pos).astype(np.int64) * n_contexts, word_ids, cmap, window, counts)
     return counts.reshape(n_targets, n_contexts)
 
 

@@ -11,6 +11,15 @@ arrive from a tab-separated ``head<TAB>argument<TAB>count`` file
 (dependency analysis is upstream of this package); lines starting with
 '#' are comments.
 
+A corpus is read in two passes, and no array with one entry per token or
+sentence outlives a block or chunk.  Pass 1 (`read_corpus`) tokenizes it
+block by block, counts the tokens of each (word, tag) pair, and appends
+each block's type ids and sentence starts to an unnamed temporary file,
+the spill.  Vocabulary, basis, part-of-speech votes and dataset selection
+come from the counts.  Pass 2 (`count_cooccurrence`) reads the spill back
+in chunks of whole sentences and counts the windows of the targets and
+the contexts of every compound in one go.
+
 A vector set, from the PPMI step to the training sets, is a pair
 (labels, values): one float64 (N, dim) array whose row i is the vector of
 label i, the layout of ``vectors.npy``.
@@ -19,7 +28,8 @@ label i, the layout of ``vectors.npy``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import tempfile
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -39,80 +49,95 @@ DEFAULT_WINDOW = 5
 
 @dataclass(frozen=True, eq=False)
 class TokenizedCorpus:
-    """An integer-encoded corpus.
+    """A corpus after pass 1: ``words``/``tags`` map ids back to strings
+    (``tags[0]`` is None, the id of an untagged token), ``word_tag_counts``
+    counts the tokens of each (word id, tag id), ``word_of``/``tag_of``
+    give the word and tag id of each type id, and the spill holds, per
+    block, each token's type id and each sentence's start (`chunks`)."""
 
-    ``word_ids`` and ``tag_ids`` hold one entry per token, ``offsets``
-    delimits the sentences, and ``words``/``tags`` map ids back to strings
-    (``tags[0]`` is None, the id of an untagged token).  Every statistic is
-    derived from these arrays and cached on the corpus; they are the only
-    per-token memory that outlives a chunk of ``_kernels.chunks`` or a
-    block of the reader.
-    """
-
-    word_ids: np.ndarray
-    tag_ids: np.ndarray
-    offsets: np.ndarray
     words: tuple
     tags: tuple
+    word_tag_counts: np.ndarray
+    word_of: np.ndarray
+    tag_of: np.ndarray
+    spill: object
+    n_total: int
 
     def __post_init__(self):
-        for arr in (self.word_ids, self.tag_ids, self.offsets):
+        for arr in (self.word_tag_counts, self.word_of, self.tag_of):
             arr.setflags(write=False)
 
     @classmethod
     def from_sentences(cls, sentences) -> "TokenizedCorpus":
-        """From sentences of (word, tag) tokens, with a dict per table;
-        empty sentences are dropped."""
-        words, tags = _FirstSeenIds(), _FirstSeenIds({None: 0})
-        word_ids, tag_ids, offsets = [], [], [0]
+        """From sentences of (word, tag) tokens, as one block of pass 1
+        whose types are the distinct (word, tag) pairs; empty sentences
+        are dropped."""
+        encoder, types = _Encoder("<sentences>"), _FirstSeenIds()
+        type_ids, first = [], []
         for sentence in sentences:
-            for word, tag in sentence:
-                word_ids.append(words[word])
-                tag_ids.append(tags[tag])
-            if len(word_ids) > offsets[-1]:
-                offsets.append(len(word_ids))
-        return cls(np.array(word_ids, dtype=np.int32),
-                   np.array(tag_ids, dtype=_tag_dtype(len(tags))),
-                   np.array(offsets, dtype=np.int64), tuple(words), tuple(tags))
-
-    @property
-    def n_total(self) -> int:
-        return self.word_ids.size
+            if sentence:
+                first.append(len(type_ids))
+                type_ids += (types[token] for token in sentence)
+        encoder.grow(len(types))
+        for t, (word, tag) in enumerate(types):
+            encoder.name(t, word, tag)
+        encoder.add(np.array(type_ids, dtype=np.int32), np.array(first, dtype=np.int64))
+        return encoder.corpus()
 
     @property
     def tagged(self) -> bool:
         """True if any token carries a tag."""
         return len(self.tags) > 1
 
+    def close(self) -> None:
+        """Close the spill, which `chunks` and `sentences` read; collecting
+        the corpus closes it too."""
+        self.spill.close()
+
+    __del__ = close
+
+    def _chunks(self):
+        """Runs of whole sentences of at least ``_kernels._CHUNK`` tokens,
+        the last perhaps shorter, read back from the spill: per run, the
+        type ids and the sentence starts, its length last."""
+        types, starts, n, at = [], [], 0, 0
+        while True:
+            self.spill.seek(at)
+            if not (head := self.spill.read(16)):
+                break
+            k, m = np.frombuffer(head, dtype=np.int64).tolist()
+            if len(data := self.spill.read(8 * m + 4 * k)) != 8 * m + 4 * k:
+                raise OSError("the corpus spill file ends inside a record")
+            at += 16 + len(data)
+            starts.append(np.frombuffer(data, dtype=np.int64, count=m) + n)
+            types.append(np.frombuffer(data, dtype=np.int32, offset=8 * m))
+            n += k
+            if n >= _kernels._CHUNK:
+                yield np.concatenate(types), np.concatenate(starts + [[n]])
+                types, starts, n = [], [], 0
+        if n:
+            yield np.concatenate(types), np.concatenate(starts + [[n]])
+
+    def chunks(self):
+        """Pass 2's input: per run of whole sentences (see `_chunks`), its
+        int32 word ids and int64 sentence offsets, its length last."""
+        return ((self.word_of.take(types), offsets) for types, offsets in self._chunks())
+
     @property
     def sentences(self) -> tuple:
-        """Sentences as tuples of (word, tag), decoded on every access.
-
-        For tests and oracles; the pipeline works on the arrays.
-        """
-        toks = list(zip(map(self.words.__getitem__, self.word_ids.tolist()),
-                        map(self.tags.__getitem__, self.tag_ids.tolist())))
-        bounds = self.offsets.tolist()
-        return tuple(tuple(toks[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        """Sentences as tuples of (word, tag), decoded from the spill on
+        every access; for tests and oracles."""
+        out = []
+        for types, offsets in self._chunks():
+            toks = list(zip(map(self.words.__getitem__, self.word_of.take(types).tolist()),
+                            map(self.tags.__getitem__, self.tag_of.take(types).tolist())))
+            bounds = offsets.tolist()
+            out += (tuple(toks[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        return tuple(out)
 
     @cached_property
     def word_index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.words)}
-
-    @cached_property
-    def word_tag_counts(self) -> np.ndarray:
-        """Token counts per (word id, tag id), shape (len(words), len(tags))."""
-        n_tags = len(self.tags)
-        size = len(self.words) * n_tags
-        counts = np.zeros(size, dtype=np.int64)
-        for lo, hi in _kernels.chunks(self.n_total):
-            key = self.word_ids[lo:hi].astype(np.int64)
-            key *= n_tags
-            key += self.tag_ids[lo:hi]
-            counts += np.bincount(key, minlength=size)
-        counts = counts.reshape(len(self.words), n_tags)
-        counts.setflags(write=False)
-        return counts
 
     def lookup(self, words) -> np.ndarray:
         """Per word id, the index of that word in `words`, or -1."""
@@ -132,10 +157,6 @@ class _FirstSeenIds(dict):
         return n
 
 
-def _tag_dtype(n_tags):
-    return np.int8 if n_tags <= 128 else np.int32
-
-
 def _parse_token(raw: str):
     if "|" in raw:
         word, _, tag = raw.rpartition("|")
@@ -144,64 +165,38 @@ def _parse_token(raw: str):
     return (raw, None)
 
 
-def _room(buf, used, need):
-    """`buf` if it holds `need` entries, else a copy of its first `used`
-    entries in a buffer at least twice as large."""
-    if need <= buf.size:
-        return buf
-    grown = np.empty(max(2 * buf.size, need), dtype=buf.dtype)
-    grown[:used] = buf[:used]
-    return grown
+class _Encoder:
+    """Pass 1, block by block.  Each token's bytes map to a node of a
+    `_kernels.TypeTable`, its type id.  A new type is decoded and parsed
+    once, at its first position, which fixes its word and tag ids in order
+    of first occurrence.  Per block, `add` counts the tokens of each type
+    and appends their type ids and the sentence starts to the spill."""
 
-
-class _BlockEncoder:
-    """Encodes a corpus block by block into one word-id, one tag-id and
-    one offset buffer, sized by `_token_count_hint` and doubled when full.
-
-    Each token's bytes map to a node of a `_kernels.TypeTable`.  A new
-    type is decoded and parsed once, at its first position, which fixes its
-    word and tag ids; the ids of a block's tokens are then two gathers from
-    the per-node arrays.
-    """
-
-    def __init__(self, path, capacity):
-        tokens, lines = capacity
+    def __init__(self, path):
         self.path = path
         self.table = _kernels.TypeTable()
-        self.word_of = np.empty(0, dtype=np.int32)  # per node: word id, or -1
-        self.tag_of = np.empty(0, dtype=np.int32)
         self.words, self.tags = _FirstSeenIds(), _FirstSeenIds({None: 0})
-        self.word_ids = np.empty(tokens, dtype=np.int32)
-        self.tag_ids = np.empty(tokens, dtype=np.int8)
-        self.offsets = np.empty(lines, dtype=np.int64)
-        self.n = self.n_sentences = 0
+        self.word_of = np.empty(0, dtype=np.int32)  # per type: word id
+        self.tag_of = np.empty(0, dtype=np.int32)
+        self.counts = np.empty(0, dtype=np.int64)  # per type: tokens
         self.lines = 0  # line ends before the current block
         self.after_cr = False  # whether the previous block ended with "\r"
+        self.spill = tempfile.TemporaryFile()
 
-    def add(self, block: bytes):
+    def read(self, block: bytes):
+        """Tokenize one block of `_kernels.blocks` and `add` it."""
         padded = block + _kernels.PAD
         start, length, first = _kernels.tokens(padded)
         known = self.table.size  # a token whose node is newer is of a new type
         node = self.table.nodes(padded, start, length)
-        if self.word_of.size < self.table.size:
-            grow = np.full(2 * self.table.size - self.word_of.size, -1, dtype=np.int32)
-            self.word_of = np.concatenate([self.word_of, grow])
-            self.tag_of = np.concatenate([self.tag_of, grow])
+        self.grow(self.table.size)
         if node.size and node.max() >= known:
-            self._add_types(block, start, length, node, known)
-        n, k = self.n, node.size
-        self.word_ids = _room(self.word_ids, n, n + k)
-        self.tag_ids = _room(self.tag_ids, n, n + k)
-        np.take(self.word_of, node, out=self.word_ids[n:n + k])
-        self.tag_ids[n:n + k] = self.tag_of.take(node)
-        s, m = self.n_sentences, first.size
-        self.offsets = _room(self.offsets, s, s + m + 1)
-        np.add(first, n, out=self.offsets[s:s + m])
-        self.n, self.n_sentences = n + k, s + m
+            self._name_new(block, start, length, node, known)
+        self.add(node, first)
         self.lines += _kernels.line_ends(block, self.after_cr)
         self.after_cr = block.endswith(b"\r")
 
-    def _add_types(self, block, start, length, node, known):
+    def _name_new(self, block, start, length, node, known):
         """Decode and parse each new type once, in order of first position."""
         new = np.flatnonzero(node >= known)
         _, first = np.unique(node[new], return_index=True)
@@ -214,43 +209,42 @@ class _BlockEncoder:
                 line = self.lines + _kernels.line_ends(block[:lo], self.after_cr) + 1
                 raise CorpusError(f"{self.path}:{line}: invalid UTF-8 ({exc.reason}) "
                                   f"in token {raw[:40]!r}") from None
-            self.word_of[node[t]] = self.words[word]
-            self.tag_of[node[t]] = self.tags[tag]
-        dtype = _tag_dtype(len(self.tags))
-        if dtype != self.tag_ids.dtype:
-            self.tag_ids = self.tag_ids.astype(dtype)
+            self.name(node[t], word, tag)
+
+    def grow(self, n_types):
+        """Room in the per-type arrays for type ids below `n_types`."""
+        if self.counts.size < n_types:
+            more = max(self.counts.size, n_types - self.counts.size)
+            self.word_of, self.tag_of, self.counts = (
+                np.concatenate([a, np.zeros(more, dtype=a.dtype)])
+                for a in (self.word_of, self.tag_of, self.counts))
+
+    def name(self, t, word, tag):
+        self.word_of[t] = self.words[word]
+        self.tag_of[t] = self.tags[tag]
+
+    def add(self, types, first):
+        """One block: the int32 type id of each token, and the int64
+        index of each sentence's first token."""
+        if types.size:
+            self.counts += np.bincount(types, minlength=self.counts.size)
+            self.spill.write(np.array([types.size, first.size], dtype=np.int64))
+            self.spill.write(first.astype(np.int64, copy=False))
+            self.spill.write(types)
 
     def corpus(self) -> TokenizedCorpus:
-        """The encoded corpus; the buffers are cut to size in place."""
-        self.offsets = _room(self.offsets, self.n_sentences, self.n_sentences + 1)
-        self.offsets[self.n_sentences] = self.n
-        for buf, size in ((self.word_ids, self.n), (self.tag_ids, self.n),
-                          (self.offsets, self.n_sentences + 1)):
-            buf.resize(size, refcheck=False)
-        return TokenizedCorpus(self.word_ids, self.tag_ids, self.offsets,
-                               tuple(self.words), tuple(self.tags))
-
-
-def _token_count_hint(path) -> tuple[int, int]:
-    """The reader's buffer sizes: spaces plus newlines plus one, the token
-    count of a file whose tokens are separated by single spaces, and
-    newlines plus one, its sentence count plus one when no line is blank.
-    Other layouts only make the buffers grow or shrink.  (0, 0) for a pipe
-    or another file that is not regular, which cannot be read twice."""
-    if not os.path.isfile(path):
-        return 0, 0
-    tokens = lines = 1
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 16):
-            newlines = block.count(b"\n")
-            tokens += block.count(b" ") + newlines
-            lines += newlines
-    return tokens, lines
+        """The read corpus; its token counts per (word, tag) sum those of
+        its types."""
+        seen = np.flatnonzero(self.counts)
+        n_tags = len(self.tags)
+        counts = np.zeros((len(self.words), n_tags), dtype=np.int64)
+        np.add.at(counts, (self.word_of[seen], self.tag_of[seen]), self.counts[seen])
+        return TokenizedCorpus(tuple(self.words), tuple(self.tags), counts, self.word_of,
+                               self.tag_of, self.spill, int(self.counts.sum()))
 
 
 def read_corpus(path) -> TokenizedCorpus:
-    """The corpus at `path`, read in byte blocks after a byte count that
-    sizes the id buffers.
+    """Pass 1 over the corpus at `path`, in byte blocks.
 
     The tokens and sentences are those of text-mode UTF-8 reading with
     ``str.split`` per line: the separators are the bytes 09-0D, 1C-1F and
@@ -259,15 +253,19 @@ def read_corpus(path) -> TokenizedCorpus:
     drop.  Numpy tokenizes and looks up each block; Python runs once per
     distinct token, which it decodes strictly (invalid UTF-8 is a
     `CorpusError` naming ``path:line``) and parses with `_parse_token`.
+    The spill is closed if the read fails.
     """
-    encoder = _BlockEncoder(path, _token_count_hint(path))
-    with open(path, "rb") as fh:
-        for block in _kernels.blocks(fh):
-            encoder.add(block)
-    corpus = encoder.corpus()
-    if corpus.n_total == 0:
-        raise CorpusError(f"{path}: corpus is empty")
-    return corpus
+    encoder = _Encoder(path)
+    try:
+        with open(path, "rb") as fh:
+            for block in _kernels.blocks(fh):
+                encoder.read(block)
+        if not encoder.counts.any():
+            raise CorpusError(f"{path}: corpus is empty")
+    except BaseException:
+        encoder.spill.close()
+        raise
+    return encoder.corpus()
 
 
 def build_vocab(corpus: TokenizedCorpus) -> dict[str, int]:
@@ -333,36 +331,55 @@ class CoocTable:
 
     counts[target][context] holds the number of position pairs at distance
     <= window inside one sentence; rows exist for the requested targets,
-    columns for the requested contexts.
+    columns for the requested contexts.  compounds[head] holds the counts
+    of the head's compounds from the same pass: ((nouns, reach, basis
+    words), occurrences per noun, context counts per noun and basis word).
     """
 
     counts: dict[str, dict[str, int]]
     totals: dict[str, int]
     n_total: int
     window: int
+    compounds: dict[str, tuple] = field(default_factory=dict)
 
     def count(self, target: str, context: str) -> int:
         return self.counts.get(target, {}).get(context, 0)
 
 
 def count_cooccurrence(corpus: TokenizedCorpus, targets, basis: BasisSpec,
-                       window: int = DEFAULT_WINDOW) -> CoocTable:
+                       window: int = DEFAULT_WINDOW, compounds=None) -> CoocTable:
     """Windowed target-context pair counts, not crossing sentence
-    boundaries; a position never pairs with itself."""
+    boundaries; a position never pairs with itself.
+
+    This is pass 2, one read of the spill.  `compounds` maps heads to
+    (nouns, part-of-speech class), whose compounds the same pass counts
+    (see `build_compound_vectors`) into ``table.compounds``.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
     targets = tuple(dict.fromkeys(targets))  # dedupe, keep order
-    dense = _kernels.window_pair_counts(corpus.word_ids, corpus.lookup(targets),
-                                        corpus.lookup(basis.words), corpus.offsets,
-                                        window, len(targets), basis.size)
-    counts: dict[str, dict[str, int]] = {}
-    for t, word in enumerate(targets):
-        row = dense[t]
-        nz = np.nonzero(row)[0]
-        counts[word] = {basis.words[c]: int(row[c]) for c in nz}
-    totals = build_vocab(corpus)
-    return CoocTable(counts=counts, totals=totals, n_total=corpus.n_total,
-                     window=window)
+    heads = {head: (tuple(dict.fromkeys(nouns)), _reach_of(pos_class, window))
+             for head, (nouns, pos_class) in (compounds or {}).items()}
+    finder = _SpanFinder(corpus, heads)
+    tmap, cmap = corpus.lookup(targets), corpus.lookup(basis.words)
+    dense = np.zeros((len(targets), basis.size), dtype=np.int64)
+    occurrences = np.zeros(finder.n_rows, dtype=np.int64)
+    joint = np.zeros((finder.n_rows, basis.size), dtype=np.int64)
+    for word_ids, offsets in corpus.chunks():
+        dense += _kernels.window_pair_counts(word_ids, tmap, cmap, offsets, window,
+                                             len(targets), basis.size)
+        start, end, row, sent = finder.spans(word_ids, offsets)
+        occurrences += np.bincount(row, minlength=finder.n_rows)
+        _kernels.context_counts(start, end, offsets[sent], offsets[sent + 1],
+                                row * basis.size, word_ids, cmap, window, joint.reshape(-1))
+    counts = {word: {basis.words[c]: int(row[c]) for c in np.flatnonzero(row)}
+              for word, row in zip(targets, dense)}
+    cuts = np.cumsum([len(nouns) for nouns, _ in heads.values()])[:-1]
+    counted = {head: ((nouns, reach, basis.words), head_occurrences, head_joint)
+               for (head, (nouns, reach)), head_occurrences, head_joint
+               in zip(heads.items(), np.split(occurrences, cuts), np.split(joint, cuts))}
+    return CoocTable(counts=counts, totals=build_vocab(corpus), n_total=corpus.n_total,
+                     window=window, compounds=counted)
 
 
 def _ppmi(joint, totals, table: CoocTable, basis: BasisSpec) -> np.ndarray:
@@ -411,54 +428,51 @@ def _reach_of(pos_class: str, window: int) -> int:
     return 1 if pos_class in ("adjective", "unknown") else window
 
 
-def head_positions(corpus: TokenizedCorpus, heads) -> dict[str, np.ndarray]:
-    """The int64 corpus positions of each head word, in position order.
+class _SpanFinder:
+    """The compound spans of several heads, chunk by chunk: `heads` maps
+    each head to (distinct nouns, reach), and rows number the heads' nouns
+    in order.  Each head occurrence takes, for each of its nouns, the
+    nearest occurrence within reach to the right as the compound span.
+    `np.searchsorted` in one sorted table of ``head index * len(words) +
+    word id`` keys, ended by the largest int64, finds every candidate's
+    row at once."""
 
-    One scan finds every head; a counting sort, sized by the cached
-    `word_tag_counts`, places each chunk's positions in one array that the
-    returned arrays are views of.
-    """
-    heads = list(dict.fromkeys(heads))
-    totals = corpus.word_tag_counts.sum(axis=1)
-    counts = np.array([totals[corpus.word_index[h]] if h in corpus.word_index else 0
-                       for h in heads], dtype=np.int64)
-    end = np.cumsum(counts)
-    free = end - counts  # the next free slot of each head
-    out = np.empty(int(end[-1]) if heads else 0, dtype=np.int64)
-    for pos, head in _kernels.scan(corpus.word_ids, corpus.lookup(heads)):
-        order = np.argsort(head, kind="stable")
-        head = head[order]
-        n = np.bincount(head, minlength=len(heads))
-        rank = np.arange(head.size) - (np.cumsum(n) - n)[head]
-        out[free[head] + rank] = pos[order]
-        free += n
-    return dict(zip(heads, np.split(out, end[:-1])))
+    def __init__(self, corpus: TokenizedCorpus, heads):
+        self.n_words = len(corpus.words)
+        self.head_of = corpus.lookup(heads)
+        self.reach = np.array([reach for _, reach in heads.values()], dtype=np.int64)
+        nouns = [(h, noun) for h, (head_nouns, _) in enumerate(heads.values())
+                 for noun in head_nouns]
+        self.n_rows = len(nouns)
+        word = np.array([corpus.word_index.get(noun, -1) for _, noun in nouns], dtype=np.int64)
+        self.rows = np.flatnonzero(word >= 0)
+        keys = np.array([h for h, _ in nouns], dtype=np.int64) * self.n_words + word
+        order = np.argsort(keys[self.rows])
+        self.keys = np.append(keys[self.rows][order], np.iinfo(np.int64).max)
+        self.rows = self.rows[order]
 
-
-def _spans(corpus, pos, nouns, reach):
-    """Compound spans of the target at positions `pos` with each of
-    `nouns`, as arrays.
-
-    For each target occurrence, each distinct noun takes its nearest
-    occurrence within reach to the right as the compound span.  Returns
-    (start, end, noun index, sentence index), ordered by start and then
-    by noun index; start and end are corpus positions.
-    """
-    none = np.zeros(0, dtype=np.int64)
-    sent = np.searchsorted(corpus.offsets, pos, side="right")
-    hi = corpus.offsets[sent]
-    noun_of = corpus.lookup(nouns).astype(np.int64)
-    found = [(none, none, none)]
-    for q in range(1, reach + 1):
-        k = np.flatnonzero(pos + q < hi)
-        noun = noun_of[corpus.word_ids[pos[k] + q]]
-        hit = noun >= 0
-        found.append((k[hit], np.full(hit.sum(), q), noun[hit]))
-    k, q, noun = (np.concatenate(parts) for parts in zip(*found))
-    # keep the nearest occurrence (smallest q, found first) of each noun
-    _, first = np.unique(k * len(nouns) + noun, return_index=True)
-    k, q, noun = k[first], q[first], noun[first]
-    return pos[k], pos[k] + q, noun, sent[k] - 1
+    def spans(self, word_ids, offsets):
+        """(start, end, row, sentence) of the spans in one chunk, ordered
+        by start and then by row; sentences index ``offsets``."""
+        head = self.head_of.take(word_ids)
+        pos = np.flatnonzero(head >= 0)
+        head = head.take(pos).astype(np.int64)
+        sent = np.searchsorted(offsets, pos, side="right") - 1
+        room = np.minimum(offsets[sent + 1] - 1 - pos, self.reach.take(head))
+        base = head * self.n_words
+        none = np.zeros(0, dtype=np.int64)
+        found = [(none, none, none)]
+        for q in range(1, int(room.max(initial=0)) + 1):
+            k = np.flatnonzero(room >= q)
+            key = base.take(k) + word_ids.take(pos.take(k) + q)
+            i = np.searchsorted(self.keys, key)
+            hit = self.keys.take(i) == key
+            found.append((k[hit], np.full(np.count_nonzero(hit), q), self.rows.take(i[hit])))
+        k, q, row = (np.concatenate(parts) for parts in zip(*found))
+        # keep the nearest occurrence (smallest q, found first) of each noun
+        _, first = np.unique(k * self.n_rows + row, return_index=True)
+        k, q, row = k[first], q[first], row[first]
+        return pos[k], pos[k] + q, row, sent[k]
 
 
 def compound_spans(corpus: TokenizedCorpus, target: str, noun: str,
@@ -471,39 +485,38 @@ def compound_spans(corpus: TokenizedCorpus, target: str, noun: str,
     `window` tokens to the right of the verb.  The span covers every
     token from target to noun inclusive.
     """
-    start, end, _, sent = _spans(corpus, head_positions(corpus, [target])[target], [noun],
-                                 _reach_of(pos_class, window))
-    base = corpus.offsets[sent]
-    return list(zip(sent.tolist(), (start - base).tolist(), (end - base).tolist()))
+    finder = _SpanFinder(corpus, {target: ((noun,), _reach_of(pos_class, window))})
+    out, sentences = [], 0
+    for word_ids, offsets in corpus.chunks():
+        start, end, _, sent = finder.spans(word_ids, offsets)
+        base = offsets[sent]
+        out += zip((sent + sentences).tolist(), (start - base).tolist(), (end - base).tolist())
+        sentences += offsets.size - 1
+    return out
 
 
 def build_compound_vectors(corpus: TokenizedCorpus, table: CoocTable,
                            basis: BasisSpec, target: str, nouns,
                            pos_class: str = "adjective",
-                           window: int | None = None, positions=None
+                           window: int | None = None
                            ) -> tuple[tuple[list[str], np.ndarray], list[str]]:
     """PPMI vectors for target-noun compounds, treating each compound
     occurrence as one token spanning its positions.
 
     Context is every token within `window` of the span on either side,
-    excluding the span itself.  `positions` are the target's corpus
-    positions as `head_positions` gives them, which one scan finds for
-    every head; None scans for this target alone.  Returns the vector
-    set, labelled ``"<target> <noun>"``, and the skipped nouns, whose
-    compound never occurs.
+    excluding the span itself.  The counts are ``table.compounds[target]``
+    if they are for these nouns, reach, window and basis, else those of a
+    pass for this target alone.  Returns the vector set, labelled
+    ``"<target> <noun>"``, and the skipped nouns, whose compound never
+    occurs.
     """
     if window is None:
         window = table.window
-    if positions is None:
-        positions = head_positions(corpus, [target])[target]
-    distinct = list(dict.fromkeys(nouns))
-    start, end, noun, sent = _spans(corpus, positions, distinct,
-                                    _reach_of(pos_class, window))
-    totals = np.bincount(noun, minlength=len(distinct))
-    joint = np.zeros((len(distinct), basis.size), dtype=np.int64)
-    _kernels.context_counts(start, end, corpus.offsets[sent], corpus.offsets[sent + 1],
-                            noun * basis.size, corpus.word_ids,
-                            corpus.lookup(basis.words), window, joint.reshape(-1))
+    distinct = tuple(dict.fromkeys(nouns))
+    key, totals, joint = table.compounds.get(target, (None, None, None))
+    if window != table.window or key != (distinct, _reach_of(pos_class, window), basis.words):
+        _, totals, joint = count_cooccurrence(corpus, (), basis, window,
+                                              {target: (distinct, pos_class)}).compounds[target]
     index = {n: i for i, n in enumerate(distinct)}
     kept = [index[n] for n in nouns if totals[index[n]]]
     labels = [f"{target} {distinct[i]}" for i in kept]
@@ -602,7 +615,8 @@ def _pos_class(value) -> str:
 
 
 def read_pairs(path) -> dict[str, dict[str, int]]:
-    """head<TAB>argument<TAB>count, summed per (head, argument); invalid UTF-8 names path:line."""
+    """head<TAB>argument<TAB>count, summed per (head, argument); invalid
+    UTF-8 or an empty field names path:line."""
     pairs: dict[str, dict[str, int]] = {}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -615,6 +629,8 @@ def read_pairs(path) -> dict[str, dict[str, int]]:
             if len(fields) != 3:
                 raise CorpusError(f"{path}:{lineno}: expected head<TAB>argument<TAB>count")
             head, arg, raw = fields
+            if not (head and arg):
+                raise CorpusError(f"{path}:{lineno}: empty {'head' if not head else 'argument'}")
             try:
                 count = int(raw)
             except ValueError:

@@ -28,7 +28,6 @@ from .corpus import (
     build_noun_vectors,
     build_vocab,
     count_cooccurrence,
-    head_positions,
     pos_class_of,
     read_corpus,
     read_pairs,
@@ -176,8 +175,8 @@ def write_text(path, text: str, provenance) -> None:
 def stage_build_vectors(corpus, pairs, basis_size, window, out_dir, provenance):
     """Basis, noun vectors, and compound vectors for every pairs entry.
 
-    Takes the read corpus and pairs (see `read_corpus` and `read_pairs`).
-    Vectors are built at the largest requested basis size; smaller sweep
+    Takes the read corpus and pairs (see `read_corpus` and `read_pairs`);
+    one pass counts the noun windows and every compound.  Vectors are built at the largest requested basis size; smaller sweep
     dimensions reuse prefixes of the same vectors because the basis is
     frequency-ordered and PPMI is pointwise.
     """
@@ -185,16 +184,14 @@ def stage_build_vectors(corpus, pairs, basis_size, window, out_dir, provenance):
     basis = select_basis(vocab, corpus, basis_size)
 
     nouns = sorted({arg for args in pairs.values() for arg in args})
-    table = count_cooccurrence(corpus, nouns, basis, window)
+    heads = {head: (sorted(pairs[head]), pos_class_of(head, corpus)) for head in sorted(pairs)}
+    table = count_cooccurrence(corpus, nouns, basis, window, heads)
     noun_vectors = build_noun_vectors(table, basis, nouns)
 
     labels, rows, skipped = [], [np.zeros((0, basis.size))], {}
-    positions = head_positions(corpus, sorted(pairs))
-    for head in sorted(pairs):
-        pos_class = pos_class_of(head, corpus)
+    for head, (args, pos_class) in heads.items():
         (head_labels, head_rows), missing = build_compound_vectors(
-            corpus, table, basis, head, sorted(pairs[head]), pos_class, window,
-            positions[head])
+            corpus, table, basis, head, args, pos_class, window)
         labels += head_labels
         rows.append(head_rows)
         if missing:
@@ -312,11 +309,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     stage = STAGES[0]
     try:
         corpus = read_corpus(config.corpus)
-        pairs = read_pairs(config.pairs)
-        basis_max = max(config.basis_sizes)
-        vec_dir = os.path.join(out, "vectors")
-        basis, noun_vecs, compound_vecs = stage_build_vectors(
-            corpus, pairs, basis_max, config.window, vec_dir, prov)
+        try:
+            pairs = read_pairs(config.pairs)
+            basis, noun_vecs, compound_vecs = stage_build_vectors(
+                corpus, pairs, max(config.basis_sizes), config.window,
+                os.path.join(out, "vectors"), prov)
+        finally:
+            corpus.close()  # select-dataset reads the counts, not the spill
 
         stage = "select-dataset"
         selection = stage_select_dataset(

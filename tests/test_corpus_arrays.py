@@ -1,11 +1,11 @@
-"""The integer-encoded corpus against the per-token oracles.
+"""The two-pass, block-streamed corpus against the per-token oracles.
 
-Random tagged and untagged corpora go through the array paths and through
+Random tagged and untagged corpora go through both passes and through
 the oracles in ``oracles.py``; every result must match exactly, PPMI
-values bit for bit.  Each check also runs with the chunk of the
-full-corpus passes cut to 1, 3 and 7 token positions, so that anchors,
-windows and spans cross chunk edges, and with the reader's reads cut to
-as many bytes, so that tokens, UTF-8 forms and line ends cross reads.
+values bit for bit.  Each check also runs with the reader's reads cut to
+1, 3 and 7 bytes, so that tokens, UTF-8 forms and line ends cross reads,
+and with the chunks that pass 2 reads back cut to as many tokens, so that
+a chunk ends at almost every sentence and sentences outgrow chunks.
 """
 
 import contextlib
@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lingmat import _kernels
-from lingmat import corpus as corpus_module
 from lingmat.corpus import (
     BasisSpec,
     CorpusError,
@@ -34,7 +33,8 @@ from lingmat.corpus import (
     read_pairs,
     select_basis,
 )
-from lingmat.synth import write_synth_corpus
+from lingmat.pipeline import stage_build_vectors
+from lingmat.synth import SynthConfig, write_synth_corpus
 
 import oracles
 
@@ -95,14 +95,14 @@ def read_both(text):
 any_corpus = st.one_of(corpus_text(), corpus_text(token=word))
 
 #: Chunk lengths every check runs at: the default (None), then chunks so
-#: short that most windows and spans cross a chunk edge.
+#: short that most sentences end a chunk and some outgrow one.
 CHUNKS = (None, 1, 3, 7)
 
 
 @contextlib.contextmanager
 def chunk_length(chunk):
-    """Full-corpus passes run in chunks of `chunk` token positions, and the
-    reader reads `chunk` bytes at a time."""
+    """The reader reads `chunk` bytes at a time, and pass 2 reads the spill
+    back in chunks of at least `chunk` tokens."""
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             mp.setattr(_kernels, "_CHUNK", chunk)
@@ -120,10 +120,22 @@ def test_read_corpus_round_trip(text):
         assert corpus.sentences == sentences, chunk
         assert corpus.n_total == sum(len(s) for s in sentences)
         assert corpus.tagged == oracles.is_tagged(sentences)
-        assert corpus.word_ids.dtype == np.int32
-        assert corpus.tag_ids.dtype == np.int8
-        # the id array owns its memory: no buffer capacity stays behind it
-        assert corpus.word_ids.base is None
+        with chunk_length(chunk):
+            check_chunks(corpus, sentences)
+
+
+def check_chunks(corpus, sentences):
+    """Pass 2 reads back every sentence whole, in order, in chunks of at
+    least ``_CHUNK`` tokens but the last."""
+    chunks = list(corpus.chunks())
+    words = [word for sentence in sentences for word, _tag in sentence]
+    assert [corpus.words[i] for ids, _ in chunks for i in ids.tolist()] == words
+    assert [int(b - a) for ids, offsets in chunks
+            for a, b in zip(offsets[:-1], offsets[1:])] == [len(s) for s in sentences]
+    for ids, offsets in chunks[:-1]:
+        assert ids.size >= _kernels._CHUNK
+    for ids, offsets in chunks:
+        assert ids.dtype == np.int32 and offsets[0] == 0 and offsets[-1] == ids.size
 
 
 @settings(max_examples=50, deadline=None)
@@ -169,6 +181,12 @@ def check_vocab_basis_and_pos_class(text, stopwords):
 @settings(max_examples=50, deadline=None)
 @given(any_corpus, st.integers(1, 12))
 def test_cooccurrence_matches_bruteforce(text, window):
+    for chunk in CHUNKS:
+        with chunk_length(chunk):
+            check_cooccurrence(text, window)
+
+
+def check_cooccurrence(text, window):
     corpus, sentences = read_both(text)
     if corpus is None:
         return
@@ -176,11 +194,9 @@ def test_cooccurrence_matches_bruteforce(text, window):
     targets = words[::2] + ["absent"]
     basis = BasisSpec(tuple(words[1:]) + ("absent",))
     want = oracles.window_counts_bruteforce(sentences, targets, basis.words, window)
-    for chunk in CHUNKS:
-        with chunk_length(chunk):
-            table = count_cooccurrence(corpus, targets, basis, window)
-        got = {(t, c): n for t, row in table.counts.items() for c, n in row.items()}
-        assert got == want, chunk
+    table = count_cooccurrence(corpus, targets, basis, window)
+    got = {(t, c): n for t, row in table.counts.items() for c, n in row.items()}
+    assert got == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -192,26 +208,32 @@ def test_compounds_match_oracle(text, window, pos_class):
 
 
 def check_compounds(text, window, pos_class):
+    """Each head's compounds, counted alone and in one pass with every
+    head and the noun windows, as the pipeline counts them."""
     corpus, sentences = read_both(text)
     if corpus is None:
         return
     words = list(build_vocab(corpus))
     basis = BasisSpec(tuple(words))
-    table = count_cooccurrence(corpus, words, basis, window)
     reach = window if pos_class == "verb" else 1
     nouns = words + ["absent"]
+    heads = {target: (nouns, pos_class) for target in words[:3] + ["absent"]}
+    alone = count_cooccurrence(corpus, words, basis, window)
+    together = count_cooccurrence(corpus, words, basis, window, heads)
+    assert together.counts == alone.counts
     for target in words[:3]:
         spans = oracles.spans_by_noun(sentences, target, nouns, reach)
         for noun in nouns:
             assert compound_spans(corpus, target, noun, pos_class, window) == spans[noun]
-        (labels, values), skipped = build_compound_vectors(corpus, table, basis, target,
-                                                           nouns, pos_class, window)
-        assert skipped == [n for n in nouns if not spans[n]]
-        assert labels == [f"{target} {n}" for n in nouns if spans[n]]
-        for label, v in zip(labels, values):
-            noun = label[len(target) + 1:]
-            want = oracles.compound_values(sentences, spans[noun], basis.words, window)
-            assert v.tobytes() == want.tobytes(), label
+        for table in (alone, together):
+            (labels, values), skipped = build_compound_vectors(corpus, table, basis, target,
+                                                               nouns, pos_class, window)
+            assert skipped == [n for n in nouns if not spans[n]]
+            assert labels == [f"{target} {n}" for n in nouns if spans[n]]
+            for label, v in zip(labels, values):
+                noun = label[len(target) + 1:]
+                want = oracles.compound_values(sentences, spans[noun], basis.words, window)
+                assert v.tobytes() == want.tobytes(), label
 
 
 def test_edge_case_tokens_and_lines(tmp_path):
@@ -302,20 +324,21 @@ def test_more_than_5000_types_read_as_the_oracle_reads_them(tmp_path):
             corpus = read_corpus(path)
         assert len(corpus.words) > 5000
         assert corpus.sentences == want, chunk
-        assert corpus.word_ids.dtype == np.int32 and corpus.tag_ids.dtype == np.int8
 
 
 def test_more_than_128_tags_widen_the_tag_ids(tmp_path):
-    """The tag ids turn int32 in the block where the 129th tag appears."""
+    """Tag ids are int32 per type, so 301 tags count apart."""
     path = tmp_path / "corpus.txt"
     path.write_text("".join(f"w{i % 7}|T{i} x\n" for i in range(300)), encoding="utf-8")
     want = oracles.read_sentences(path)
     for chunk in CHUNKS:
         with chunk_length(chunk):
             corpus = read_corpus(path)
-        assert corpus.sentences == want, chunk
-        assert len(corpus.tags) == 301 and corpus.tag_ids.dtype == np.int32
-        assert corpus.tag_ids.base is None and not corpus.tag_ids.flags.writeable
+            assert corpus.sentences == want, chunk
+        assert len(corpus.tags) == 301 and corpus.tag_of.dtype == np.int32
+        assert corpus.word_tag_counts.shape == (8, 301)
+        assert (corpus.word_tag_counts[:, 1:].sum(axis=0) == 1).all()
+        assert not corpus.word_tag_counts.flags.writeable
 
 
 @pytest.mark.parametrize("data, line", [
@@ -336,12 +359,6 @@ def test_invalid_utf8_names_its_line(tmp_path, data, line):
             read_corpus(path)
 
 
-def test_token_count_hint_is_exact_for_space_separated_lines(desk_corpus):
-    path, _ = desk_corpus
-    corpus = read_corpus(path)
-    assert corpus_module._token_count_hint(path) == (corpus.n_total + 1, corpus.offsets.size)
-
-
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_corpus_read_from_a_pipe_matches_the_file(tmp_path, desk_corpus):
     path, _ = desk_corpus
@@ -358,25 +375,118 @@ def test_corpus_read_from_a_pipe_matches_the_file(tmp_path, desk_corpus):
     writer.join(timeout=30)
     assert not writer.is_alive()
     from_file = read_corpus(path)
-    for name in ("word_ids", "tag_ids", "offsets"):
-        np.testing.assert_array_equal(getattr(from_pipe, name), getattr(from_file, name))
+    np.testing.assert_array_equal(from_pipe.word_tag_counts, from_file.word_tag_counts)
     assert from_pipe.words == from_file.words and from_pipe.tags == from_file.tags
+    for (ids, offsets), (want_ids, want_offsets) in zip(from_pipe.chunks(), from_file.chunks(),
+                                                        strict=True):
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(offsets, want_offsets)
 
 
 def test_sentences_view_is_decoded_from_the_arrays():
+    """`from_sentences` is one block of pass 1 whose types are the
+    distinct (word, tag) pairs; the view decodes the spill."""
     corpus = TokenizedCorpus.from_sentences([[("a", "N"), ("b", None)], [], [("a", "")]])
     assert corpus.words == ("a", "b")
     assert corpus.tags == (None, "N", "")
-    np.testing.assert_array_equal(corpus.word_ids, [0, 1, 0])
-    np.testing.assert_array_equal(corpus.tag_ids, [1, 0, 2])
-    np.testing.assert_array_equal(corpus.offsets, [0, 2, 3])
+    np.testing.assert_array_equal(corpus.word_of, [0, 1, 0])
+    np.testing.assert_array_equal(corpus.tag_of, [1, 0, 2])
+    np.testing.assert_array_equal(corpus.word_tag_counts, [[0, 1, 1], [1, 0, 0]])
+    ((ids, offsets),) = corpus.chunks()
+    np.testing.assert_array_equal(ids, [0, 1, 0])
+    np.testing.assert_array_equal(offsets, [0, 2, 3])
     assert corpus.sentences == ((("a", "N"), ("b", None)), (("a", ""),))
-    assert not corpus.word_ids.flags.writeable
+    assert not corpus.word_tag_counts.flags.writeable
+    corpus.close()
+    with pytest.raises(ValueError):
+        next(corpus.chunks())
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_long_sentences_and_line_ends_at_block_edges(tmp_path, chunk):
+    """A sentence longer than a pass-2 chunk, and ``\\r\\n`` line ends whose
+    ``\\r`` ends one read and whose ``\\n`` starts the next, read, count
+    and make compounds as the oracles do."""
+    read = chunk or _kernels._CHUNK
+    long = " ".join(["big", "cat"] * 9 + ["eats", "big", "x", "cat"])
+    head = "x" * (read - 1) + "\r\n" if read > 2 else "\r\n"
+    text = head + long + "\r\nbig cat\r\r\nx big\n\rcat big eats cat\r"
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(text.encode())
+    with chunk_length(chunk), open(path, "rb") as fh:
+        blocks = list(_kernels.blocks(fh))
+    assert any(a.endswith(b"\r") and b.startswith(b"\n") for a, b in zip(blocks, blocks[1:]))
+    sentences = oracles.read_sentences(path)
+    assert max(map(len, sentences)) > 7
+    with chunk_length(chunk):
+        corpus = read_corpus(path)
+        assert corpus.sentences == sentences
+        check_chunks(corpus, sentences)
+        words = list(build_vocab(corpus))
+        basis = BasisSpec(tuple(words))
+        for window in (1, 3, 12):
+            table = count_cooccurrence(corpus, words, basis, window,
+                                       {"big": (words, "adjective"), "eats": (words, "verb")})
+            got = {(t, c): n for t, row in table.counts.items() for c, n in row.items()}
+            assert got == oracles.window_counts_bruteforce(sentences, words, words, window)
+            for target, reach in (("big", 1), ("eats", window)):
+                spans = oracles.spans_by_noun(sentences, target, words, reach)
+                (labels, values), _ = build_compound_vectors(
+                    corpus, table, basis, target, words, "verb" if reach > 1 else "adjective")
+                assert labels == [f"{target} {n}" for n in words if spans[n]]
+                for label, v in zip(labels, values):
+                    want = oracles.compound_values(sentences, spans[label.split(" ", 1)[1]],
+                                                   basis.words, window)
+                    assert v.tobytes() == want.tobytes(), (window, label)
+
+
+@pytest.mark.parametrize("nouns, pos_class, window, basis", [
+    (["cat"], "verb", 2, ("big", "red", "cat", "dog")),
+    (["dog", "cat"], "adjective", 2, ("big", "red", "cat", "dog")),
+    (["cat"], "adjective", 3, ("big", "red", "cat", "dog")),
+    (["cat"], "adjective", 2, ("cat", "dog")),
+])
+def test_compounds_counted_otherwise_are_counted_again(nouns, pos_class, window, basis):
+    """A table whose compounds were counted for other nouns, another
+    reach, window or basis is not read for them."""
+    corpus = TokenizedCorpus.from_sentences(
+        [[("big", "J"), ("red", "J"), ("cat", "N"), ("dog", "N"), ("big", "J"), ("cat", "N")]] * 2)
+    basis = BasisSpec(basis)
+    table = count_cooccurrence(corpus, ["cat"], BasisSpec(("big", "red", "cat", "dog")), 2,
+                               {"big": (["cat"], "adjective")})
+    (labels, values), skipped = build_compound_vectors(corpus, table, basis, "big", nouns,
+                                                       pos_class, window)
+    fresh = count_cooccurrence(corpus, [], basis, window)
+    (want_labels, want), want_skipped = build_compound_vectors(corpus, fresh, basis, "big",
+                                                               nouns, pos_class, window)
+    assert (labels, skipped) == (want_labels, want_skipped)
+    assert values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_c08_counts_at_every_chunk_length(tmp_path, chunk):
+    """c08's window counts on its ~1e4-token fixture, through both passes
+    at every chunk length."""
+    corpus_path = tmp_path / "fixture.txt"
+    write_synth_corpus(404, corpus_path, tmp_path / "fixture_pairs.tsv",
+                       SynthConfig(n_sentences=750))
+    targets = [f"n{i:02d}" for i in range(14)] + ["adj00", "c005"]
+    basis = BasisSpec(tuple(f"c{i:03d}" for i in range(40)) + ("n03", "adj01"))
+    sentences = oracles.read_sentences(corpus_path)
+    with chunk_length(chunk):
+        corpus = read_corpus(corpus_path)
+        for window in (2, 5):
+            table = count_cooccurrence(corpus, targets, basis, window)
+            got = {(t, c): n for t, row in table.counts.items() for c, n in row.items()}
+            assert got == oracles.window_counts_bruteforce(sentences, targets, basis.words,
+                                                           window), window
 
 
 #: Bytes one chunk position may add to a peak: an int64 position and an
 #: int64 key.
 CHUNK_POSITION_BYTES = 16
+
+PROV = {"tool": "lingmat", "version": "0", "config_hash": "0" * 16, "seed": 0}
 
 
 @pytest.fixture(scope="module")
@@ -388,38 +498,35 @@ def desk_corpus(tmp_path_factory):
     return corpus, read_pairs(pairs)
 
 
-def traced_peak(fn):
-    """(result, tracemalloc's peak during ``fn()`` above the memory before it)."""
+def build_vectors_peak(path, pairs, out):
+    """tracemalloc's peak during `read_corpus` and `stage_build_vectors`
+    above the memory before them."""
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
-    result = fn()
-    return result, tracemalloc.get_traced_memory()[1] - before
+    corpus = read_corpus(path)
+    try:
+        stage_build_vectors(corpus, pairs, 100, 5, out, PROV)
+    finally:
+        corpus.close()
+    return tracemalloc.get_traced_memory()[1] - before
 
 
 @pytest.mark.parametrize("chunk", [1 << 12, None])
-def test_stage_peaks_stay_within_the_corpus_plus_one_chunk(desk_corpus, chunk):
-    """No corpus stage holds per-token memory beyond the corpus arrays:
-    each peak above them is at most 2 B/token plus one chunk's worth."""
+def test_corpus_peak_is_flat_in_corpus_length(desk_corpus, tmp_path, chunk):
+    """No array with one entry per token or sentence outlives a block or
+    a chunk: reading the desk corpus and ten copies of it in one file, and
+    building their vectors, peak less than one chunk's positions apart."""
     path, pairs = desk_corpus
-    nouns = sorted({noun for args in pairs.values() for noun in args})
+    tenfold = tmp_path / "corpus10.txt"
+    tenfold.write_bytes(path.read_bytes() * 10)
     tracemalloc.start()
     try:
         with chunk_length(chunk):
-            corpus, read_peak = traced_peak(lambda: read_corpus(path))
-            held = sum(a.nbytes for a in (corpus.word_ids, corpus.tag_ids, corpus.offsets))
-            peaks = {"read_corpus": read_peak - held}
-            vocab, peaks["build_vocab"] = traced_peak(lambda: build_vocab(corpus))
-            basis = select_basis(vocab, corpus, 100)
-            table, peaks["count_cooccurrence"] = traced_peak(
-                lambda: count_cooccurrence(corpus, nouns, basis))
-            peaks["build_compound_vectors"] = max(
-                traced_peak(lambda: build_compound_vectors(
-                    corpus, table, basis, head, sorted(pairs[head]),
-                    pos_class_of(head, corpus)))[1]
-                for head in sorted(pairs))
-            bound = 2 * corpus.n_total + CHUNK_POSITION_BYTES * _kernels._CHUNK
+            peaks = [build_vectors_peak(p, pairs, tmp_path / f"out{k}")
+                     for k, p in enumerate((path, tenfold))]
+            bound = CHUNK_POSITION_BYTES * _kernels._CHUNK
     finally:
         tracemalloc.stop()
-    over = {stage: f"{peak / corpus.n_total:.2f} B/token"
-            for stage, peak in peaks.items() if peak > bound}
-    assert not over, f"bound {bound / corpus.n_total:.2f} B/token: {over}"
+    assert abs(peaks[1] - peaks[0]) < bound, peaks
+    for name in ("basis.txt", "nouns/vectors.npy", "compounds/vectors.npy"):
+        assert (tmp_path / "out0" / name).read_bytes() == (tmp_path / "out1" / name).read_bytes()

@@ -216,6 +216,15 @@ def test_invalid_utf8_pairs_line_is_named(tmp_path):
         read_pairs(path)
 
 
+@pytest.mark.parametrize("line, field", [(b"adj\t\t3", "argument"), (b"\tn00\t9", "head"),
+                                         (b"\t\t1", "head")])
+def test_empty_pairs_field_is_named(tmp_path, line, field):
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(b"# comment\nbig\tcat\t3\n" + line + b"\n")
+    with pytest.raises(CorpusError, match=f"^{path}:3: empty {field}$"):
+        read_pairs(path)
+
+
 def test_pairs_keep_their_non_ascii_words(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("café\t名\t2\r\ncafé\t名\t1\n", encoding="utf-8")

@@ -4,10 +4,12 @@ previous complete file or no file, never part of one and never a
 ``.tmp`` sibling."""
 
 import builtins
+import errno
 import json
 import os
 import re
 import stat
+import tempfile
 
 import numpy as np
 import pytest
@@ -243,3 +245,60 @@ def test_failed_pipeline_leaves_failed_and_only_complete_files(tmp_path, monkeyp
     assert after.keys() < ref.keys()
     for name, data in after.items():
         assert data == ref[name], name
+
+
+class _FullSpill:
+    """A corpus spill whose writes, or reads, fail as on a full disk."""
+
+    def __init__(self, fh, op):
+        self._fh, self._op = fh, op
+
+    def _check(self, op):
+        if op == self._op:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, data):
+        self._check("write")
+        return self._fh.write(data)
+
+    def read(self, size=-1):
+        self._check("read")
+        return self._fh.read(size)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@pytest.mark.parametrize("op", ["write", "read"])
+def test_spill_fault_fails_build_vectors_and_leaves_no_file(tmp_path, monkeypatch, capsys,
+                                                            pipeline_run, op):
+    """A full disk under the corpus spill, in pass 1's writes or in pass
+    2's read-back, fails the build-vectors stage with the FAILED marker
+    and the CLI's JSON error, and leaves no file in out_dir or TMPDIR."""
+    config = pipeline_run[0]
+    spill_dir = tmp_path / "tmp"
+    spill_dir.mkdir()
+    real = tempfile.TemporaryFile
+    spills = []
+
+    def temporary_file(*args, **kwargs):
+        spills.append(_FullSpill(real(*args, **kwargs), op))
+        return spills[-1]
+
+    monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(config(tmp_path / "out"))
+    assert info.value.stage == "build-vectors"
+    assert isinstance(info.value.cause, OSError) and info.value.cause.errno == errno.ENOSPC
+    assert files(tmp_path / "out") == {
+        "FAILED": f"stage: build-vectors\nerror: {info.value.cause}\n".encode()}
+
+    cfg = config(tmp_path / "out")
+    assert cli.main(["build-vectors", "--corpus", cfg.corpus, "--pairs", cfg.pairs,
+                     "--basis-size", "20", "--out", str(tmp_path / "vectors")]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"error": "OSError", "message": str(info.value.cause)}
+    assert not (tmp_path / "vectors").exists()
+    assert os.listdir(spill_dir) == []
+    assert len(spills) == 2 and all(spill.closed for spill in spills)
