@@ -194,21 +194,25 @@ def blocks(fh):
 
 def line_ends(data: bytes, after_cr: bool) -> int:
     """Line ends in `data` as text-mode reading counts them: ``\\n``, ``\\r``
-    and ``\\r\\n`` each count once, also when `data` follows a ``\\r``."""
+    and ``\\r\\n`` each count once, also when `data` follows a ``\\r``.
+    The reader counts a block's line ends in `tokens`; this counts those
+    before a bad token, for its error message."""
     n = data.count(b"\n")
     if b"\r" in data:
         n += data.count(b"\r") - data.count(b"\r\n")
     return n - (after_cr and data[:1] == b"\n")
 
 
-def tokens(padded: bytes):
+def tokens(padded: bytes, after_cr: bool):
     """The tokens of a block, given as its bytes followed by `PAD`.
 
     A token is a maximal run of bytes that are neither separators nor line
     ends.  Returns the start and length of each token (int32 unless the
-    block holds 2**31 bytes or more) and the index of the first token of
-    each sentence: tokens split as ``str.split`` splits the lines of
-    text-mode reading, and lines without tokens drop.
+    block holds 2**31 bytes or more), the index of the first token of
+    each sentence, and the block's line ends as `line_ends` counts them
+    (`after_cr`: the previous block ended with ``\\r``): tokens split as
+    ``str.split`` splits the lines of text-mode reading, and lines without
+    tokens drop.
     """
     buf = np.frombuffer(padded, dtype=np.uint8)
     n = buf.size - len(PAD)
@@ -231,10 +235,15 @@ def tokens(padded: bytes):
     edges = edges.astype(np.int32 if n < 2**31 else np.int64)  # one line can exceed 2 GB
     del inside, body
     start, length = edges[0::2], edges[1::2] - edges[0::2]
+    ends = np.flatnonzero((b == 0x0A) | (b == 0x0D))
+    # a "\n" right after a "\r", in this block or ending the last, adds none
+    lf = b.take(ends) == 0x0A
+    lines = ends.size - np.count_nonzero(lf[1:] & ~lf[:-1] & (np.diff(ends) == 1))
+    lines -= bool(after_cr and n and b[0] == 0x0A)
     # the first token after each line end, and the block's first token
-    first = np.searchsorted(start, np.flatnonzero((b == 0x0A) | (b == 0x0D)))
+    first = np.searchsorted(start, ends)
     first = np.concatenate(([0], first[first < start.size])) if start.size else first[:0]
-    return start, length, first[np.diff(first, prepend=-1) != 0]
+    return start, length, first[np.diff(first, prepend=-1) != 0], int(lines)
 
 
 class TypeTable:

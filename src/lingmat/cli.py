@@ -169,8 +169,9 @@ def cmd_select_dataset(args):
     thresholds = Thresholds.from_json_dict({
         key: _number(args, key) for key in Thresholds.__dataclass_fields__
         if getattr(args, key) is not None})
-    selection = stage_select_dataset(read_corpus(args.corpus), read_pairs(args.pairs),
-                                     thresholds, args.out, _provenance(args))
+    selection = stage_select_dataset(read_corpus(args.corpus, spill=False),
+                                     read_pairs(args.pairs), thresholds, args.out,
+                                     _provenance(args))
     print(json.dumps({"selected": selection.words()}, sort_keys=True))
     return 0
 

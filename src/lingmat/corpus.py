@@ -53,7 +53,8 @@ class TokenizedCorpus:
     (``tags[0]`` is None, the id of an untagged token), ``word_tag_counts``
     counts the tokens of each (word id, tag id), ``word_of``/``tag_of``
     give the word and tag id of each type id, and the spill holds, per
-    block, each token's type id and each sentence's start (`chunks`)."""
+    block, each token's type id and each sentence's start (`chunks`); it
+    is None if the corpus was read for its counts only."""
 
     words: tuple
     tags: tuple
@@ -92,7 +93,8 @@ class TokenizedCorpus:
     def close(self) -> None:
         """Close the spill, which `chunks` and `sentences` read; collecting
         the corpus closes it too."""
-        self.spill.close()
+        if self.spill is not None:
+            self.spill.close()
 
     __del__ = close
 
@@ -100,6 +102,8 @@ class TokenizedCorpus:
         """Runs of whole sentences of at least ``_kernels._CHUNK`` tokens,
         the last perhaps shorter, read back from the spill: per run, the
         type ids and the sentence starts, its length last."""
+        if self.spill is None:
+            raise ValueError("the corpus was read for its counts only; it has no spill")
         types, starts, n, at = [], [], 0, 0
         while True:
             self.spill.seek(at)
@@ -172,7 +176,7 @@ class _Encoder:
     of first occurrence.  Per block, `add` counts the tokens of each type
     and appends their type ids and the sentence starts to the spill."""
 
-    def __init__(self, path):
+    def __init__(self, path, spill=True):
         self.path = path
         self.table = _kernels.TypeTable()
         self.words, self.tags = _FirstSeenIds(), _FirstSeenIds({None: 0})
@@ -181,19 +185,19 @@ class _Encoder:
         self.counts = np.empty(0, dtype=np.int64)  # per type: tokens
         self.lines = 0  # line ends before the current block
         self.after_cr = False  # whether the previous block ended with "\r"
-        self.spill = tempfile.TemporaryFile()
+        self.spill = tempfile.TemporaryFile() if spill else None
 
     def read(self, block: bytes):
         """Tokenize one block of `_kernels.blocks` and `add` it."""
         padded = block + _kernels.PAD
-        start, length, first = _kernels.tokens(padded)
+        start, length, first, lines = _kernels.tokens(padded, self.after_cr)
         known = self.table.size  # a token whose node is newer is of a new type
         node = self.table.nodes(padded, start, length)
         self.grow(self.table.size)
         if node.size and node.max() >= known:
             self._name_new(block, start, length, node, known)
         self.add(node, first)
-        self.lines += _kernels.line_ends(block, self.after_cr)
+        self.lines += lines
         self.after_cr = block.endswith(b"\r")
 
     def _name_new(self, block, start, length, node, known):
@@ -228,9 +232,10 @@ class _Encoder:
         index of each sentence's first token."""
         if types.size:
             self.counts += np.bincount(types, minlength=self.counts.size)
-            self.spill.write(np.array([types.size, first.size], dtype=np.int64))
-            self.spill.write(first.astype(np.int64, copy=False))
-            self.spill.write(types)
+            if self.spill is not None:
+                self.spill.write(np.array([types.size, first.size], dtype=np.int64))
+                self.spill.write(first.astype(np.int64, copy=False))
+                self.spill.write(types)
 
     def corpus(self) -> TokenizedCorpus:
         """The read corpus; its token counts per (word, tag) sum those of
@@ -243,7 +248,7 @@ class _Encoder:
                                self.tag_of, self.spill, int(self.counts.sum()))
 
 
-def read_corpus(path) -> TokenizedCorpus:
+def read_corpus(path, spill: bool = True) -> TokenizedCorpus:
     """Pass 1 over the corpus at `path`, in byte blocks.
 
     The tokens and sentences are those of text-mode UTF-8 reading with
@@ -253,9 +258,11 @@ def read_corpus(path) -> TokenizedCorpus:
     drop.  Numpy tokenizes and looks up each block; Python runs once per
     distinct token, which it decodes strictly (invalid UTF-8 is a
     `CorpusError` naming ``path:line``) and parses with `_parse_token`.
-    The spill is closed if the read fails.
+    The spill is closed if the read fails.  With `spill` false nothing is
+    spilled: the corpus has its counts, which are all that vocabulary,
+    basis and dataset selection read, but no `chunks` for pass 2.
     """
-    encoder = _Encoder(path)
+    encoder = _Encoder(path, spill)
     try:
         with open(path, "rb") as fh:
             for block in _kernels.blocks(fh):
@@ -263,7 +270,8 @@ def read_corpus(path) -> TokenizedCorpus:
         if not encoder.counts.any():
             raise CorpusError(f"{path}: corpus is empty")
     except BaseException:
-        encoder.spill.close()
+        if encoder.spill is not None:
+            encoder.spill.close()
         raise
     return encoder.corpus()
 

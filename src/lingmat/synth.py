@@ -28,10 +28,21 @@ Three constructions keep the dimension sweep well behaved:
   rather than drawn independently, so realized co-occurrence counts sit
   within +-1 of their expectations and Poisson noise does not leak a
   dimension-dependent bias into the fitted parameters.
+
+Every random draw comes before any sentence is built: the harmonics, the
+round-robin slots, the quota pools and the order of compound and bare
+sentences.  A sentence is then a function of those pre-drawn pools: its
+function words cycle with its index, and the j-th sentence of a type
+takes the j-th run of 2 * ctx_per_side tokens of that type's pool.  So the
+whole corpus is one table of token ids, one row per sentence, into one
+table of token strings (`_token_table`); the file is written from it in
+batches of sentences, and no sentence is ever a Python list unless
+`generate_corpus` is asked for the lists.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +71,10 @@ class SynthConfig:
     tier_levels: tuple[float, ...] = (1.16, 1.0, 0.86)
 
     def __post_init__(self):
-        if self.n_sentences < 1 or self.n_topics < 1:
-            raise ValueError("need at least one sentence and one topic")
+        if min(self.n_sentences, self.n_topics, self.n_nouns, self.n_adjectives,
+               self.n_function) < 1:
+            raise ValueError("need at least one sentence, topic, noun, adjective "
+                             "and function word")
         if not (0.0 < self.compound_fraction < 1.0):
             raise ValueError("compound_fraction must be in (0, 1)")
         for name in ("adjective_mix", "noun_mix"):
@@ -92,14 +105,14 @@ def _harmonics(rng, n_words, n_harmonics):
     return h / np.sqrt(n_harmonics)
 
 
-def _round_robin(rng, items, total):
-    reps, extra = divmod(total, len(items))
-    pool = list(items) * reps
+def _round_robin(rng, n_items, total):
+    """`total` indices below `n_items`: each index ``total // n_items``
+    times plus ``total % n_items`` distinct random ones, shuffled."""
+    reps, extra = divmod(total, n_items)
+    pool = np.tile(np.arange(n_items), reps)
     if extra:
-        pick = rng.choice(len(items), size=extra, replace=False)
-        pool += [items[int(i)] for i in pick]
-    order = rng.permutation(total)
-    return [pool[i] for i in order]
+        pool = np.concatenate([pool, rng.choice(n_items, size=extra, replace=False)])
+    return pool[rng.permutation(total)]
 
 
 def _quota_tokens(rng, probs, total):
@@ -117,22 +130,23 @@ def _quota_tokens(rng, probs, total):
     return tokens[rng.permutation(tokens.size)]
 
 
-def generate_corpus(seed: int, config: SynthConfig = SynthConfig()):
-    """Build the corpus as tagged sentences plus the adjacency pair counts.
+#: Sentences per write of `write_synth_corpus`: ~0.4 MB of text and ~1 MB
+#: of temporaries at the default config, whatever the corpus size.
+_WRITE_BATCH = 4096
 
-    Sentences hold ``word|TAG`` tokens (N noun, J adjective, F function
-    word); pairs maps adjective -> noun -> count, exactly as an
-    adjacency scan of the corpus would find them.
+
+def _token_table(seed: int, cfg: SynthConfig):
+    """The corpus as token ids into one table of token strings.
+
+    Returns the strings, each followed by its separator (a space, or the
+    line end after a sentence's last token) and the empty string at id 0;
+    the ``(n_sentences, 2 * ctx_per_side + 4)`` id table, one sentence per
+    row, where a bare sentence's adjective column holds id 0; and the
+    pairs, adjective -> noun -> count.
     """
-    cfg = config
     rng = np.random.Generator(np.random.Philox(key=seed))
     n_ctx = cfg.n_context
-
-    contexts = [f"c{i:03d}" for i in range(n_ctx)]
-    nouns = [f"n{i:02d}" for i in range(cfg.n_nouns)]
-    adjectives = [f"adj{i:02d}" for i in range(cfg.n_adjectives)]
-    functions = [f"f{i}" for i in range(cfg.n_function)]
-    topic_of = [i % cfg.n_topics for i in range(cfg.n_nouns)]
+    topic_of = np.arange(cfg.n_nouns) % cfg.n_topics
 
     tiers = np.concatenate([
         np.full(size, level) for size, level in zip(cfg.tier_sizes, cfg.tier_levels)
@@ -145,24 +159,24 @@ def generate_corpus(seed: int, config: SynthConfig = SynthConfig()):
     noun_h = np.vstack([_harmonics(rng, n_ctx, cfg.n_harmonics)
                         for _ in range(cfg.n_nouns)])
 
+    # A compound slot is adjective * n_nouns + noun, a bare slot its noun.
     n_compound = int(round(cfg.n_sentences * cfg.compound_fraction))
     n_bare = cfg.n_sentences - n_compound
-    pair_pool = [(a, n) for a in range(cfg.n_adjectives) for n in range(cfg.n_nouns)]
-    compound_slots = _round_robin(rng, pair_pool, n_compound)
-    bare_slots = _round_robin(rng, list(range(cfg.n_nouns)), n_bare)
+    compound = _round_robin(rng, cfg.n_adjectives * cfg.n_nouns, n_compound)
+    bare = _round_robin(rng, cfg.n_nouns, n_bare)
+    comp_a, comp_n = np.divmod(compound, cfg.n_nouns)
 
     # Exact usage weight of every profile in the aggregate context
     # distribution, so the weighted tilt can be centered to zero and the
-    # marginal context frequencies hit the tier levels exactly.
-    t_w = np.zeros(cfg.n_topics)
-    a_w = np.zeros(cfg.n_adjectives)
-    n_w = np.zeros(cfg.n_nouns)
-    for a, n in compound_slots:
-        a_w[a] += cfg.adjective_mix
-        t_w[topic_of[n]] += 1.0 - cfg.adjective_mix
-    for n in bare_slots:
-        n_w[n] += cfg.noun_mix
-        t_w[topic_of[n]] += 1.0 - cfg.noun_mix
+    # marginal context frequencies hit the tier levels exactly.  A
+    # weighted bincount adds the weights one slot after another, compound
+    # slots first: the float sums of one ``+=`` per slot in that order.
+    am, nm = cfg.adjective_mix, cfg.noun_mix
+    a_w = np.bincount(comp_a, weights=np.full(n_compound, am), minlength=cfg.n_adjectives)
+    n_w = np.bincount(bare, weights=np.full(n_bare, nm), minlength=cfg.n_nouns)
+    t_w = np.bincount(topic_of[np.concatenate([comp_n, bare])],
+                      weights=np.repeat([1.0 - am, 1.0 - nm], [n_compound, n_bare]),
+                      minlength=cfg.n_topics)
     total_w = t_w.sum() + a_w.sum() + n_w.sum()
     mean_h = (t_w @ topic_h + a_w @ adj_h + n_w @ noun_h) / total_w
     topic_h -= mean_h
@@ -178,74 +192,92 @@ def generate_corpus(seed: int, config: SynthConfig = SynthConfig()):
     # profiles are already normalized relative to each other.
     base = tiers / tiers.sum()
 
-    # One quota token pool per sentence type: per compound pair and per
-    # bare noun.  Each sentence pops 2 * ctx_per_side tokens from its pool.
+    # One quota token pool per sentence type, in type order: per compound
+    # pair and per bare noun.  Each sentence takes 2 * ctx_per_side tokens
+    # of its pool, so with the pools end to end, row p holds the tokens of
+    # the p-th slot of a stable sort of the slots by type.
     per_sentence = 2 * cfg.ctx_per_side
-    pair_counts: dict[tuple[int, int], int] = {}
-    for slot in compound_slots:
-        pair_counts[slot] = pair_counts.get(slot, 0) + 1
-    bare_counts: dict[int, int] = {}
-    for n in bare_slots:
-        bare_counts[n] = bare_counts.get(n, 0) + 1
 
-    pools: dict = {}
-    for (a, n), cnt in sorted(pair_counts.items()):
-        h = (cfg.adjective_mix * adj_h[a]
-             + (1.0 - cfg.adjective_mix) * topic_h[topic_of[n]])
-        pools[(a, n)] = iter(_quota_tokens(rng, base * (1.0 + h), cnt * per_sentence))
-    for n, cnt in sorted(bare_counts.items()):
-        h = (cfg.noun_mix * noun_h[n]
-             + (1.0 - cfg.noun_mix) * topic_h[topic_of[n]])
-        pools[n] = iter(_quota_tokens(rng, base * (1.0 + h), cnt * per_sentence))
+    def pool_rows(slots, profile):
+        counts = Counter(slots.tolist())  # in order of first slot
+        rows = np.empty((slots.size, per_sentence), dtype=np.min_scalar_type(n_ctx - 1))
+        at = 0
+        for key, cnt in sorted(counts.items()):
+            rows[at:at + cnt] = _quota_tokens(rng, base * (1.0 + profile(key)),
+                                              cnt * per_sentence).reshape(cnt, per_sentence)
+            at += cnt
+        return rows, counts
 
-    kinds = np.zeros(cfg.n_sentences, dtype=np.int64)
-    kinds[:n_compound] = 1
-    kinds = kinds[rng.permutation(cfg.n_sentences)]
+    comp_rows, pair_counts = pool_rows(compound, lambda k: (
+        am * adj_h[k // cfg.n_nouns] + (1.0 - am) * topic_h[topic_of[k % cfg.n_nouns]]))
+    bare_rows, _ = pool_rows(bare, lambda n: nm * noun_h[n] + (1.0 - nm) * topic_h[topic_of[n]])
 
+    is_compound = rng.permutation(cfg.n_sentences) < n_compound
+
+    # Token ids: context words, function words opening and closing a
+    # sentence, adjectives and nouns; 0 is the empty string.
+    c, n_f = cfg.ctx_per_side, cfg.n_function
+    words = ([""] + [f"c{i:03d}|N " for i in range(n_ctx)]
+             + [f"f{i}|F " for i in range(n_f)] + [f"f{i}|F\n" for i in range(n_f)]
+             + [f"adj{i:02d}|J " for i in range(cfg.n_adjectives)]
+             + [f"n{i:02d}|N " for i in range(cfg.n_nouns)])
+    opening = 1 + n_ctx
+    adjective = opening + 2 * n_f
+    noun = adjective + cfg.n_adjectives
+
+    # Sentence s: function word 2s, c context tokens, [adjective,] noun,
+    # c context tokens, function word 2s + 1, the function words cycling.
     # Function words sit at the outer edge of each flank, so the in-window
     # context slots always hold planted context tokens.
-    func_cycle = 0
+    ids = np.empty((cfg.n_sentences, 2 * c + 4), dtype=np.min_scalar_type(len(words) - 1))
+    cycle = 2 * np.arange(cfg.n_sentences)
+    ids[:, 0] = opening + cycle % n_f
+    ids[:, -1] = opening + n_f + (cycle + 1) % n_f
+    del cycle
+    for slots, rows, where, adjectives, nouns in (
+            (compound, comp_rows, np.flatnonzero(is_compound), adjective + comp_a, comp_n),
+            (bare, bare_rows, np.flatnonzero(~is_compound), 0, bare)):
+        ids[where, c + 1] = adjectives
+        ids[where, c + 2] = noun + nouns
+        where = where[np.argsort(slots, kind="stable")]
+        ids[where, 1:c + 1] = 1 + rows[:, :c]
+        ids[where, c + 3:-1] = 1 + rows[:, c:]
 
-    def flank(pool, outer_first):
-        nonlocal func_cycle
-        ctx = [f"{contexts[next(pool)]}|N" for _ in range(cfg.ctx_per_side)]
-        f = f"{functions[func_cycle % cfg.n_function]}|F"
-        func_cycle += 1
-        return [f] + ctx if outer_first else ctx + [f]
-
-    sentences = []
     pairs: dict[str, dict[str, int]] = {}
-    ci = 0
-    bi = 0
-    for kind in kinds:
-        if kind == 1:
-            key = compound_slots[ci]
-            ci += 1
-            a, n = key
-            core = [f"{adjectives[a]}|J", f"{nouns[n]}|N"]
-            pairs.setdefault(adjectives[a], {})
-            pairs[adjectives[a]][nouns[n]] = pairs[adjectives[a]].get(nouns[n], 0) + 1
-        else:
-            key = bare_slots[bi]
-            bi += 1
-            core = [f"{nouns[key]}|N"]
-        pool = pools[key]
-        sentences.append(flank(pool, True) + core + flank(pool, False))
+    for key, cnt in pair_counts.items():
+        a, n = divmod(key, cfg.n_nouns)
+        pairs.setdefault(f"adj{a:02d}", {})[f"n{n:02d}"] = cnt
+    return words, ids, pairs
+
+
+def generate_corpus(seed: int, config: SynthConfig = SynthConfig()):
+    """Build the corpus as tagged sentences plus the adjacency pair counts.
+
+    Sentences hold ``word|TAG`` tokens (N noun, J adjective, F function
+    word); pairs maps adjective -> noun -> count, exactly as an
+    adjacency scan of the corpus would find them.
+    """
+    words, ids, pairs = _token_table(seed, config)
+    sentences = np.array([w[:-1] for w in words], dtype=object)[ids].tolist()
+    gap = config.ctx_per_side + 1
+    for s in np.flatnonzero(ids[:, gap] == 0).tolist():
+        del sentences[s][gap]
     return sentences, pairs
 
 
 def write_synth_corpus(seed: int, corpus_path, pairs_path,
                        config: SynthConfig = SynthConfig()) -> dict:
     """Generate and write the corpus and pairs files; returns run stats."""
-    sentences, pairs = generate_corpus(seed, config)
+    words, ids, pairs = _token_table(seed, config)
+    words = np.array(words, dtype=object)
     with atomic_open(corpus_path) as fh:
-        fh.writelines(" ".join(sent) + "\n" for sent in sentences)
+        for lo in range(0, len(ids), _WRITE_BATCH):
+            fh.write("".join(words[ids[lo:lo + _WRITE_BATCH]].ravel().tolist()))
     write_pairs(pairs, pairs_path)
-    n_tokens = sum(len(s) for s in sentences)
     return {
         "seed": seed,
-        "sentences": len(sentences),
-        "tokens": n_tokens,
+        "sentences": len(ids),
+        "tokens": int(np.count_nonzero(ids)),
         "adjectives": config.n_adjectives,
         "nouns": config.n_nouns,
         "context_words": config.n_context,

@@ -2,12 +2,16 @@
 
 Everything here is written directly from the defining formulas (nested
 loops over index tuples, quadratic position scans, the pentagonal-number
-recurrence) and never calls the fast implementations it checks.
+recurrence) and never calls the fast implementations it checks.  The
+synthetic corpus reference is the generator's loop over sentences, which
+shares only the config and the random draws with the id table it checks.
 """
 
 import itertools
 
 import numpy as np
+
+from lingmat.synth import SynthConfig, _harmonics, _quota_tokens
 
 
 def loop_invariant(tag, m):
@@ -283,3 +287,138 @@ def central_difference_gradient(f, x, step):
         flat[k] = orig
         out[k] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def _round_robin(rng, items, total):
+    reps, extra = divmod(total, len(items))
+    pool = list(items) * reps
+    if extra:
+        pick = rng.choice(len(items), size=extra, replace=False)
+        pool += [items[int(i)] for i in pick]
+    order = rng.permutation(total)
+    return [pool[i] for i in order]
+
+
+def synth_corpus(seed: int, config: SynthConfig = SynthConfig()):
+    """`lingmat.synth.generate_corpus` as a loop over sentences that pops
+    each sentence's context tokens from its type's pool.
+
+    Builds the corpus as tagged sentences plus the adjacency pair counts.
+
+    Sentences hold ``word|TAG`` tokens (N noun, J adjective, F function
+    word); pairs maps adjective -> noun -> count, exactly as an
+    adjacency scan of the corpus would find them.
+    """
+    cfg = config
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    n_ctx = cfg.n_context
+
+    contexts = [f"c{i:03d}" for i in range(n_ctx)]
+    nouns = [f"n{i:02d}" for i in range(cfg.n_nouns)]
+    adjectives = [f"adj{i:02d}" for i in range(cfg.n_adjectives)]
+    functions = [f"f{i}" for i in range(cfg.n_function)]
+    topic_of = [i % cfg.n_topics for i in range(cfg.n_nouns)]
+
+    tiers = np.concatenate([
+        np.full(size, level) for size, level in zip(cfg.tier_sizes, cfg.tier_levels)
+    ])
+
+    topic_h = np.vstack([_harmonics(rng, n_ctx, cfg.n_harmonics)
+                         for _ in range(cfg.n_topics)])
+    adj_h = np.vstack([_harmonics(rng, n_ctx, cfg.n_harmonics)
+                       for _ in range(cfg.n_adjectives)])
+    noun_h = np.vstack([_harmonics(rng, n_ctx, cfg.n_harmonics)
+                        for _ in range(cfg.n_nouns)])
+
+    n_compound = int(round(cfg.n_sentences * cfg.compound_fraction))
+    n_bare = cfg.n_sentences - n_compound
+    pair_pool = [(a, n) for a in range(cfg.n_adjectives) for n in range(cfg.n_nouns)]
+    compound_slots = _round_robin(rng, pair_pool, n_compound)
+    bare_slots = _round_robin(rng, list(range(cfg.n_nouns)), n_bare)
+
+    # Exact usage weight of every profile in the aggregate context
+    # distribution, so the weighted tilt can be centered to zero and the
+    # marginal context frequencies hit the tier levels exactly.
+    t_w = np.zeros(cfg.n_topics)
+    a_w = np.zeros(cfg.n_adjectives)
+    n_w = np.zeros(cfg.n_nouns)
+    for a, n in compound_slots:
+        a_w[a] += cfg.adjective_mix
+        t_w[topic_of[n]] += 1.0 - cfg.adjective_mix
+    for n in bare_slots:
+        n_w[n] += cfg.noun_mix
+        t_w[topic_of[n]] += 1.0 - cfg.noun_mix
+    total_w = t_w.sum() + a_w.sum() + n_w.sum()
+    mean_h = (t_w @ topic_h + a_w @ adj_h + n_w @ noun_h) / total_w
+    topic_h -= mean_h
+    adj_h -= mean_h
+    noun_h -= mean_h
+    peak = max(np.abs(topic_h).max(), np.abs(adj_h).max(), np.abs(noun_h).max())
+    scale = cfg.tilt / peak
+    topic_h *= scale
+    adj_h *= scale
+    noun_h *= scale
+
+    # All profiles share the tier envelope and total mass, so mixtures of
+    # profiles are already normalized relative to each other.
+    base = tiers / tiers.sum()
+
+    # One quota token pool per sentence type: per compound pair and per
+    # bare noun.  Each sentence pops 2 * ctx_per_side tokens from its pool.
+    per_sentence = 2 * cfg.ctx_per_side
+    pair_counts: dict[tuple[int, int], int] = {}
+    for slot in compound_slots:
+        pair_counts[slot] = pair_counts.get(slot, 0) + 1
+    bare_counts: dict[int, int] = {}
+    for n in bare_slots:
+        bare_counts[n] = bare_counts.get(n, 0) + 1
+
+    pools: dict = {}
+    for (a, n), cnt in sorted(pair_counts.items()):
+        h = (cfg.adjective_mix * adj_h[a]
+             + (1.0 - cfg.adjective_mix) * topic_h[topic_of[n]])
+        pools[(a, n)] = iter(_quota_tokens(rng, base * (1.0 + h), cnt * per_sentence))
+    for n, cnt in sorted(bare_counts.items()):
+        h = (cfg.noun_mix * noun_h[n]
+             + (1.0 - cfg.noun_mix) * topic_h[topic_of[n]])
+        pools[n] = iter(_quota_tokens(rng, base * (1.0 + h), cnt * per_sentence))
+
+    kinds = np.zeros(cfg.n_sentences, dtype=np.int64)
+    kinds[:n_compound] = 1
+    kinds = kinds[rng.permutation(cfg.n_sentences)]
+
+    # Function words sit at the outer edge of each flank, so the in-window
+    # context slots always hold planted context tokens.
+    func_cycle = 0
+
+    def flank(pool, outer_first):
+        nonlocal func_cycle
+        ctx = [f"{contexts[next(pool)]}|N" for _ in range(cfg.ctx_per_side)]
+        f = f"{functions[func_cycle % cfg.n_function]}|F"
+        func_cycle += 1
+        return [f] + ctx if outer_first else ctx + [f]
+
+    sentences = []
+    pairs: dict[str, dict[str, int]] = {}
+    ci = 0
+    bi = 0
+    for kind in kinds:
+        if kind == 1:
+            key = compound_slots[ci]
+            ci += 1
+            a, n = key
+            core = [f"{adjectives[a]}|J", f"{nouns[n]}|N"]
+            pairs.setdefault(adjectives[a], {})
+            pairs[adjectives[a]][nouns[n]] = pairs[adjectives[a]].get(nouns[n], 0) + 1
+        else:
+            key = bare_slots[bi]
+            bi += 1
+            core = [f"{nouns[key]}|N"]
+        pool = pools[key]
+        sentences.append(flank(pool, True) + core + flank(pool, False))
+    return sentences, pairs
+
+
+def synth_corpus_text(sentences) -> str:
+    """The corpus file of `lingmat.synth.write_synth_corpus`."""
+    return "".join(" ".join(sent) + "\n" for sent in sentences)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tempfile
 import weakref
 
 import numpy as np
@@ -431,6 +432,32 @@ class TestUsageErrors:
 
 
 class TestStageSubcommands:
+    def test_select_dataset_spills_nothing(self, capsys, tmp_path, monkeypatch):
+        """select-dataset reads the corpus counts only: it opens no spill,
+        and it writes the selection.json of a read that spills."""
+        corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+        write_synth_corpus(2, corpus, pairs)
+        out = tmp_path / "selection.json"
+        argv = ("select-dataset", "--corpus", str(corpus), "--pairs", str(pairs),
+                "--min-target-freq", "100", "--drop-top", "0", "--min-pair-count", "5",
+                "--min-args", "10", "--out", str(out))
+        real, spills = tempfile.TemporaryFile, []
+
+        def temporary_file(*args, **kwargs):
+            spills.append(real(*args, **kwargs))
+            return spills[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert spills == []
+        counted = out.read_bytes()
+        monkeypatch.setattr(cli, "read_corpus", lambda path, spill: read_corpus(path))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert len(spills) == 1
+        assert out.read_bytes() == counted
+
     def test_gen_corpus_and_stages(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         pairs = tmp_path / "pairs.tsv"

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from lingmat.corpus import (
     read_vectors_dir,
     select_basis,
     select_dataset,
+    write_pairs,
     write_vectors_dir,
 )
 from lingmat.matrix_core import ParseError
 from lingmat.synth import SynthConfig, generate_corpus, write_synth_corpus
 
+import oracles
 from oracles import window_counts_bruteforce
 
 
@@ -392,7 +395,52 @@ class TestVectorsDir:
             read_vectors_dir(tmp_path)
 
 
+#: Generator configs beside the default: the shortest and a long flank,
+#: one function word, non-dyadic mixes (a reordered float sum of the
+#: profile weights changes them), and nearly no compound or bare sentences.
+SYNTH_VARIANTS = ({}, {"ctx_per_side": 1}, {"ctx_per_side": 7}, {"n_function": 1},
+                  {"adjective_mix": 0.7, "noun_mix": 0.3},
+                  {"compound_fraction": 0.01}, {"compound_fraction": 0.99})
+
+
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize("variant", SYNTH_VARIANTS)
+    @pytest.mark.parametrize("n_sentences", [1, 2, 3, 999, 12500])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_the_sentence_loop(self, tmp_path, seed, n_sentences, variant):
+        """The id table gives the sentences, pairs (in key order), corpus
+        file and stats of the loop over sentences in ``oracles.py``."""
+        cfg = SynthConfig(n_sentences=n_sentences, **variant)
+        want_sentences, want_pairs = oracles.synth_corpus(seed, cfg)
+        sentences, pairs = generate_corpus(seed, cfg)
+        assert sentences == want_sentences
+        assert ([(a, list(nouns.items())) for a, nouns in pairs.items()]
+                == [(a, list(nouns.items())) for a, nouns in want_pairs.items()])
+        stats = write_synth_corpus(seed, tmp_path / "c.txt", tmp_path / "p.tsv", cfg)
+        assert (tmp_path / "c.txt").read_text(encoding="utf-8") == \
+            oracles.synth_corpus_text(want_sentences)
+        write_pairs(want_pairs, tmp_path / "want.tsv")
+        assert (tmp_path / "p.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+        assert stats == {"seed": seed, "sentences": n_sentences,
+                         "tokens": sum(map(len, want_sentences)),
+                         "adjectives": cfg.n_adjectives, "nouns": cfg.n_nouns,
+                         "context_words": cfg.n_context}
+
+    def test_memory_grows_by_little_per_sentence(self, tmp_path):
+        """Writing keeps one small id row per sentence and a fixed batch of
+        text: the traced peak grows by at most 150 B per added sentence
+        (it grew by ~1 kB while every sentence was a list of strings)."""
+        peaks = []
+        for n in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                write_synth_corpus(2, tmp_path / "c.txt", tmp_path / "p.tsv",
+                                   SynthConfig(n_sentences=n))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 180_000 <= 150, peaks
+
     def test_deterministic(self):
         cfg = SynthConfig(n_sentences=200)
         s1, p1 = generate_corpus(5, cfg)
@@ -432,3 +480,5 @@ class TestSyntheticGenerator:
             SynthConfig(tier_sizes=(50, 30, 20))
         with pytest.raises(ValueError, match="tilt"):
             SynthConfig(tilt=1.5)
+        with pytest.raises(ValueError, match="function word"):
+            SynthConfig(n_function=0)

@@ -9,6 +9,7 @@ a chunk ends at almost every sentence and sentences outgrow chunks.
 """
 
 import contextlib
+import io
 import os
 import re
 import tempfile
@@ -284,12 +285,23 @@ def test_type_table_nodes_are_the_byte_strings(words, seps):
     """Two tokens share a node exactly when their bytes are equal, whatever
     their lengths and whatever follows them."""
     block = b"".join(w + sep for w, sep in zip(words, seps))
-    start, length, _ = _kernels.tokens(block + _kernels.PAD)
+    start, length, _, _ = _kernels.tokens(block + _kernels.PAD, False)
     assert [block[a:a + n] for a, n in zip(start.tolist(), length.tolist())] == words
     node = _kernels.TypeTable().nodes(block + _kernels.PAD, start, length).tolist()
     first = {}
     assert node == [first.setdefault(w, n) for w, n in zip(words, node)]
     assert len(set(node)) == len(first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([b"a", b" ", b"\n", b"\r", b"\r\n"]), min_size=1, max_size=30),
+       st.booleans())
+def test_tokens_count_line_ends_as_text_mode_reads_them(parts, after_cr):
+    """A block's line ends, also when it follows a block ending in "\\r",
+    are the newlines of text-mode reading."""
+    block = b"".join(parts)
+    text = io.TextIOWrapper(io.BytesIO(b"\r" * after_cr + block), encoding="ascii").read()
+    assert _kernels.tokens(block + _kernels.PAD, after_cr)[3] == text.count("\n") - after_cr
 
 
 def test_long_token_tails_are_not_short_tokens(tmp_path):
@@ -347,6 +359,7 @@ def test_more_than_128_tags_widen_the_tag_ids(tmp_path):
     (b"a b\r\nc\rd\n\r\n  e \xc3( f\n", 5),
     (b"x\r\n\xed\xa0\x80 y\r\n", 2),
     (b"fine\nfine a\xe2\x80", 2),
+    (b"ab\r\ncd\n\xff\n", 3),  # reads of 1 and 3 bytes split the "\r\n"
 ])
 def test_invalid_utf8_names_its_line(tmp_path, data, line):
     path = tmp_path / "corpus.txt"
