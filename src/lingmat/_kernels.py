@@ -112,40 +112,40 @@ def catalog_values(m):
     return out[0] if single else out
 
 
-def context_counts(left, right, lo, hi, rows, word_ids, cmap, window, counts):
-    """Add the counts of ``rows + cmap[word_ids[p]]`` over the context
+def context_counts(left, right, lo, hi, rows, type_ids, cmap, window, counts):
+    """Add the counts of ``rows + cmap[type_ids[p]]`` over the context
     positions ``p`` of anchors to the flat int64 array ``counts``.
 
     Anchor k has context positions ``left[k] - q`` and ``right[k] + q`` for
     q = 1..window, clipped to its sentence ``[lo[k], hi[k])``; positions
-    whose word maps to -1 in ``cmap`` are skipped.  One masked ``bincount``
-    per offset and direction, gathering word ids at the visited positions
+    whose type maps to -1 in ``cmap`` are skipped.  One masked ``bincount``
+    per offset and direction, gathering type ids at the visited positions
     only.
     """
     before, after = left - lo, hi - 1 - right  # room in the sentence
     for q in range(1, window + 1):
         for ok, pos in ((before >= q, left - q), (after >= q, right + q)):
-            c = cmap.take(word_ids.take(pos[ok]))
+            c = cmap.take(type_ids.take(pos[ok]))
             key = rows[ok] + c
             counts += np.bincount(key[c >= 0], minlength=counts.size)
 
 
-def window_pair_counts(word_ids, tmap, cmap, offsets, window, n_targets, n_contexts):
+def window_pair_counts(type_ids, tmap, cmap, offsets, window, n_targets, n_contexts):
     """Co-occurrence counts between targets and contexts inside the
-    sentences of one chunk.
+    sentences of one chunk, given as the type id of each token.
 
-    ``tmap``/``cmap`` map each word id to a target respectively context
+    ``tmap``/``cmap`` map each type id to a target respectively context
     index, or -1.  ``offsets`` delimits the chunk's sentences, its end
     last.  A pair is counted for every (target position, context position)
     within distance ``window`` in the same sentence; a position never
     pairs with itself.
     """
     counts = np.zeros(n_targets * n_contexts, dtype=np.int64)
-    t = tmap.take(word_ids)
+    t = tmap.take(type_ids)
     pos = np.flatnonzero(t >= 0)
     sent = np.searchsorted(offsets, pos, side="right")
     context_counts(pos, pos, offsets[sent - 1], offsets[sent],
-                   t.take(pos).astype(np.int64) * n_contexts, word_ids, cmap, window, counts)
+                   t.take(pos).astype(np.int64) * n_contexts, type_ids, cmap, window, counts)
     return counts.reshape(n_targets, n_contexts)
 
 

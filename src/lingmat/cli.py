@@ -40,7 +40,8 @@ def _load_json(path, from_json=lambda obj: obj):
     try:
         with open(path, encoding="utf-8") as fh:
             return from_json(json.load(fh))
-    except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError, OverflowError,
+            RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

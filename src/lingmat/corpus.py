@@ -16,9 +16,9 @@ sentence outlives a block or chunk.  Pass 1 (`read_corpus`) tokenizes it
 block by block, counts the tokens of each (word, tag) pair, and appends
 each block's type ids and sentence starts to an unnamed temporary file,
 the spill.  Vocabulary, basis, part-of-speech votes and dataset selection
-come from the counts.  Pass 2 (`count_cooccurrence`) reads the spill back
-in chunks of whole sentences and counts the windows of the targets and
-the contexts of every compound in one go.
+come from the counts.  Pass 2 (`count_cooccurrence`) reads the spilled
+type ids back in chunks of whole sentences and counts the windows of the
+targets and the contexts of every compound in one go.
 
 A vector set, from the PPMI step to the training sets, is a pair
 (labels, values): one float64 (N, dim) array whose row i is the vector of
@@ -98,10 +98,11 @@ class TokenizedCorpus:
 
     __del__ = close
 
-    def _chunks(self):
-        """Runs of whole sentences of at least ``_kernels._CHUNK`` tokens,
-        the last perhaps shorter, read back from the spill: per run, the
-        type ids and the sentence starts, its length last."""
+    def chunks(self):
+        """Pass 2's input, the only reader of the spill: runs of whole
+        sentences of at least ``_kernels._CHUNK`` tokens, the last perhaps
+        shorter; per run, its int32 type ids and int64 sentence offsets,
+        its length last."""
         if self.spill is None:
             raise ValueError("the corpus was read for its counts only; it has no spill")
         types, starts, n, at = [], [], 0, 0
@@ -122,17 +123,12 @@ class TokenizedCorpus:
         if n:
             yield np.concatenate(types), np.concatenate(starts + [[n]])
 
-    def chunks(self):
-        """Pass 2's input: per run of whole sentences (see `_chunks`), its
-        int32 word ids and int64 sentence offsets, its length last."""
-        return ((self.word_of.take(types), offsets) for types, offsets in self._chunks())
-
     @property
     def sentences(self) -> tuple:
         """Sentences as tuples of (word, tag), decoded from the spill on
         every access; for tests and oracles."""
         out = []
-        for types, offsets in self._chunks():
+        for types, offsets in self.chunks():
             toks = list(zip(map(self.words.__getitem__, self.word_of.take(types).tolist()),
                             map(self.tags.__getitem__, self.tag_of.take(types).tolist())))
             bounds = offsets.tolist()
@@ -144,13 +140,13 @@ class TokenizedCorpus:
         return {w: i for i, w in enumerate(self.words)}
 
     def lookup(self, words) -> np.ndarray:
-        """Per word id, the index of that word in `words`, or -1."""
+        """Per type id, the index of its word in `words`, or -1."""
         out = np.full(len(self.words), -1, dtype=np.int32)
         for i, w in enumerate(words):
             j = self.word_index.get(w)
             if j is not None:
                 out[j] = i
-        return out
+        return out.take(self.word_of)
 
 
 class _FirstSeenIds(dict):
@@ -340,8 +336,8 @@ class CoocTable:
     counts[target][context] holds the number of position pairs at distance
     <= window inside one sentence; rows exist for the requested targets,
     columns for the requested contexts.  compounds[head] holds the counts
-    of the head's compounds from the same pass: ((nouns, reach, basis
-    words), occurrences per noun, context counts per noun and basis word).
+    of the head's compounds from the same pass: (distinct nouns, basis,
+    occurrences per noun, context counts per noun and basis word).
     """
 
     counts: dict[str, dict[str, int]]
@@ -361,7 +357,11 @@ def count_cooccurrence(corpus: TokenizedCorpus, targets, basis: BasisSpec,
 
     This is pass 2, one read of the spill.  `compounds` maps heads to
     (nouns, part-of-speech class), whose compounds the same pass counts
-    (see `build_compound_vectors`) into ``table.compounds``.
+    into ``table.compounds``, for `build_compound_vectors`.  Adjective
+    and unknown heads take the noun right after them, verb heads the
+    nearest within `window` tokens to the right; the span covers every
+    token from head to noun, and its context is every token within
+    `window` of the span on either side.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -373,18 +373,18 @@ def count_cooccurrence(corpus: TokenizedCorpus, targets, basis: BasisSpec,
     dense = np.zeros((len(targets), basis.size), dtype=np.int64)
     occurrences = np.zeros(finder.n_rows, dtype=np.int64)
     joint = np.zeros((finder.n_rows, basis.size), dtype=np.int64)
-    for word_ids, offsets in corpus.chunks():
-        dense += _kernels.window_pair_counts(word_ids, tmap, cmap, offsets, window,
+    for type_ids, offsets in corpus.chunks():
+        dense += _kernels.window_pair_counts(type_ids, tmap, cmap, offsets, window,
                                              len(targets), basis.size)
-        start, end, row, sent = finder.spans(word_ids, offsets)
+        start, end, row, sent = finder.spans(type_ids, offsets)
         occurrences += np.bincount(row, minlength=finder.n_rows)
         _kernels.context_counts(start, end, offsets[sent], offsets[sent + 1],
-                                row * basis.size, word_ids, cmap, window, joint.reshape(-1))
+                                row * basis.size, type_ids, cmap, window, joint.reshape(-1))
     counts = {word: {basis.words[c]: int(row[c]) for c in np.flatnonzero(row)}
               for word, row in zip(targets, dense)}
     cuts = np.cumsum([len(nouns) for nouns, _ in heads.values()])[:-1]
-    counted = {head: ((nouns, reach, basis.words), head_occurrences, head_joint)
-               for (head, (nouns, reach)), head_occurrences, head_joint
+    counted = {head: (nouns, basis, head_occurrences, head_joint)
+               for (head, (nouns, _)), head_occurrences, head_joint
                in zip(heads.items(), np.split(occurrences, cuts), np.split(joint, cuts))}
     return CoocTable(counts=counts, totals=build_vocab(corpus), n_total=corpus.n_total,
                      window=window, compounds=counted)
@@ -441,12 +441,14 @@ class _SpanFinder:
     each head to (distinct nouns, reach), and rows number the heads' nouns
     in order.  Each head occurrence takes, for each of its nouns, the
     nearest occurrence within reach to the right as the compound span.
-    `np.searchsorted` in one sorted table of ``head index * len(words) +
-    word id`` keys, ended by the largest int64, finds every candidate's
-    row at once."""
+    Heads are looked up per type id; word ids are gathered only at the
+    candidate positions after a head.  `np.searchsorted` in one sorted
+    table of ``head index * len(words) + word id`` keys, ended by the
+    largest int64, finds every candidate's row at once."""
 
     def __init__(self, corpus: TokenizedCorpus, heads):
         self.n_words = len(corpus.words)
+        self.word_of = corpus.word_of
         self.head_of = corpus.lookup(heads)
         self.reach = np.array([reach for _, reach in heads.values()], dtype=np.int64)
         nouns = [(h, noun) for h, (head_nouns, _) in enumerate(heads.values())
@@ -459,10 +461,10 @@ class _SpanFinder:
         self.keys = np.append(keys[self.rows][order], np.iinfo(np.int64).max)
         self.rows = self.rows[order]
 
-    def spans(self, word_ids, offsets):
+    def spans(self, type_ids, offsets):
         """(start, end, row, sentence) of the spans in one chunk, ordered
         by start and then by row; sentences index ``offsets``."""
-        head = self.head_of.take(word_ids)
+        head = self.head_of.take(type_ids)
         pos = np.flatnonzero(head >= 0)
         head = head.take(pos).astype(np.int64)
         sent = np.searchsorted(offsets, pos, side="right") - 1
@@ -472,7 +474,7 @@ class _SpanFinder:
         found = [(none, none, none)]
         for q in range(1, int(room.max(initial=0)) + 1):
             k = np.flatnonzero(room >= q)
-            key = base.take(k) + word_ids.take(pos.take(k) + q)
+            key = base.take(k) + self.word_of.take(type_ids.take(pos.take(k) + q))
             i = np.searchsorted(self.keys, key)
             hit = self.keys.take(i) == key
             found.append((k[hit], np.full(np.count_nonzero(hit), q), self.rows.take(i[hit])))
@@ -483,52 +485,20 @@ class _SpanFinder:
         return pos[k], pos[k] + q, row, sent[k]
 
 
-def compound_spans(corpus: TokenizedCorpus, target: str, noun: str,
-                   pos_class: str = "adjective",
-                   window: int = DEFAULT_WINDOW) -> list[tuple[int, int, int]]:
-    """Corpus positions of the compound, as (sentence, start, end) spans.
-
-    Adjective compounds are the positions where the target immediately
-    precedes the noun; verb compounds allow the noun anywhere within
-    `window` tokens to the right of the verb.  The span covers every
-    token from target to noun inclusive.
-    """
-    finder = _SpanFinder(corpus, {target: ((noun,), _reach_of(pos_class, window))})
-    out, sentences = [], 0
-    for word_ids, offsets in corpus.chunks():
-        start, end, _, sent = finder.spans(word_ids, offsets)
-        base = offsets[sent]
-        out += zip((sent + sentences).tolist(), (start - base).tolist(), (end - base).tolist())
-        sentences += offsets.size - 1
-    return out
-
-
-def build_compound_vectors(corpus: TokenizedCorpus, table: CoocTable,
-                           basis: BasisSpec, target: str, nouns,
-                           pos_class: str = "adjective",
-                           window: int | None = None
+def build_compound_vectors(table: CoocTable, target: str
                            ) -> tuple[tuple[list[str], np.ndarray], list[str]]:
-    """PPMI vectors for target-noun compounds, treating each compound
-    occurrence as one token spanning its positions.
-
-    Context is every token within `window` of the span on either side,
-    excluding the span itself.  The counts are ``table.compounds[target]``
-    if they are for these nouns, reach, window and basis, else those of a
-    pass for this target alone.  Returns the vector set, labelled
+    """PPMI vectors for the compounds of `target` as `count_cooccurrence`
+    counted them into ``table.compounds``, each compound occurrence one
+    token spanning its positions.  Returns the vector set, labelled
     ``"<target> <noun>"``, and the skipped nouns, whose compound never
     occurs.
     """
-    if window is None:
-        window = table.window
-    distinct = tuple(dict.fromkeys(nouns))
-    key, totals, joint = table.compounds.get(target, (None, None, None))
-    if window != table.window or key != (distinct, _reach_of(pos_class, window), basis.words):
-        _, totals, joint = count_cooccurrence(corpus, (), basis, window,
-                                              {target: (distinct, pos_class)}).compounds[target]
-    index = {n: i for i, n in enumerate(distinct)}
-    kept = [index[n] for n in nouns if totals[index[n]]]
-    labels = [f"{target} {distinct[i]}" for i in kept]
-    skipped = [n for n in nouns if not totals[index[n]]]
+    if target not in table.compounds:
+        raise ValueError(f"the compounds of {target!r} were not counted")
+    nouns, basis, totals, joint = table.compounds[target]
+    kept = np.flatnonzero(totals)
+    labels = [f"{target} {nouns[i]}" for i in kept.tolist()]
+    skipped = [noun for noun, n in zip(nouns, totals.tolist()) if not n]
     return (labels, _ppmi(joint[kept], totals[kept], table, basis)), skipped
 
 
@@ -624,7 +594,8 @@ def _pos_class(value) -> str:
 
 def read_pairs(path) -> dict[str, dict[str, int]]:
     """head<TAB>argument<TAB>count, summed per (head, argument); invalid
-    UTF-8 or an empty field names path:line."""
+    UTF-8, an empty field or a count that is not ASCII digits names
+    path:line."""
     pairs: dict[str, dict[str, int]] = {}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -639,14 +610,12 @@ def read_pairs(path) -> dict[str, dict[str, int]]:
             head, arg, raw = fields
             if not (head and arg):
                 raise CorpusError(f"{path}:{lineno}: empty {'head' if not head else 'argument'}")
-            try:
-                count = int(raw)
-            except ValueError:
-                raise CorpusError(f"{path}:{lineno}: count {raw!r} is not an integer") from None
-            if count < 0:
+            if raw.startswith("-"):
                 raise CorpusError(f"{path}:{lineno}: negative count")
+            if not (raw.isascii() and raw.isdigit()):
+                raise CorpusError(f"{path}:{lineno}: count {raw!r} is not an integer")
             pairs.setdefault(head, {})
-            pairs[head][arg] = pairs[head].get(arg, 0) + count
+            pairs[head][arg] = pairs[head].get(arg, 0) + int(raw)
     if not pairs:
         raise CorpusError(f"{path}: no argument pairs found")
     return pairs

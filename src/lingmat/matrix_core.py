@@ -390,7 +390,7 @@ def read_stack(dirpath, name: str, ndim: int) -> tuple[list[str], np.ndarray]:
     try:
         with open(labels_path, encoding="utf-8") as fh:
             labels = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{labels_path}: unreadable label manifest: {exc}") from None
     if not (isinstance(labels, list) and all(isinstance(x, str) and x for x in labels)):
         raise ParseError(f"{labels_path}: expected a JSON array of nonempty strings")

@@ -176,8 +176,9 @@ def stage_build_vectors(corpus, pairs, basis_size, window, out_dir, provenance):
     """Basis, noun vectors, and compound vectors for every pairs entry.
 
     Takes the read corpus and pairs (see `read_corpus` and `read_pairs`);
-    one pass counts the noun windows and every compound.  Vectors are built at the largest requested basis size; smaller sweep
-    dimensions reuse prefixes of the same vectors because the basis is
+    one pass counts the noun windows and every compound.  Vectors are
+    built at the largest requested basis size; smaller sweep dimensions
+    reuse prefixes of the same vectors because the basis is
     frequency-ordered and PPMI is pointwise.
     """
     vocab = build_vocab(corpus)
@@ -189,9 +190,8 @@ def stage_build_vectors(corpus, pairs, basis_size, window, out_dir, provenance):
     noun_vectors = build_noun_vectors(table, basis, nouns)
 
     labels, rows, skipped = [], [np.zeros((0, basis.size))], {}
-    for head, (args, pos_class) in heads.items():
-        (head_labels, head_rows), missing = build_compound_vectors(
-            corpus, table, basis, head, args, pos_class, window)
+    for head in heads:
+        (head_labels, head_rows), missing = build_compound_vectors(table, head)
         labels += head_labels
         rows.append(head_rows)
         if missing:

@@ -13,7 +13,6 @@ from lingmat.corpus import (
     build_compound_vectors,
     build_noun_vectors,
     build_vocab,
-    compound_spans,
     count_cooccurrence,
     ppmi,
     read_corpus,
@@ -213,23 +212,35 @@ class TestNounVectors:
 
 class TestCompounds:
     def test_adjective_spans_are_adjacent(self):
+        # "cat big" and "big dog" are not compounds of (big, cat), nor is
+        # "big cat runs" one of (big, runs)
         c = corpus_of("big cat runs\ncat big\nbig dog\nbig cat")
-        spans = compound_spans(c, "big", "cat", "adjective")
-        assert spans == [(0, 0, 1), (3, 0, 1)]
+        table = count_cooccurrence(c, [], BasisSpec(("runs",)),
+                                   compounds={"big": (["cat", "runs"], "adjective")})
+        nouns, _, occurrences, _ = table.compounds["big"]
+        assert (nouns, occurrences.tolist()) == (("cat", "runs"), [2, 0])
+        (labels, _), skipped = build_compound_vectors(table, "big")
+        assert (labels, skipped) == (["big cat"], ["runs"])
 
     def test_verb_spans_within_window(self):
-        c = corpus_of("eats the old cheese now")
-        assert compound_spans(c, "eats", "cheese", "verb", window=5) == [(0, 0, 3)]
-        assert compound_spans(c, "eats", "cheese", "verb", window=2) == []
+        # "cheese" is 3 tokens right of "eats"; each verb occurrence takes
+        # the nearest occurrence of a noun only
+        c = corpus_of("eats the old cheese now cheese")
+        for window, want in ((5, 1), (3, 1), (2, 0)):
+            table = count_cooccurrence(c, [], BasisSpec(("now",)), window,
+                                       {"eats": (["cheese"], "verb")})
+            assert table.compounds["eats"][2].tolist() == [want], window
+            _, skipped = build_compound_vectors(table, "eats")
+            assert skipped == ([] if want else ["cheese"]), window
 
     def test_compound_vector_window_counts(self):
         # "p q big cat r s": context of span (big cat) within window 2:
         # p,q on the left, r,s on the right
         c = corpus_of("p q big cat r s")
         basis = BasisSpec(("p", "q", "r", "s"))
-        table = count_cooccurrence(c, ["cat"], basis, window=2)
-        (labels, (v,)), skipped = build_compound_vectors(c, table, basis, "big", ["cat"],
-                                                         "adjective", window=2)
+        table = count_cooccurrence(c, ["cat"], basis, window=2,
+                                   compounds={"big": (["cat"], "adjective")})
+        (labels, (v,)), skipped = build_compound_vectors(table, "big")
         assert skipped == []
         assert labels == ["big cat"]
         # every context word occurs once near the single compound occurrence
@@ -241,9 +252,9 @@ class TestCompounds:
     def test_span_interior_excluded(self):
         c = corpus_of("sees very old cheese here")
         basis = BasisSpec(("very", "old", "here"))
-        table = count_cooccurrence(c, ["cheese"], basis, window=5)
-        (_, (v,)), _ = build_compound_vectors(c, table, basis, "sees", ["cheese"],
-                                              "verb", window=5)
+        table = count_cooccurrence(c, ["cheese"], basis, window=5,
+                                   compounds={"sees": (["cheese"], "verb")})
+        (_, (v,)), _ = build_compound_vectors(table, "sees")
         assert v[basis.index("very")] == 0.0  # inside the span
         assert v[basis.index("old")] == 0.0   # inside the span
         assert v[basis.index("here")] > 0.0
@@ -251,9 +262,9 @@ class TestCompounds:
     def test_zero_occurrences_skipped_with_warning(self):
         c = corpus_of("big cat")
         basis = BasisSpec(("cat",))
-        table = count_cooccurrence(c, ["cat"], basis)
-        (labels, values), skipped = build_compound_vectors(c, table, basis, "big",
-                                                           ["cat", "dog"])
+        table = count_cooccurrence(c, ["cat"], basis,
+                                   compounds={"big": (["cat", "dog"], "adjective")})
+        (labels, values), skipped = build_compound_vectors(table, "big")
         assert labels == ["big cat"] and values.shape == (1, 1)
         assert skipped == ["dog"]
 

@@ -27,7 +27,6 @@ from lingmat.corpus import (
     TokenizedCorpus,
     build_compound_vectors,
     build_vocab,
-    compound_spans,
     count_cooccurrence,
     pos_class_of,
     read_corpus,
@@ -126,11 +125,12 @@ def test_read_corpus_round_trip(text):
 
 
 def check_chunks(corpus, sentences):
-    """Pass 2 reads back every sentence whole, in order, in chunks of at
-    least ``_CHUNK`` tokens but the last."""
+    """Pass 2 reads back every sentence whole, in order, as type ids, in
+    chunks of at least ``_CHUNK`` tokens but the last."""
     chunks = list(corpus.chunks())
-    words = [word for sentence in sentences for word, _tag in sentence]
-    assert [corpus.words[i] for ids, _ in chunks for i in ids.tolist()] == words
+    tokens = [token for sentence in sentences for token in sentence]
+    assert [(corpus.words[corpus.word_of[t]], corpus.tags[corpus.tag_of[t]])
+            for ids, _ in chunks for t in ids.tolist()] == tokens
     assert [int(b - a) for ids, offsets in chunks
             for a, b in zip(offsets[:-1], offsets[1:])] == [len(s) for s in sentences]
     for ids, offsets in chunks[:-1]:
@@ -209,8 +209,8 @@ def test_compounds_match_oracle(text, window, pos_class):
 
 
 def check_compounds(text, window, pos_class):
-    """Each head's compounds, counted alone and in one pass with every
-    head and the noun windows, as the pipeline counts them."""
+    """Every head's compounds, counted in one pass with the noun windows,
+    as the pipeline counts them."""
     corpus, sentences = read_both(text)
     if corpus is None:
         return
@@ -219,22 +219,18 @@ def check_compounds(text, window, pos_class):
     reach = window if pos_class == "verb" else 1
     nouns = words + ["absent"]
     heads = {target: (nouns, pos_class) for target in words[:3] + ["absent"]}
-    alone = count_cooccurrence(corpus, words, basis, window)
-    together = count_cooccurrence(corpus, words, basis, window, heads)
-    assert together.counts == alone.counts
-    for target in words[:3]:
+    table = count_cooccurrence(corpus, words, basis, window, heads)
+    assert table.counts == count_cooccurrence(corpus, words, basis, window).counts
+    for target in heads:
         spans = oracles.spans_by_noun(sentences, target, nouns, reach)
-        for noun in nouns:
-            assert compound_spans(corpus, target, noun, pos_class, window) == spans[noun]
-        for table in (alone, together):
-            (labels, values), skipped = build_compound_vectors(corpus, table, basis, target,
-                                                               nouns, pos_class, window)
-            assert skipped == [n for n in nouns if not spans[n]]
-            assert labels == [f"{target} {n}" for n in nouns if spans[n]]
-            for label, v in zip(labels, values):
-                noun = label[len(target) + 1:]
-                want = oracles.compound_values(sentences, spans[noun], basis.words, window)
-                assert v.tobytes() == want.tobytes(), label
+        assert table.compounds[target][2].tolist() == [len(spans[n]) for n in nouns]
+        (labels, values), skipped = build_compound_vectors(table, target)
+        assert skipped == [n for n in nouns if not spans[n]]
+        assert labels == [f"{target} {n}" for n in nouns if spans[n]]
+        for label, v in zip(labels, values):
+            noun = label[len(target) + 1:]
+            want = oracles.compound_values(sentences, spans[noun], basis.words, window)
+            assert v.tobytes() == want.tobytes(), label
 
 
 def test_edge_case_tokens_and_lines(tmp_path):
@@ -406,7 +402,7 @@ def test_sentences_view_is_decoded_from_the_arrays():
     np.testing.assert_array_equal(corpus.tag_of, [1, 0, 2])
     np.testing.assert_array_equal(corpus.word_tag_counts, [[0, 1, 1], [1, 0, 0]])
     ((ids, offsets),) = corpus.chunks()
-    np.testing.assert_array_equal(ids, [0, 1, 0])
+    np.testing.assert_array_equal(ids, [0, 1, 2])
     np.testing.assert_array_equal(offsets, [0, 2, 3])
     assert corpus.sentences == ((("a", "N"), ("b", None)), (("a", ""),))
     assert not corpus.word_tag_counts.flags.writeable
@@ -444,8 +440,7 @@ def test_long_sentences_and_line_ends_at_block_edges(tmp_path, chunk):
             assert got == oracles.window_counts_bruteforce(sentences, words, words, window)
             for target, reach in (("big", 1), ("eats", window)):
                 spans = oracles.spans_by_noun(sentences, target, words, reach)
-                (labels, values), _ = build_compound_vectors(
-                    corpus, table, basis, target, words, "verb" if reach > 1 else "adjective")
+                (labels, values), _ = build_compound_vectors(table, target)
                 assert labels == [f"{target} {n}" for n in words if spans[n]]
                 for label, v in zip(labels, values):
                     want = oracles.compound_values(sentences, spans[label.split(" ", 1)[1]],
@@ -453,27 +448,14 @@ def test_long_sentences_and_line_ends_at_block_edges(tmp_path, chunk):
                     assert v.tobytes() == want.tobytes(), (window, label)
 
 
-@pytest.mark.parametrize("nouns, pos_class, window, basis", [
-    (["cat"], "verb", 2, ("big", "red", "cat", "dog")),
-    (["dog", "cat"], "adjective", 2, ("big", "red", "cat", "dog")),
-    (["cat"], "adjective", 3, ("big", "red", "cat", "dog")),
-    (["cat"], "adjective", 2, ("cat", "dog")),
-])
-def test_compounds_counted_otherwise_are_counted_again(nouns, pos_class, window, basis):
-    """A table whose compounds were counted for other nouns, another
-    reach, window or basis is not read for them."""
-    corpus = TokenizedCorpus.from_sentences(
-        [[("big", "J"), ("red", "J"), ("cat", "N"), ("dog", "N"), ("big", "J"), ("cat", "N")]] * 2)
-    basis = BasisSpec(basis)
-    table = count_cooccurrence(corpus, ["cat"], BasisSpec(("big", "red", "cat", "dog")), 2,
+def test_compounds_of_an_uncounted_head_raise():
+    """Compound vectors come only from the counts of the one pass; a head
+    it did not count is an error that names the head."""
+    corpus = TokenizedCorpus.from_sentences([[("big", "J"), ("red", "J"), ("cat", "N")]])
+    table = count_cooccurrence(corpus, ["cat"], BasisSpec(("big", "cat")), 2,
                                {"big": (["cat"], "adjective")})
-    (labels, values), skipped = build_compound_vectors(corpus, table, basis, "big", nouns,
-                                                       pos_class, window)
-    fresh = count_cooccurrence(corpus, [], basis, window)
-    (want_labels, want), want_skipped = build_compound_vectors(corpus, fresh, basis, "big",
-                                                               nouns, pos_class, window)
-    assert (labels, skipped) == (want_labels, want_skipped)
-    assert values.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="compounds of 'red' were not counted"):
+        build_compound_vectors(table, "red")
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)

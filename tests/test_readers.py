@@ -115,9 +115,15 @@ READERS = {
 }
 
 
+#: JSON nested deeper than the decoder's recursion limit.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
 def _raw(reader):
-    """Random bytes, any JSON value, or contents shaped for ``reader``."""
-    return st.one_of(st.binary(max_size=40), json_bytes(json_values), READERS[reader][2])
+    """Random bytes, any JSON value, JSON nested too deep to decode, or
+    contents shaped for ``reader``."""
+    return st.one_of(st.binary(max_size=40), json_bytes(json_values), st.just(DEEP_JSON),
+                     READERS[reader][2])
 
 
 def _check_names_the_file(reader, raw):
@@ -223,6 +229,22 @@ def test_empty_pairs_field_is_named(tmp_path, line, field):
     path.write_bytes(b"# comment\nbig\tcat\t3\n" + line + b"\n")
     with pytest.raises(CorpusError, match=f"^{path}:3: empty {field}$"):
         read_pairs(path)
+
+
+@pytest.mark.parametrize("count, message", [
+    ("1_0", "count '1_0' is not an integer"), ("\u0663", "count '\u0663' is not an integer"),
+    ("+3", "count '\\+3' is not an integer"), (" 3", "count ' 3' is not an integer"),
+    ("-1", "negative count"), ("-0", "negative count"), ("-x", "negative count"),
+])
+def test_pairs_count_is_ascii_digits(tmp_path, count, message):
+    """``int`` would read ``1_0`` as 10 and ``\u0663`` (ARABIC-INDIC DIGIT
+    THREE) as 3; a count is ASCII digits only."""
+    path = tmp_path / "pairs.tsv"
+    path.write_text(f"big\tcat\t007\nbig\tdog\t{count}\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{path}:2: {message}$"):
+        read_pairs(path)
+    path.write_text("big\tcat\t007\n", encoding="utf-8")
+    assert read_pairs(path) == {"big": {"cat": 7}}
 
 
 def test_pairs_keep_their_non_ascii_words(tmp_path):

@@ -1,6 +1,7 @@
 """The test configuration and source rules: a failing property must fail
-like any test, the benchmark's traced names must exist, every file
-lingmat writes goes through one writer, and no JSON reader coerces."""
+like any test, the benchmark's traced names must exist and a traced run
+must count its layers, every file lingmat writes goes through one
+writer, and no JSON reader coerces."""
 
 import ast
 import importlib
@@ -30,18 +31,49 @@ def test_failing_property_is_an_ordinary_failure(tmp_path):
     assert "1 failed" in proc.stdout
 
 
-def test_every_traced_name_resolves():
-    """Each (module, function) pair that ``lmbench/tracing.py`` wraps exists
-    in lingmat, so renaming or deleting a traced function fails here, not
-    only in a traced benchmark run."""
+def _tracing():
+    """The benchmark's ``lmbench/tracing.py``, loaded from its file."""
     spec = importlib.util.spec_from_file_location("lmbench_tracing",
                                                   REPO / "lmbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_resolves():
+    """Each (module, function) pair that ``lmbench/tracing.py`` wraps exists
+    in lingmat, so renaming or deleting a traced function fails here, not
+    only in a traced benchmark run."""
+    tracing = _tracing()
     missing = [f"lingmat.{module}.{attr}" for module, attr, _ in tracing.TRACED
                if not callable(getattr(importlib.import_module(f"lingmat.{module}"), attr,
                                        None))]
     assert tracing.TRACED and not missing
+
+
+def test_a_traced_run_counts_its_layers(tmp_path):
+    """A small pipeline run and Monte Carlo check under the benchmark's
+    tracer run to the end and count work in the corpus, kernel and
+    regression layers, so a signature change that breaks a traced call or
+    its counter fails here, not only in a traced benchmark run."""
+    import lingmat
+    from lingmat.synth import SynthConfig, write_synth_corpus
+
+    corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+    write_synth_corpus(404, corpus, pairs, SynthConfig(n_sentences=750))
+    config = lingmat.PipelineConfig.from_json_dict({
+        "corpus": str(corpus), "pairs": str(pairs), "out_dir": str(tmp_path / "out"),
+        "basis_sizes": [20], "thresholds": {"min_target_freq": 10, "drop_top": 0,
+                                            "min_pair_count": 1, "min_args": 5}})
+    params = lingmat.GaussParams(dim=10, lam=1.6, a=0.8, b=2.4, j0=0.7, js=-0.4)
+    tracer = _tracing().Tracer("smoke")
+    with tracer.installed(0):
+        lingmat.run_pipeline(config)
+        lingmat.monte_carlo_check(lingmat.SampleSpec(params=params, count=20, seed=1))
+    (metrics,) = tracer.layer_metrics().values()
+    for name in ("corpus.cooc_s", "corpus.compound_calls", "kernels.window_pairs",
+                 "regression.solves"):
+        assert metrics[name] > 0, name
 
 
 #: Calls that write a file without `matrix_core.atomic_open`.
