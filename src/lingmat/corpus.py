@@ -18,7 +18,8 @@ each block's type ids and sentence starts to an unnamed temporary file,
 the spill.  Vocabulary, basis, part-of-speech votes and dataset selection
 come from the counts.  Pass 2 (`count_cooccurrence`) reads the spilled
 type ids back in chunks of whole sentences and counts the windows of the
-targets and the contexts of every compound in one go.
+targets and the contexts of every compound in one go.  An error in a
+spill write or read-back names `tempfile`'s directory, where the spill is.
 
 A vector set, from the PPMI step to the training sets, is a pair
 (labels, values): one float64 (N, dim) array whose row i is the vector of
@@ -27,6 +28,7 @@ label i, the layout of ``vectors.npy``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -45,6 +47,17 @@ class CorpusError(ValueError):
 CONTENT_TAG_PREFIXES = ("N", "V", "J", "R")
 
 DEFAULT_WINDOW = 5
+
+
+@contextlib.contextmanager
+def _spill_io():
+    """Re-raise an OSError as one with the same errno that names the
+    spill's directory, since the spill has no name."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, f"corpus spill in {tempfile.gettempdir()}: "
+                                 f"{exc.strerror}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +120,14 @@ class TokenizedCorpus:
             raise ValueError("the corpus was read for its counts only; it has no spill")
         types, starts, n, at = [], [], 0, 0
         while True:
-            self.spill.seek(at)
-            if not (head := self.spill.read(16)):
+            with _spill_io():
+                self.spill.seek(at)
+                head = self.spill.read(16)
+                k, m = np.frombuffer(head, dtype=np.int64).tolist() if head else (0, 0)
+                data = self.spill.read(8 * m + 4 * k)
+            if not head:
                 break
-            k, m = np.frombuffer(head, dtype=np.int64).tolist()
-            if len(data := self.spill.read(8 * m + 4 * k)) != 8 * m + 4 * k:
+            if len(data) != 8 * m + 4 * k:
                 raise OSError("the corpus spill file ends inside a record")
             at += 16 + len(data)
             starts.append(np.frombuffer(data, dtype=np.int64, count=m) + n)
@@ -229,9 +245,10 @@ class _Encoder:
         if types.size:
             self.counts += np.bincount(types, minlength=self.counts.size)
             if self.spill is not None:
-                self.spill.write(np.array([types.size, first.size], dtype=np.int64))
-                self.spill.write(first.astype(np.int64, copy=False))
-                self.spill.write(types)
+                with _spill_io():
+                    self.spill.write(np.array([types.size, first.size], dtype=np.int64))
+                    self.spill.write(first.astype(np.int64, copy=False))
+                    self.spill.write(types)
 
     def corpus(self) -> TokenizedCorpus:
         """The read corpus; its token counts per (word, tag) sum those of

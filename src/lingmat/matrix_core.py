@@ -59,6 +59,15 @@ def check_int(name: str, value) -> int:
     return int(value)
 
 
+def check_seed(value) -> int:
+    """``value`` as an int, for every seed: an integer (`check_int`) in
+    [0, 2**64), or a ValueError."""
+    value = check_int("seed", value)
+    if not 0 <= value < 2 ** 64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    return value
+
+
 def check_real(name: str, value) -> float:
     """``value`` as a float, for the real fields read from JSON; a bool, a
     string or a number that is not finite raises a ValueError naming

@@ -16,7 +16,7 @@ import json
 import os
 import re
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,11 +37,19 @@ from .corpus import (
 )
 from .gauss import GaussParams, averages_report, fit
 from .invariants import CATALOG, EnsembleAverages, ensemble_averages
-from .matrix_core import Ensemble, atomic_open, check_int, write_ensemble
+from .matrix_core import Ensemble, atomic_open, check_int, check_seed, write_ensemble
 from .regression import RegressionConfig, TrainingSet, fit_logged
 
 STAGES = ("build-vectors", "select-dataset", "learn-matrices",
           "observables", "fit", "report")
+
+
+def provenance_of(values, seed) -> dict:
+    """The provenance of outputs made from ``values``, a JSON object: the
+    tool, its version, a hash of ``values`` and the seed."""
+    blob = json.dumps(values, sort_keys=True, default=str).encode()
+    return {"tool": "lingmat", "version": __version__,
+            "config_hash": hashlib.sha256(blob).hexdigest()[:16], "seed": seed}
 
 
 class PipelineError(RuntimeError):
@@ -61,7 +69,7 @@ class PipelineConfig:
     thresholds: Thresholds = field(default_factory=Thresholds)
     regression: RegressionConfig = field(default_factory=RegressionConfig)
     regression_method: str = "closed_form"   # or "gradient_descent"
-    seed: int = 0
+    seed: int = 0   # also seeds the holdout split of `regression`'s lambda search
     threads: int = 1   # accepted for older configs; changes nothing
 
     def __post_init__(self):
@@ -71,8 +79,9 @@ class PipelineConfig:
         if not isinstance(self.basis_sizes, (list, tuple)):
             raise ValueError(f"basis_sizes must be a list, got {self.basis_sizes!r}")
         sizes = tuple(check_int("basis_sizes", d) for d in self.basis_sizes)
-        for name in ("window", "seed", "threads"):
+        for name in ("window", "threads"):
             check_int(name, getattr(self, name))
+        check_seed(self.seed)
         if not sizes:
             raise ValueError("at least one basis size is required")
         if any(d < 4 for d in sizes):
@@ -86,11 +95,10 @@ class PipelineConfig:
             raise ValueError("window must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if not (0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
         if self.regression_method not in ("closed_form", "gradient_descent"):
             raise ValueError(f"unknown regression method {self.regression_method!r}")
         object.__setattr__(self, "basis_sizes", sizes)
+        object.__setattr__(self, "regression", replace(self.regression, seed=self.seed))
 
     def validate_paths(self):
         for label, path in (("corpus", self.corpus), ("pairs", self.pairs)):
@@ -111,12 +119,10 @@ class PipelineConfig:
                 "regression": reg, "seed": self.seed}
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.semantic_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return self.provenance()["config_hash"]
 
     def provenance(self) -> dict:
-        return {"tool": "lingmat", "version": __version__,
-                "config_hash": self.config_hash(), "seed": self.seed}
+        return provenance_of(self.semantic_dict(), self.seed)
 
     @classmethod
     def from_json_dict(cls, obj, out_dir=None, threads=None) -> "PipelineConfig":
@@ -150,8 +156,6 @@ class PipelineConfig:
             kwargs["regression_method"] = reg["method"]
         reg_kwargs = {("ridge_lambda" if k == "lambda" else k): v
                       for k, v in reg.items() if k != "method"}
-        if "seed" in obj:
-            reg_kwargs["seed"] = obj["seed"]
         return cls(thresholds=Thresholds.from_json_dict(obj.get("thresholds", {})),
                    regression=RegressionConfig(**reg_kwargs), **kwargs)
 

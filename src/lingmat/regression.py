@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import WordMatrix, check_int
+from .matrix_core import WordMatrix, check_int, check_seed
 
 
 class SingularSystemError(ValueError):
@@ -83,7 +83,7 @@ class RegressionConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, float(value))
         check_int("max_epochs", self.max_epochs)
-        check_int("seed", self.seed)
+        check_seed(self.seed)
         if self.ridge_lambda is not None and self.ridge_lambda < 0:
             raise ValueError("ridge coefficient must be >= 0")
         if self.learning_rate <= 0:

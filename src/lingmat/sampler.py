@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels
 from .gauss import GaussParams, predict_moment
 from .invariants import CATALOG, CATALOG_INDEX, validate_tag
-from .matrix_core import Ensemble
+from .matrix_core import Ensemble, check_seed
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ class SampleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("sample count must be >= 1")
-        if not (0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        check_seed(self.seed)
 
 
 @lru_cache(maxsize=8)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,10 +11,11 @@ import pytest
 from lingmat import _kernels, cli, pipeline
 from lingmat.gauss import GaussParams
 from lingmat.invariants import eval_all
-from lingmat.corpus import DatasetSelection, read_corpus, read_vectors_dir
+from lingmat.corpus import DatasetSelection, Thresholds, read_corpus, read_vectors_dir
 from lingmat.matrix_core import read_ensemble, write_matrix, write_vector
 from lingmat.pipeline import PipelineConfig, run_pipeline, stage_learn_matrices
 from lingmat.regression import DEFAULT_LAMBDA_GRID, RegressionConfig, TrainingSet, loss
+from lingmat.sampler import SampleSpec
 from lingmat.synth import SynthConfig, write_synth_corpus
 
 
@@ -587,6 +589,38 @@ class TestPipelineCli:
             assert record["lambda"] in DEFAULT_LAMBDA_GRID
             assert record["final_loss"] == loss(matrix, ts, record["lambda"])
 
+    def test_python_and_json_configs_share_one_seed(self, capsys, tmp_path):
+        """``seed`` also seeds the holdout split of the lambda search, in a
+        config built in Python as in one read from JSON."""
+        corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+        run_cli(capsys, "gen-corpus", "--seed", "6", "--sentences", "600",
+                "--out-corpus", str(corpus), "--out-pairs", str(pairs))
+        thresholds = {"min_target_freq": 10, "drop_top": 0, "min_pair_count": 1, "min_args": 5}
+        from_json = PipelineConfig.from_json_dict({
+            "corpus": str(corpus), "pairs": str(pairs), "out_dir": str(tmp_path / "json"),
+            "basis_sizes": [20], "thresholds": thresholds, "seed": 7})
+        from_python = PipelineConfig(str(corpus), str(pairs), str(tmp_path / "python"),
+                                     basis_sizes=(20,), thresholds=Thresholds(**thresholds),
+                                     seed=7)
+        assert from_python.regression == from_json.regression == RegressionConfig(seed=7)
+        for config in (from_json, from_python):
+            run_pipeline(config)
+        assert _tree(tmp_path / "python") == _tree(tmp_path / "json")
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+    def test_every_seed_is_a_64_bit_unsigned_integer(self, capsys, tmp_path, seed):
+        message = "seed must be a 64-bit unsigned integer"
+        params = write_params(tmp_path / "p.json")
+        for make in (lambda: RegressionConfig(seed=seed),
+                     lambda: PipelineConfig("c.txt", "p.tsv", seed=seed),
+                     lambda: SampleSpec(params, 1, seed)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make()
+        code, _, err = run_cli(capsys, "learn-matrices", "--vectors", "v", "--selection", "s",
+                               "--out", "o", "--seed", str(seed))
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
     def test_rerun_with_fewer_dims_removes_stale_trees(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         pairs = tmp_path / "pairs.tsv"
@@ -802,3 +836,43 @@ class TestConfigFile:
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
         assert payload["message"].startswith(f"{cfg}: config key 'text' must be a bool")
+
+
+#: Each subcommand's flags after ``-h``, ``--help`` and ``--config``, and
+#: the flags it requires, in the order a missing-flag error names them.
+SURFACE = {
+    "gen-corpus": (["--seed", "--out-corpus", "--out-pairs", "--sentences"],
+                   ["--seed", "--out-corpus", "--out-pairs"]),
+    "build-vectors": (["--corpus", "--pairs", "--basis-size", "--window", "--out"],
+                      ["--corpus", "--pairs", "--basis-size", "--out"]),
+    "select-dataset": (["--corpus", "--pairs", "--out", "--min-target-freq", "--drop-top",
+                        "--min-pair-count", "--min-args"],
+                       ["--corpus", "--pairs", "--out"]),
+    "learn-matrices": (["--pairs", "--vectors", "--selection", "--out", "--dim", "--method",
+                        "--threads", "--seed", "--lambda"],
+                       ["--vectors", "--selection", "--out"]),
+    "observables": (["--ensemble", "--out", "--hist-out", "--hist"], ["--ensemble", "--out"]),
+    "fit": (["--averages", "--out"], ["--averages", "--out"]),
+    "predict": (["--params", "--tags", "--out"], ["--params"]),
+    "report": (["--params", "--ensemble", "--out", "--text"], ["--params", "--ensemble", "--out"]),
+    "sample": (["--params", "--count", "--seed", "--dim", "--out"],
+               ["--params", "--count", "--seed"]),
+    "mc-check": (["--params", "--count", "--seed", "--dim", "--tags", "--out", "--csv"],
+                 ["--params", "--count", "--seed"]),
+    "count-invariants": (["--k", "--dim"], ["--k"]),
+    "pipeline": (["--out", "--threads"], ["--config"]),
+}
+
+
+@pytest.mark.parametrize("command", SURFACE)
+def test_subcommand_flags_and_required_flags_are_pinned(capsys, command):
+    flags, required = SURFACE[command]
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert list(sub.choices) == list(SURFACE)
+    options = [s for action in sub.choices[command]._actions for s in action.option_strings]
+    assert options == ["-h", "--help", "--config", *flags]
+    code, out, err = run_cli(capsys, command)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "UsageError",
+                               "message": f"missing required option(s): {', '.join(required)}"}

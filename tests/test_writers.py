@@ -291,6 +291,7 @@ def test_spill_fault_fails_build_vectors_and_leaves_no_file(tmp_path, monkeypatc
         run_pipeline(config(tmp_path / "out"))
     assert info.value.stage == "build-vectors"
     assert isinstance(info.value.cause, OSError) and info.value.cause.errno == errno.ENOSPC
+    assert f"corpus spill in {spill_dir}: " in str(info.value.cause)
     assert files(tmp_path / "out") == {
         "FAILED": f"stage: build-vectors\nerror: {info.value.cause}\n".encode()}
 
