@@ -176,12 +176,13 @@ _LINK = np.uint64(1 << 63)
 
 def blocks(fh):
     """The bytes of binary file `fh` in blocks that end after their last
-    line end or at the end of the file.  Each block holds the rest of the
-    previous read plus one read of ``_CHUNK`` bytes, and a line longer
-    than a read extends its block."""
+    line end, before a ``\\r`` that ends a read (it may start a ``\\r\\n``),
+    or at the end of the file.  Each block holds the rest of the previous
+    read plus one read of ``_CHUNK`` bytes; a longer line extends it."""
     parts = []
     while data := fh.read(_CHUNK):
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        cut = (len(data) - 1 if data.endswith(b"\r")
+               else max(data.rfind(b"\n"), data.rfind(b"\r")) + 1)
         if cut:
             parts.append(data[:cut])
             yield b"".join(parts)
@@ -192,27 +193,16 @@ def blocks(fh):
         yield b"".join(parts)
 
 
-def line_ends(data: bytes, after_cr: bool) -> int:
-    """Line ends in `data` as text-mode reading counts them: ``\\n``, ``\\r``
-    and ``\\r\\n`` each count once, also when `data` follows a ``\\r``.
-    The reader counts a block's line ends in `tokens`; this counts those
-    before a bad token, for its error message."""
-    n = data.count(b"\n")
-    if b"\r" in data:
-        n += data.count(b"\r") - data.count(b"\r\n")
-    return n - (after_cr and data[:1] == b"\n")
-
-
-def tokens(padded: bytes, after_cr: bool):
+def tokens(padded: bytes):
     """The tokens of a block, given as its bytes followed by `PAD`.
 
     A token is a maximal run of bytes that are neither separators nor line
     ends.  Returns the start and length of each token (int32 unless the
     block holds 2**31 bytes or more), the index of the first token of
-    each sentence, and the block's line ends as `line_ends` counts them
-    (`after_cr`: the previous block ended with ``\\r``): tokens split as
-    ``str.split`` splits the lines of text-mode reading, and lines without
-    tokens drop.
+    each sentence, and the block's line ends as text-mode reading counts
+    them, where ``\\n``, ``\\r`` and ``\\r\\n`` each count once: tokens
+    split as ``str.split`` splits the lines of text-mode reading, and
+    lines without tokens drop.
     """
     buf = np.frombuffer(padded, dtype=np.uint8)
     n = buf.size - len(PAD)
@@ -223,7 +213,7 @@ def tokens(padded: bytes, after_cr: bool):
     np.greater(b, 0x20, out=body)
     body |= b < 0x09
     body |= (b > 0x0D) & (b < 0x1C)
-    if b.max() >= 0xC2:
+    if b.max(initial=0) >= 0xC2:
         lead = np.flatnonzero(b >= 0xC2)
         code = (buf[lead].astype(np.int32) << 16) | (buf[lead + 1].astype(np.int32) << 8)
         code |= buf[lead + 2]
@@ -236,10 +226,9 @@ def tokens(padded: bytes, after_cr: bool):
     del inside, body
     start, length = edges[0::2], edges[1::2] - edges[0::2]
     ends = np.flatnonzero((b == 0x0A) | (b == 0x0D))
-    # a "\n" right after a "\r", in this block or ending the last, adds none
+    # a "\n" right after a "\r" adds none
     lf = b.take(ends) == 0x0A
     lines = ends.size - np.count_nonzero(lf[1:] & ~lf[:-1] & (np.diff(ends) == 1))
-    lines -= bool(after_cr and n and b[0] == 0x0A)
     # the first token after each line end, and the block's first token
     first = np.searchsorted(start, ends)
     first = np.concatenate(([0], first[first < start.size])) if start.size else first[:0]

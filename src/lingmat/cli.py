@@ -12,9 +12,9 @@ consulted for configuration.
 
 `COMMANDS` declares each subcommand once: its handler, required flags and
 each flag's kind.  `_options` checks, in this order, config keys that
-match no flag, the JSON type of string and bool config values, the
-required flags and the numbers, then gives the handler the converted
-values and a provenance that hashes them as given.
+match no flag, the JSON type of string and bool config values and null
+config numbers, the required flags and the numbers, then gives the
+handler the converted values and a provenance that hashes them as given.
 """
 
 from __future__ import annotations
@@ -56,27 +56,31 @@ def _merge_config(args):
 
     Other subcommands fill the flags left at None from it and record them
     in ``from_config`` (dest -> key) for `_number`.  A key that matches no
-    flag, or a string or bool value of another JSON type, is rejected, so
-    that a number is never opened as a file descriptor."""
+    flag, a string or bool value of another JSON type, or a null number is
+    rejected, so that a number is never opened as a file descriptor and a
+    null never reads as unset."""
     if not args.config or args.command == "pipeline":
         return args
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
         raise ValueError(f"{args.config}: the config must be a JSON object")
-    kinds = {dest: kind for _, dest, kind, _ in _flags(args.command)}
-    unknown = sorted(k for k in cfg if k.replace("-", "_") not in kinds)
+    flags = {dest: (flag, kind, extra.get("nargs"))
+             for flag, dest, kind, extra in _flags(args.command)}
+    unknown = sorted(k for k in cfg if k.replace("-", "_") not in flags)
     if unknown:
         raise SystemExit(f"{args.config}: unknown config keys: {', '.join(unknown)}")
     args.from_config = {}
     for key, val in cfg.items():
         attr = key.replace("-", "_")
         if getattr(args, attr) is None:
-            kind = kinds[attr]
+            flag, kind, nargs = flags[attr]
             if kind in (str, bool) and not isinstance(val, kind):
                 raise ValueError(f"{args.config}: config key {key!r} must be a "
                                  f"{'string' if kind is str else 'bool'}, got {val!r}")
             setattr(args, attr, val)
             args.from_config[attr] = key
+            if val is None:  # a null number would read as unset
+                _number(args, attr, kind, flag, nargs)
     return args
 
 

@@ -32,7 +32,6 @@ import contextlib
 import os
 import tempfile
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -63,13 +62,15 @@ def _spill_io():
 @dataclass(frozen=True, eq=False)
 class TokenizedCorpus:
     """A corpus after pass 1: ``words``/``tags`` map ids back to strings
-    (``tags[0]`` is None, the id of an untagged token), ``word_tag_counts``
-    counts the tokens of each (word id, tag id), ``word_of``/``tag_of``
-    give the word and tag id of each type id, and the spill holds, per
-    block, each token's type id and each sentence's start (`chunks`); it
-    is None if the corpus was read for its counts only."""
+    (``tags[0]`` is None, the id of an untagged token) and ``word_index``
+    maps each word to its id, ``word_tag_counts`` counts the tokens of each
+    (word id, tag id), ``word_of``/``tag_of`` give the word and tag id of
+    each type id, and the spill holds, per block, each token's type id and
+    each sentence's start (`chunks`); it is None if the corpus was read for
+    its counts only."""
 
     words: tuple
+    word_index: dict
     tags: tuple
     word_tag_counts: np.ndarray
     word_of: np.ndarray
@@ -86,12 +87,12 @@ class TokenizedCorpus:
         """From sentences of (word, tag) tokens, as one block of pass 1
         whose types are the distinct (word, tag) pairs; empty sentences
         are dropped."""
-        encoder, types = _Encoder("<sentences>"), _FirstSeenIds()
+        encoder, types = _Encoder("<sentences>"), {}
         type_ids, first = [], []
         for sentence in sentences:
             if sentence:
                 first.append(len(type_ids))
-                type_ids += (types[token] for token in sentence)
+                type_ids += (types.setdefault(token, len(types)) for token in sentence)
         encoder.grow(len(types))
         for t, (word, tag) in enumerate(types):
             encoder.name(t, word, tag)
@@ -151,10 +152,6 @@ class TokenizedCorpus:
             out += (tuple(toks[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
         return tuple(out)
 
-    @cached_property
-    def word_index(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.words)}
-
     def lookup(self, words) -> np.ndarray:
         """Per type id, the index of its word in `words`, or -1."""
         out = np.full(len(self.words), -1, dtype=np.int32)
@@ -163,14 +160,6 @@ class TokenizedCorpus:
             if j is not None:
                 out[j] = i
         return out.take(self.word_of)
-
-
-class _FirstSeenIds(dict):
-    """Maps each new key to the next id, in first-occurrence order."""
-
-    def __missing__(self, key):
-        self[key] = n = len(self)
-        return n
 
 
 def _parse_token(raw: str):
@@ -185,24 +174,23 @@ class _Encoder:
     """Pass 1, block by block.  Each token's bytes map to a node of a
     `_kernels.TypeTable`, its type id.  A new type is decoded and parsed
     once, at its first position, which fixes its word and tag ids in order
-    of first occurrence.  Per block, `add` counts the tokens of each type
+    of first occurrence; the word ids become the corpus's ``word_index``.  Per block, `add` counts the tokens of each type
     and appends their type ids and the sentence starts to the spill."""
 
     def __init__(self, path, spill=True):
         self.path = path
         self.table = _kernels.TypeTable()
-        self.words, self.tags = _FirstSeenIds(), _FirstSeenIds({None: 0})
+        self.words, self.tags = {}, {None: 0}  # ids in order of first occurrence
         self.word_of = np.empty(0, dtype=np.int32)  # per type: word id
         self.tag_of = np.empty(0, dtype=np.int32)
         self.counts = np.empty(0, dtype=np.int64)  # per type: tokens
         self.lines = 0  # line ends before the current block
-        self.after_cr = False  # whether the previous block ended with "\r"
         self.spill = tempfile.TemporaryFile() if spill else None
 
     def read(self, block: bytes):
         """Tokenize one block of `_kernels.blocks` and `add` it."""
         padded = block + _kernels.PAD
-        start, length, first, lines = _kernels.tokens(padded, self.after_cr)
+        start, length, first, lines = _kernels.tokens(padded)
         known = self.table.size  # a token whose node is newer is of a new type
         node = self.table.nodes(padded, start, length)
         self.grow(self.table.size)
@@ -210,7 +198,6 @@ class _Encoder:
             self._name_new(block, start, length, node, known)
         self.add(node, first)
         self.lines += lines
-        self.after_cr = block.endswith(b"\r")
 
     def _name_new(self, block, start, length, node, known):
         """Decode and parse each new type once, in order of first position."""
@@ -222,7 +209,7 @@ class _Encoder:
             try:
                 word, tag = _parse_token(raw.decode("utf-8"))
             except UnicodeDecodeError as exc:
-                line = self.lines + _kernels.line_ends(block[:lo], self.after_cr) + 1
+                line = self.lines + _kernels.tokens(block[:lo] + _kernels.PAD)[3] + 1
                 raise CorpusError(f"{self.path}:{line}: invalid UTF-8 ({exc.reason}) "
                                   f"in token {raw[:40]!r}") from None
             self.name(node[t], word, tag)
@@ -236,8 +223,8 @@ class _Encoder:
                 for a in (self.word_of, self.tag_of, self.counts))
 
     def name(self, t, word, tag):
-        self.word_of[t] = self.words[word]
-        self.tag_of[t] = self.tags[tag]
+        self.word_of[t] = self.words.setdefault(word, len(self.words))
+        self.tag_of[t] = self.tags.setdefault(tag, len(self.tags))
 
     def add(self, types, first):
         """One block: the int32 type id of each token, and the int64
@@ -257,8 +244,8 @@ class _Encoder:
         n_tags = len(self.tags)
         counts = np.zeros((len(self.words), n_tags), dtype=np.int64)
         np.add.at(counts, (self.word_of[seen], self.tag_of[seen]), self.counts[seen])
-        return TokenizedCorpus(tuple(self.words), tuple(self.tags), counts, self.word_of,
-                               self.tag_of, self.spill, int(self.counts.sum()))
+        return TokenizedCorpus(tuple(self.words), self.words, tuple(self.tags), counts,
+                               self.word_of, self.tag_of, self.spill, int(self.counts.sum()))
 
 
 def read_corpus(path, spill: bool = True) -> TokenizedCorpus:
@@ -329,7 +316,7 @@ class BasisSpec:
 
     def head(self, size: int) -> "BasisSpec":
         """The first `size` words; valid because the order is by frequency."""
-        if size > self.size:
+        if not 1 <= size <= self.size:
             raise ValueError(f"cannot take {size} words from a basis of {self.size}")
         return BasisSpec(self.words[:size])
 
@@ -337,6 +324,8 @@ class BasisSpec:
 def select_basis(vocab: dict[str, int], corpus: TokenizedCorpus, size: int,
                  stopwords=frozenset()) -> BasisSpec:
     """Top-`size` content words by frequency, ties broken lexicographically."""
+    if size < 1:
+        raise ValueError(f"basis size must be >= 1, got {size}")
     content = _content_words(corpus, stopwords)
     if len(content) < size:
         raise CorpusError(

@@ -72,7 +72,7 @@ class GaussParams:
     js: float
 
     def __post_init__(self):
-        if self.dim < 1:
+        if check_int("dim", self.dim) < 1:
             raise ValueError("dimension must be >= 1")
         for name in ("lam", "a", "b"):
             v = getattr(self, name)
@@ -123,7 +123,7 @@ class GaussParams:
     @classmethod
     def from_json_dict(cls, obj) -> "GaussParams":
         try:
-            return cls(dim=check_int("dim", obj["dim"]), lam=check_real("lambda", obj["lambda"]),
+            return cls(dim=obj["dim"], lam=check_real("lambda", obj["lambda"]),
                        a=check_real("a", obj["a"]), b=check_real("b", obj["b"]),
                        j0=check_real("j0", obj["j0"]), js=check_real("js", obj["js"]))
         except KeyError as exc:

@@ -4,9 +4,11 @@ observables -> fit -> report, with a dimension sweep.
 Every stage writes its outputs as files and can be re-run independently
 through the CLI; a run with identical config and seed is byte-identical
 (no artifact records timing or thread information).  A run first removes
-the ``D###`` and ``vectors`` trees of an earlier run in the same out_dir,
-so a rerun leaves the tree a fresh run writes.  A failed run leaves a
-FAILED marker naming the stage, and only complete files (`atomic_open`).
+the ``D###`` and ``vectors`` trees and the ``report.json``, ``sweep.csv``
+and ``selection.json`` of an earlier run in the same out_dir, so a rerun
+leaves the tree a fresh run writes and a failed rerun no stale summary.
+A failed run leaves a FAILED marker naming the stage, and only complete
+files (`atomic_open`).
 """
 
 from __future__ import annotations
@@ -308,6 +310,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         path = os.path.join(out, name)
         if re.fullmatch(r"D\d{3,}|vectors", name) and os.path.isdir(path):
             shutil.rmtree(path)
+        elif name in ("report.json", "sweep.csv", "selection.json"):
+            os.remove(path)
     prov = config.provenance()
 
     stage = STAGES[0]

@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels
 from .gauss import GaussParams, predict_moment
 from .invariants import CATALOG, CATALOG_INDEX, validate_tag
-from .matrix_core import Ensemble, check_seed
+from .matrix_core import Ensemble, check_int, check_seed
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class SampleSpec:
     seed: int
 
     def __post_init__(self):
-        if self.count < 1:
+        if check_int("sample count", self.count) < 1:
             raise ValueError("sample count must be >= 1")
         check_seed(self.seed)
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import write_pairs
-from .matrix_core import atomic_open
+from .matrix_core import atomic_open, check_int, check_seed
 
 #: Harmonic period; sweep dimensions should be multiples of this.
 PERIOD = 20
@@ -71,6 +71,11 @@ class SynthConfig:
     tier_levels: tuple[float, ...] = (1.16, 1.0, 0.86)
 
     def __post_init__(self):
+        for name in ("n_sentences", "n_topics", "n_nouns", "n_adjectives", "n_function",
+                     "ctx_per_side", "n_harmonics"):
+            check_int(name, getattr(self, name))
+        for size in self.tier_sizes:
+            check_int("tier_sizes", size)
         if min(self.n_sentences, self.n_topics, self.n_nouns, self.n_adjectives,
                self.n_function) < 1:
             raise ValueError("need at least one sentence, topic, noun, adjective "
@@ -144,7 +149,7 @@ def _token_table(seed: int, cfg: SynthConfig):
     row, where a bare sentence's adjective column holds id 0; and the
     pairs, adjective -> noun -> count.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=check_seed(seed)))
     n_ctx = cfg.n_context
     topic_of = np.arange(cfg.n_nouns) % cfg.n_topics
 

@@ -350,6 +350,28 @@ class TestUsageErrors:
         assert payload["error"] == "ValueError"
         assert f"{path}: config key {key!r}" in payload["message"]
 
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("count-invariants", {"k": None}, "'k' must be an integer"),
+        ("learn-matrices", {"vectors": "v", "selection": "s", "out": "o", "seed": None},
+         "'seed' must be an integer"),
+        ("learn-matrices", {"vectors": "v", "selection": "s", "out": "o",
+                            "ridge_lambda": None}, "'ridge_lambda' must be a finite number"),
+        ("observables", {"ensemble": "e", "out": "o", "hist": None},
+         "'hist' must be a list of 3 numbers"),
+        ("sample", {"params": "p.json", "count": 2, "seed": 1, "out": None},
+         "'out' must be a string"),
+        ("report", {"params": "p.json", "ensemble": "e", "out": "o", "text": None},
+         "'text' must be a bool"),
+    ])
+    def test_null_config_value_names_its_key(self, capsys, tmp_path, command, cfg, message):
+        """A null is an error for every flag kind; it never reads as unset."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": f"{path}: config key {message}, got None"}
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_lambda_names_its_flag_or_key(self, capsys, tmp_path, value):
         code, out, err = run_cli(capsys, "learn-matrices", "--vectors", "v",
@@ -660,6 +682,46 @@ class TestPipelineCli:
         assert (tmp_path / "reused" / "vectors" / "nouns" / "manifest.txt").exists()
         run(tmp_path / "reused")
         assert _tree(tmp_path / "reused") == _tree(tmp_path / "fresh")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 65)])
+    def test_gen_corpus_seed_is_a_64_bit_unsigned_integer(self, capsys, tmp_path, seed):
+        corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+        code, _, err = run_cli(capsys, "gen-corpus", "--seed", seed, "--sentences", "10",
+                               "--out-corpus", str(corpus), "--out-pairs", str(pairs))
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "seed must be a 64-bit unsigned integer"}
+        assert not corpus.exists() and not pairs.exists()
+
+    def test_build_vectors_basis_size_below_one_is_an_error(self, capsys, tmp_path):
+        corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+        write_synth_corpus(2, corpus, pairs, SynthConfig(n_sentences=200))
+        code, _, err = run_cli(capsys, "build-vectors", "--corpus", str(corpus),
+                               "--pairs", str(pairs), "--basis-size", "-3",
+                               "--out", str(tmp_path / "vectors"))
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "basis size must be >= 1, got -3"}
+        assert not (tmp_path / "vectors").exists()
+
+    def test_failed_rerun_leaves_no_stale_summary(self, capsys, tmp_path):
+        """A rerun removes the summary files of the earlier run before its
+        first stage, so a failure leaves none of them beside FAILED."""
+        corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+        write_synth_corpus(6, corpus, pairs, SynthConfig(n_sentences=600))
+        out = tmp_path / "out"
+        cfg = {"corpus": str(corpus), "pairs": str(pairs), "basis_sizes": [20],
+               "out_dir": str(out), "thresholds": {"min_target_freq": 10, "drop_top": 0,
+                                                   "min_pair_count": 1, "min_args": 5}}
+        for min_args, want in ((5, 0), (1000, 1)):
+            cfg["thresholds"]["min_args"] = min_args
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            code, _, err = run_cli(capsys, "pipeline", "--config", str(tmp_path / "cfg.json"))
+            assert code == want, err
+        assert (out / "FAILED").read_text().startswith("stage: learn-matrices\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "D020", "FAILED", "selection.json", "vectors"]
+        assert json.loads((out / "selection.json").read_text())["targets"] == []
 
     def test_failure_leaves_marker(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"

@@ -92,6 +92,14 @@ class TestBasis:
         b = BasisSpec(("x", "y", "z"))
         assert b.head(2).words == ("x", "y")
 
+    @pytest.mark.parametrize("size", [0, -1, -3])
+    def test_size_below_one_is_an_error(self, size):
+        c = corpus_of("a b c d a")
+        with pytest.raises(ValueError, match=f"^basis size must be >= 1, got {size}$"):
+            select_basis(build_vocab(c), c, size)
+        with pytest.raises(ValueError, match=f"^cannot take {size} words from a basis of 3$"):
+            BasisSpec(("x", "y", "z")).head(size)
+
 
 class TestCooccurrence:
     def test_three_word_sentence(self):
@@ -493,3 +501,25 @@ class TestSyntheticGenerator:
             SynthConfig(tilt=1.5)
         with pytest.raises(ValueError, match="function word"):
             SynthConfig(n_function=0)
+
+    @pytest.mark.parametrize("kwargs, bad", [
+        *(({name: value}, (name, value))
+          for name in ("n_sentences", "n_topics", "n_nouns", "n_adjectives", "n_function",
+                       "ctx_per_side", "n_harmonics")
+          for value in (2.5, True)),
+        ({"tier_sizes": (60.0, 20, 20)}, ("tier_sizes", 60.0)),
+    ])
+    def test_integer_fields_must_be_integers(self, kwargs, bad):
+        name, value = bad
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            SynthConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65])
+    def test_seed_is_a_64_bit_unsigned_integer(self, tmp_path, seed):
+        corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
+        config = SynthConfig(n_sentences=10)
+        for make in (lambda: generate_corpus(seed, config),
+                     lambda: write_synth_corpus(seed, corpus, pairs, config)):
+            with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer$"):
+                make()
+        assert not corpus.exists() and not pairs.exists()

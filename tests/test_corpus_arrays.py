@@ -9,6 +9,7 @@ a chunk ends at almost every sentence and sentences outgrow chunks.
 """
 
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -281,7 +282,7 @@ def test_type_table_nodes_are_the_byte_strings(words, seps):
     """Two tokens share a node exactly when their bytes are equal, whatever
     their lengths and whatever follows them."""
     block = b"".join(w + sep for w, sep in zip(words, seps))
-    start, length, _, _ = _kernels.tokens(block + _kernels.PAD, False)
+    start, length, _, _ = _kernels.tokens(block + _kernels.PAD)
     assert [block[a:a + n] for a, n in zip(start.tolist(), length.tolist())] == words
     node = _kernels.TypeTable().nodes(block + _kernels.PAD, start, length).tolist()
     first = {}
@@ -289,15 +290,29 @@ def test_type_table_nodes_are_the_byte_strings(words, seps):
     assert len(set(node)) == len(first)
 
 
+line_bytes = st.lists(st.sampled_from([b"a", b" ", b"\n", b"\r", b"\r\n"]), min_size=1,
+                      max_size=30).map(b"".join)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([b"a", b" ", b"\n", b"\r", b"\r\n"]), min_size=1, max_size=30),
-       st.booleans())
-def test_tokens_count_line_ends_as_text_mode_reads_them(parts, after_cr):
-    """A block's line ends, also when it follows a block ending in "\\r",
-    are the newlines of text-mode reading."""
-    block = b"".join(parts)
-    text = io.TextIOWrapper(io.BytesIO(b"\r" * after_cr + block), encoding="ascii").read()
-    assert _kernels.tokens(block + _kernels.PAD, after_cr)[3] == text.count("\n") - after_cr
+@given(line_bytes)
+def test_tokens_count_line_ends_as_text_mode_reads_them(block):
+    """A block's line ends are the newlines of text-mode reading."""
+    text = io.TextIOWrapper(io.BytesIO(block), encoding="ascii").read()
+    assert _kernels.tokens(block + _kernels.PAD)[3] == text.count("\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_bytes)
+def test_blocks_join_into_the_file_and_never_split_a_crlf(data):
+    """At every read length, the blocks join back into the file, and no
+    block ends with the "\\r" of a "\\r\\n" whose "\\n" starts the next."""
+    for chunk in CHUNKS:
+        with chunk_length(chunk):
+            blocks = list(_kernels.blocks(io.BytesIO(data)))
+        assert b"".join(blocks) == data, chunk
+        assert not any(a.endswith(b"\r") and b.startswith(b"\n")
+                       for a, b in zip(blocks, blocks[1:])), chunk
 
 
 def test_long_token_tails_are_not_short_tokens(tmp_path):
@@ -424,7 +439,7 @@ def test_long_sentences_and_line_ends_at_block_edges(tmp_path, chunk):
     path.write_bytes(text.encode())
     with chunk_length(chunk), open(path, "rb") as fh:
         blocks = list(_kernels.blocks(fh))
-    assert any(a.endswith(b"\r") and b.startswith(b"\n") for a, b in zip(blocks, blocks[1:]))
+    assert not any(a.endswith(b"\r") and b.startswith(b"\n") for a, b in zip(blocks, blocks[1:]))
     sentences = oracles.read_sentences(path)
     assert max(map(len, sentences)) > 7
     with chunk_length(chunk):
@@ -446,6 +461,22 @@ def test_long_sentences_and_line_ends_at_block_edges(tmp_path, chunk):
                     want = oracles.compound_values(sentences, spans[label.split(" ", 1)[1]],
                                                    basis.words, window)
                     assert v.tobytes() == want.tobytes(), (window, label)
+
+
+def test_word_index_is_pass_1s_and_lookups_leave_it_alone(tmp_path):
+    """The word ids of pass 1 are kept as the corpus's `word_index`;
+    looking up words the corpus lacks adds none of them."""
+    assert "word_index" in {f.name for f in dataclasses.fields(TokenizedCorpus)}
+    path = tmp_path / "corpus.txt"
+    path.write_text("big|J cat|N\nx big|J\n", encoding="utf-8")
+    for corpus in (read_corpus(path), TokenizedCorpus.from_sentences(
+            [[("big", "J"), ("cat", "N")], [("x", None), ("big", "J")]])):
+        assert corpus.word_index == {"big": 0, "cat": 1, "x": 2}
+        assert corpus.lookup(["dog", "cat"]).tolist() == [-1, 1, -1]
+        assert pos_class_of("dog", corpus) == "unknown"
+        count_cooccurrence(corpus, ["dog"], BasisSpec(("cat",)), 2,
+                           {"big": (["dog", "cat"], "adjective"), "emu": (["cat"], "verb")})
+        assert corpus.word_index == {"big": 0, "cat": 1, "x": 2}
 
 
 def test_compounds_of_an_uncounted_head_raise():

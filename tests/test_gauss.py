@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,16 @@ class TestGaussParams:
             kwargs.update(bad)
             with pytest.raises(ValueError, match="positive"):
                 GaussParams(**kwargs)
+
+    @pytest.mark.parametrize("dim", [2.5, 3.0, True, "3"])
+    def test_dim_must_be_an_integer(self, dim):
+        """Also through ``from_json_dict``, whose message is the same."""
+        values = dict(lam=1.0, a=1.0, b=1.0, j0=0.0, js=0.0)
+        message = f"^dim must be an integer, got {re.escape(repr(dim))}$"
+        with pytest.raises(ValueError, match=message):
+            GaussParams(dim=dim, **values)
+        with pytest.raises(ValueError, match=message):
+            GaussParams.from_json_dict(dict(values, dim=dim, **{"lambda": values["lam"]}))
 
     def test_normalized_forms(self):
         p = GaussParams(dim=10, lam=200.0, a=100.0, b=50.0, j0=5.0, js=1.0)

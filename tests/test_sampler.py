@@ -62,6 +62,11 @@ class TestSampleDeterminism:
         with pytest.raises(ValueError, match="count"):
             SampleSpec(params=PARAMS, count=0, seed=0)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match=f"^sample count must be an integer, got {count!r}$"):
+            SampleSpec(params=PARAMS, count=count, seed=0)
+
 
 class TestBlockedSampling:
     """Blocked draws give the bits of the three-``normal`` reference."""
