@@ -29,12 +29,12 @@ import sys
 from . import __version__
 from .counting import count_invariants, count_invariants_stable
 from .corpus import DatasetSelection, Thresholds, read_corpus, read_pairs, read_vectors_dir
-from .gauss import GaussParams, fit as fit_params, moment_report, predict_moment
+from .gauss import GaussParams, moment_report, predict_moment
 from .invariants import CATALOG, EnsembleAverages, element_histogram, validate_tag
 from .matrix_core import MEMBERS_NAME, check_int, check_real, read_ensemble, write_stack
 from .pipeline import (PipelineConfig, provenance_of, run_pipeline, stage_build_vectors,
-                       stage_learn_matrices, stage_observables, stage_select_dataset, write_json,
-                       write_text)
+                       stage_fit, stage_learn_matrices, stage_observables,
+                       stage_select_dataset, write_json, write_text)
 from .regression import RegressionConfig
 from .sampler import (SampleSpec, iter_matrices, mc_records_csv, monte_carlo_check,
                       sample_labels)
@@ -151,7 +151,7 @@ def _tags(args) -> tuple[str, ...]:
 def cmd_gen_corpus(opts):
     cfg = SynthConfig() if opts.sentences is None else SynthConfig(n_sentences=opts.sentences)
     stats = write_synth_corpus(opts.seed, opts.out_corpus, opts.out_pairs, cfg)
-    print(json.dumps(stats, sort_keys=True))
+    print(json.dumps(stats, sort_keys=True, allow_nan=False))
 
 
 def cmd_build_vectors(opts):
@@ -167,7 +167,7 @@ def cmd_select_dataset(opts):
     selection = stage_select_dataset(read_corpus(opts.corpus, spill=False),
                                      read_pairs(opts.pairs), thresholds, opts.out,
                                      opts.provenance)
-    print(json.dumps({"selected": selection.words()}, sort_keys=True))
+    print(json.dumps({"selected": selection.words()}, sort_keys=True, allow_nan=False))
 
 
 def cmd_learn_matrices(opts):
@@ -194,9 +194,8 @@ def cmd_observables(opts):
 
 
 def cmd_fit(opts):
-    avgs = _load_json(opts.averages, EnsembleAverages.from_json_dict)
-    params = fit_params(avgs)
-    write_json(params.to_json_dict(), opts.out, opts.provenance)
+    stage_fit(_load_json(opts.averages, EnsembleAverages.from_json_dict), opts.out,
+              opts.provenance)
 
 
 def cmd_predict(opts):
@@ -206,7 +205,7 @@ def cmd_predict(opts):
     if opts.out:
         write_json(payload, opts.out, opts.provenance)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def cmd_report(opts):
@@ -222,7 +221,7 @@ def cmd_sample(opts):
     write_stack(zip(sample_labels(spec.count), iter_matrices(spec)), out, MEMBERS_NAME)
     write_json({"dim": spec.params.dim, "count": spec.count, "seed": spec.seed},
                os.path.join(out, "provenance.json"), opts.provenance)
-    print(json.dumps({"out": out, "count": spec.count}, sort_keys=True))
+    print(json.dumps({"out": out, "count": spec.count}, sort_keys=True, allow_nan=False))
 
 
 def cmd_mc_check(opts):
@@ -236,7 +235,7 @@ def cmd_mc_check(opts):
     if opts.out:
         write_json(payload, opts.out, opts.provenance)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def cmd_count_invariants(opts):
@@ -252,7 +251,7 @@ def cmd_pipeline(opts):
                       "selection_size": summary["selection_size"],
                       "dims": summary["dims"],
                       "sweep_stability": summary["sweep_stability"]},
-                     indent=2, sort_keys=True))
+                     indent=2, sort_keys=True, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,7 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:
         if isinstance(exc.code, str):
-            print(json.dumps({"error": "UsageError", "message": exc.code}),
+            print(json.dumps({"error": "UsageError", "message": exc.code}, allow_nan=False),
                   file=sys.stderr)
             return 2
         raise
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
         stage = getattr(exc, "stage", None)
         if stage is not None:
             payload["stage"] = stage
-        print(json.dumps(payload), file=sys.stderr)
+        print(json.dumps(payload, allow_nan=False), file=sys.stderr)
         return 1
 
 

@@ -5,11 +5,10 @@ Corpus format: UTF-8 text, one sentence per line, tokens separated by
 whitespace (exactly as ``str.split`` splits; see `read_corpus`),
 optionally tagged as ``word|POS``.  A corpus counts as tagged if
 any token carries a tag; content words are those whose tag starts with
-N, V, J or R.  In an untagged corpus every word is content: no stopword
-list ships, and the pipeline passes `select_basis` none.  Argument pairs
-arrive from a tab-separated ``head<TAB>argument<TAB>count`` file
-(dependency analysis is upstream of this package); lines starting with
-'#' are comments.
+N, V, J or R.  In an untagged corpus every word is content: there is no
+stopword list.  Argument pairs arrive from a tab-separated
+``head<TAB>argument<TAB>count`` file (dependency analysis is upstream of
+this package); lines starting with '#' are comments.
 
 A corpus is read in two passes, and no array with one entry per token or
 sentence outlives a block or chunk.  Pass 1 (`read_corpus`) tokenizes it
@@ -283,13 +282,13 @@ def build_vocab(corpus: TokenizedCorpus) -> dict[str, int]:
     return dict(zip(corpus.words, corpus.word_tag_counts.sum(axis=1).tolist()))
 
 
-def _content_words(corpus: TokenizedCorpus, stopwords) -> list[str]:
-    if corpus.tagged:
-        content = np.array([t is not None and t[:1].upper() in CONTENT_TAG_PREFIXES
-                            for t in corpus.tags])
-        mask = corpus.word_tag_counts[:, content].any(axis=1)
-        return [corpus.words[i] for i in np.flatnonzero(mask)]
-    return [w for w in corpus.words if w not in stopwords]
+def _content_words(corpus: TokenizedCorpus) -> list[str]:
+    if not corpus.tagged:
+        return list(corpus.words)
+    content = np.array([t is not None and t[:1].upper() in CONTENT_TAG_PREFIXES
+                        for t in corpus.tags])
+    mask = corpus.word_tag_counts[:, content].any(axis=1)
+    return [corpus.words[i] for i in np.flatnonzero(mask)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,12 +320,12 @@ class BasisSpec:
         return BasisSpec(self.words[:size])
 
 
-def select_basis(vocab: dict[str, int], corpus: TokenizedCorpus, size: int,
-                 stopwords=frozenset()) -> BasisSpec:
+def select_basis(corpus: TokenizedCorpus, size: int) -> BasisSpec:
     """Top-`size` content words by frequency, ties broken lexicographically."""
     if size < 1:
         raise ValueError(f"basis size must be >= 1, got {size}")
-    content = _content_words(corpus, stopwords)
+    vocab = build_vocab(corpus)
+    content = _content_words(corpus)
     if len(content) < size:
         raise CorpusError(
             f"need {size} content words for the basis but only {len(content)} are available"

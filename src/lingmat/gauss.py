@@ -300,7 +300,7 @@ def averages_report(params: GaussParams, avgs: EnsembleAverages) -> MomentReport
 
 def moment_report(params: GaussParams, ensemble: Ensemble) -> MomentReport:
     """`averages_report` on the ensemble's averages."""
-    return averages_report(params, ensemble_averages(ensemble, FIT_TAGS + HIGHER_TAGS))
+    return averages_report(params, ensemble_averages(ensemble))
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +349,10 @@ class GeneralGaussSpec:
         return self.lambdas.size
 
     @classmethod
-    def from_params(cls, params: GaussParams, source: np.ndarray | None = None) -> "GeneralGaussSpec":
-        """Uniform spec matching the 5-parameter model (c = 0).
-
-        The default source matrix is the model's own: J_ii = J0 and
-        J_ij = Js off the diagonal.
-        """
+    def from_params(cls, params: GaussParams, source: np.ndarray) -> "GeneralGaussSpec":
+        """Uniform spec with the 5-parameter model's quadratic form (c = 0)
+        and the (D, D) source matrix ``source``."""
         d = params.dim
-        if source is None:
-            source = np.full((d, d), params.js)
-            np.fill_diagonal(source, params.j0)
         return cls(lambdas=np.full(d, params.lam),
                    a=np.full((d, d), params.a),
                    b=np.full((d, d), params.b),

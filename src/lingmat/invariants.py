@@ -159,25 +159,23 @@ class EnsembleAverages:
                    values=values)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
-def ensemble_averages(ensemble: Ensemble, tags=CATALOG) -> EnsembleAverages:
-    """Mean of each invariant over the members, in member order.
+def ensemble_averages(ensemble: Ensemble) -> EnsembleAverages:
+    """Mean of each of the 19 catalog invariants over the members, in
+    member order.
 
     The ensemble's stack is evaluated in slices of ``_kernels.block_size(D)``
     members, which gives each member the bits of evaluating it alone, and
     the reduction is a fixed ordered summation.
     """
-    tags = tuple(tags)
-    for t in tags:
-        validate_tag(t)
     v = ensemble.values
     size = _kernels.block_size(ensemble.dim)
     table = np.vstack([_kernels.catalog_values(v[i:i + size])
                        for i in range(0, len(v), size)])
     means = table.sum(axis=0) / len(ensemble)
-    values = {t: float(means[CATALOG_INDEX[t]]) for t in tags}
+    values = {t: float(means[CATALOG_INDEX[t]]) for t in CATALOG}
     return EnsembleAverages(dim=ensemble.dim, count=len(ensemble), values=values)
 
 

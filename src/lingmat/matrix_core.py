@@ -350,7 +350,7 @@ def write_stack(items, dirpath, name: str) -> list[str]:
         if data_start is not None and fh.tell() != data_start:
             raise ValueError(f"{stack_path}: shape {header['shape']} "
                              "does not fit the header written first")
-        lf.write(json.dumps(labels, indent=0) + "\n")
+        lf.write(json.dumps(labels, indent=0, allow_nan=False) + "\n")
         for f in (fh, lf):
             f.flush()
             os.fsync(f.fileno())

@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
+    DEFAULT_WINDOW,
     DatasetSelection,
     Thresholds,
     build_compound_vectors,
     build_noun_vectors,
-    build_vocab,
     count_cooccurrence,
     pos_class_of,
     read_corpus,
@@ -38,7 +38,7 @@ from .corpus import (
     write_vectors_dir,
 )
 from .gauss import GaussParams, averages_report, fit
-from .invariants import CATALOG, EnsembleAverages, ensemble_averages
+from .invariants import EnsembleAverages, ensemble_averages
 from .matrix_core import Ensemble, atomic_open, check_int, check_seed, write_ensemble
 from .regression import RegressionConfig, TrainingSet, fit_logged
 
@@ -49,7 +49,7 @@ STAGES = ("build-vectors", "select-dataset", "learn-matrices",
 def provenance_of(values, seed) -> dict:
     """The provenance of outputs made from ``values``, a JSON object: the
     tool, its version, a hash of ``values`` and the seed."""
-    blob = json.dumps(values, sort_keys=True, default=str).encode()
+    blob = json.dumps(values, sort_keys=True, default=str, allow_nan=False).encode()
     return {"tool": "lingmat", "version": __version__,
             "config_hash": hashlib.sha256(blob).hexdigest()[:16], "seed": seed}
 
@@ -67,7 +67,7 @@ class PipelineConfig:
     pairs: str
     out_dir: str = "out"
     basis_sizes: tuple[int, ...] = (60, 80, 100)
-    window: int = 5
+    window: int = DEFAULT_WINDOW
     thresholds: Thresholds = field(default_factory=Thresholds)
     regression: RegressionConfig = field(default_factory=RegressionConfig)
     regression_method: str = "closed_form"   # or "gradient_descent"
@@ -132,7 +132,7 @@ class PipelineConfig:
         ``threads``, when not None, override the config's."""
         if not isinstance(obj, dict):
             raise ValueError(f"the pipeline config must be a JSON object, got {obj!r}")
-        known = {"basis_size", *cls.__dataclass_fields__} - {"regression_method"}
+        known = set(cls.__dataclass_fields__) - {"regression_method"}
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
@@ -146,10 +146,7 @@ class PipelineConfig:
                               "convergence_tol"}
         if unknown:
             raise ValueError(f"unknown regression config keys: {sorted(unknown)}")
-        kwargs = {k: v for k, v in obj.items()
-                  if k not in ("basis_size", "thresholds", "regression")}
-        if "basis_size" in obj:
-            kwargs.setdefault("basis_sizes", [obj["basis_size"]])
+        kwargs = {k: v for k, v in obj.items() if k not in ("thresholds", "regression")}
         if out_dir is not None:
             kwargs["out_dir"] = out_dir
         if threads is not None:
@@ -164,7 +161,8 @@ class PipelineConfig:
 
 def write_json(obj, path, provenance) -> None:
     with atomic_open(path) as fh:
-        fh.write(json.dumps(dict(obj, provenance=provenance), indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(dict(obj, provenance=provenance), indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
 
 
 def write_text(path, text: str, provenance) -> None:
@@ -187,8 +185,7 @@ def stage_build_vectors(corpus, pairs, basis_size, window, out_dir, provenance):
     reuse prefixes of the same vectors because the basis is
     frequency-ordered and PPMI is pointwise.
     """
-    vocab = build_vocab(corpus)
-    basis = select_basis(vocab, corpus, basis_size)
+    basis = select_basis(corpus, basis_size)
 
     nouns = sorted({arg for args in pairs.values() for arg in args})
     heads = {head: (sorted(pairs[head]), pos_class_of(head, corpus)) for head in sorted(pairs)}
@@ -257,7 +254,7 @@ def stage_learn_matrices(selection: DatasetSelection, noun_vectors, compound_vec
 
 
 def stage_observables(ensemble: Ensemble, out_path, provenance) -> EnsembleAverages:
-    avgs = ensemble_averages(ensemble, CATALOG)
+    avgs = ensemble_averages(ensemble)
     write_json(avgs.to_json_dict(), out_path, provenance)
     return avgs
 

@@ -157,8 +157,11 @@ def monte_carlo_check(spec: SampleSpec, tags=CATALOG) -> dict[str, McRecord]:
     Sampling is fused with invariant evaluation, block by block, so only
     the per-matrix invariant values (not the matrices) are retained.  The
     standard error is the sample standard deviation of the per-matrix
-    values over sqrt(N).
+    values over sqrt(N), so N must be at least 2.
     """
+    if spec.count < 2:
+        raise ValueError(f"the Monte Carlo check needs at least 2 draws for a "
+                         f"standard error, got count {spec.count}")
     tags = tuple(tags)
     for t in tags:
         validate_tag(t)
@@ -170,10 +173,7 @@ def monte_carlo_check(spec: SampleSpec, tags=CATALOG) -> dict[str, McRecord]:
     for tag in tags:
         col = per_matrix[:, CATALOG_INDEX[tag]]
         mean = float(col.sum() / spec.count)
-        if spec.count > 1:
-            stderr = float(np.std(col, ddof=1) / np.sqrt(spec.count))
-        else:
-            stderr = 0.0
+        stderr = float(np.std(col, ddof=1) / np.sqrt(spec.count))
         theory = predict_moment(spec.params, tag)
         if stderr > 0:
             z = (mean - theory) / stderr

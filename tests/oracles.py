@@ -186,13 +186,13 @@ def is_tagged(sentences):
     return any(tag is not None for sent in sentences for _w, tag in sent)
 
 
-def basis_words(sentences, size, stopwords=frozenset()):
+def basis_words(sentences, size):
     """Top-`size` content words by frequency, ties lexicographic."""
     if is_tagged(sentences):
         content = {w for sent in sentences for w, tag in sent
                    if tag is not None and tag[:1].upper() in ("N", "V", "J", "R")}
     else:
-        content = {w for sent in sentences for w, _ in sent if w not in stopwords}
+        content = {w for sent in sentences for w, _ in sent}
     counts = vocab(sentences)
     return tuple(sorted(content, key=lambda w: (-counts[w], w))[:size])
 

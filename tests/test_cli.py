@@ -180,6 +180,20 @@ class TestMcCheck:
         assert csv_path.read_text().splitlines()[1] == \
             "tag,theory,sample_mean,sample_stderr,z_score"
 
+    def test_one_draw_is_refused(self, capsys, tmp_path):
+        """One draw has no standard error: the check fails before it
+        writes, where it wrote ``"z_score": Infinity``, which is not JSON."""
+        params_path = tmp_path / "p.json"
+        write_params(params_path, dim=8)
+        out, csv = tmp_path / "z.json", tmp_path / "z.csv"
+        code, stdout, err = run_cli(
+            capsys, "mc-check", "--params", str(params_path), "--count", "1",
+            "--seed", "7", "--out", str(out), "--csv", str(csv))
+        assert code == 1 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and "count 1" in payload["message"]
+        assert not out.exists() and not csv.exists()
+
 
 class TestErrors:
     def test_bad_params_file_yields_error_json(self, capsys, tmp_path):
@@ -819,7 +833,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("change, key", [
         ({"window": 2.7}, "window"),
         ({"basis_sizes": [60.5]}, "basis_sizes"),
-        ({"basis_size": 60.0}, "basis_sizes"),
+        ({"basis_size": 60.0}, "basis_size"),
         ({"seed": 1.9}, "seed"),
         ({"threads": True}, "threads"),
         ({"thresholds": {"drop_top": 2.7}}, "drop_top"),
@@ -828,6 +842,7 @@ class TestConfigFile:
         ({"regression": {"max_epochs": 50.5}}, "max_epochs"),
         ({"regression": {"learning_rate": "fast"}}, "learning_rate"),
         ({"regression": [0.1]}, "regression"),
+        ({"basis_size": 20, "basis_sizes": [60]}, "basis_size"),
     ])
     def test_malformed_pipeline_value_names_its_key(self, change, key):
         with pytest.raises(ValueError, match=key):
@@ -852,7 +867,7 @@ class TestConfigFile:
         assert bare.out_dir == "out" and bare.basis_sizes == (60, 80, 100)
         assert bare.config_hash() == "d5e43df89022487c"
         full = PipelineConfig.from_json_dict({
-            "corpus": "c.txt", "pairs": "p.tsv", "basis_size": 20, "window": 2,
+            "corpus": "c.txt", "pairs": "p.tsv", "basis_sizes": [20], "window": 2,
             "seed": 3, "thresholds": {"drop_top": 0},
             "regression": {"lambda": 1, "learning_rate": 1, "convergence_tol": 1,
                            "max_epochs": 7, "method": "gradient_descent"}})

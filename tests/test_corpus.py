@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -24,7 +25,7 @@ from lingmat.corpus import (
     write_vectors_dir,
 )
 from lingmat.matrix_core import ParseError
-from lingmat.synth import SynthConfig, generate_corpus, write_synth_corpus
+from lingmat.synth import PERIOD, SynthConfig, generate_corpus, write_synth_corpus
 
 import oracles
 from oracles import window_counts_bruteforce
@@ -57,36 +58,36 @@ class TestVocab:
 class TestBasis:
     def test_toy_selection(self):
         c = corpus_of("a b c a b a\nd e d")
-        basis = select_basis(build_vocab(c), c, 3)
+        basis = select_basis(c, 3)
         assert basis.words == ("a", "b", "d")
 
     def test_ties_break_lexicographically(self):
         c = corpus_of("z q z q")
-        basis = select_basis(build_vocab(c), c, 2)
+        basis = select_basis(c, 2)
         assert basis.words == ("q", "z")
 
     def test_too_few_content_words(self):
         c = corpus_of("a b a")
         with pytest.raises(CorpusError, match="only 2"):
-            select_basis(build_vocab(c), c, 5)
+            select_basis(c, 5)
 
     def test_sentence_order_irrelevant(self):
         c1 = corpus_of("a b c\nd e f")
         c2 = corpus_of("d e f\na b c")
-        b1 = select_basis(build_vocab(c1), c1, 4)
-        b2 = select_basis(build_vocab(c2), c2, 4)
+        b1 = select_basis(c1, 4)
+        b2 = select_basis(c2, 4)
         assert b1.words == b2.words
 
     def test_tagged_corpus_uses_content_tags(self):
         c = corpus_of("the|D cat|N sat|V the|D the|D mat|N")
-        basis = select_basis(build_vocab(c), c, 3)
+        basis = select_basis(c, 3)
         assert "the" not in basis.words
         assert set(basis.words) == {"cat", "sat", "mat"}
 
     def test_stopwords_for_untagged(self):
+        """An untagged corpus has no stopword list: every word is content."""
         c = corpus_of("the cat the mat")
-        basis = select_basis(build_vocab(c), c, 2, stopwords={"the"})
-        assert basis.words == ("cat", "mat")
+        assert select_basis(c, 2).words == ("the", "cat")
 
     def test_head_prefix(self):
         b = BasisSpec(("x", "y", "z"))
@@ -96,7 +97,7 @@ class TestBasis:
     def test_size_below_one_is_an_error(self, size):
         c = corpus_of("a b c d a")
         with pytest.raises(ValueError, match=f"^basis size must be >= 1, got {size}$"):
-            select_basis(build_vocab(c), c, size)
+            select_basis(c, size)
         with pytest.raises(ValueError, match=f"^cannot take {size} words from a basis of 3$"):
             BasisSpec(("x", "y", "z")).head(size)
 
@@ -414,9 +415,11 @@ class TestVectorsDir:
             read_vectors_dir(tmp_path)
 
 
-#: Generator configs beside the default: the shortest and a long flank,
-#: one function word, non-dyadic mixes (a reordered float sum of the
-#: profile weights changes them), and nearly no compound or bare sentences.
+#: Generator constants beside the default, set on a subclass of
+#: `SynthConfig`: the shortest and a long flank, one function word,
+#: non-dyadic mixes (a reordered float sum of the profile weights changes
+#: them), and nearly no compound or bare sentences.  The id table must
+#: match the sentence loop for any constants, not only for today's.
 SYNTH_VARIANTS = ({}, {"ctx_per_side": 1}, {"ctx_per_side": 7}, {"n_function": 1},
                   {"adjective_mix": 0.7, "noun_mix": 0.3},
                   {"compound_fraction": 0.01}, {"compound_fraction": 0.99})
@@ -429,7 +432,7 @@ class TestSyntheticGenerator:
     def test_matches_the_sentence_loop(self, tmp_path, seed, n_sentences, variant):
         """The id table gives the sentences, pairs (in key order), corpus
         file and stats of the loop over sentences in ``oracles.py``."""
-        cfg = SynthConfig(n_sentences=n_sentences, **variant)
+        cfg = type("Variant", (SynthConfig,), variant)(n_sentences=n_sentences)
         want_sentences, want_pairs = oracles.synth_corpus(seed, cfg)
         sentences, pairs = generate_corpus(seed, cfg)
         assert sentences == want_sentences
@@ -495,12 +498,20 @@ class TestSyntheticGenerator:
         assert tags == {"N", "J", "F"}
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="multiples"):
-            SynthConfig(tier_sizes=(50, 30, 20))
-        with pytest.raises(ValueError, match="tilt"):
-            SynthConfig(tilt=1.5)
-        with pytest.raises(ValueError, match="function word"):
-            SynthConfig(n_function=0)
+        """Only the size is a field, and it is at least one sentence; the
+        constants meet what the construction needs: whole harmonic periods
+        per tier, harmonics below PERIOD / 2, a tilt and mixes that keep
+        every context probability positive."""
+        assert [f.name for f in dataclasses.fields(SynthConfig)] == ["n_sentences"]
+        with pytest.raises(ValueError, match="^need at least one sentence$"):
+            SynthConfig(n_sentences=0)
+        cfg = SynthConfig
+        assert all(size % PERIOD == 0 for size in cfg.tier_sizes)
+        assert len(cfg.tier_levels) == len(cfg.tier_sizes) and min(cfg.tier_levels) > 0
+        assert 1 <= cfg.n_harmonics < PERIOD // 2
+        assert 0 < cfg.tilt < 1 and 0 < cfg.compound_fraction < 1
+        assert 0 <= cfg.adjective_mix <= 1 and 0 <= cfg.noun_mix <= 1
+        assert min(cfg.n_topics, cfg.n_nouns, cfg.n_adjectives, cfg.n_function) >= 1
 
     @pytest.mark.parametrize("kwargs, bad", [
         *(({name: value}, (name, value))
@@ -510,7 +521,15 @@ class TestSyntheticGenerator:
         ({"tier_sizes": (60.0, 20, 20)}, ("tier_sizes", 60.0)),
     ])
     def test_integer_fields_must_be_integers(self, kwargs, bad):
+        """``n_sentences`` is checked when set; every other integer value is
+        an integer constant of the class, which no caller can set."""
         name, value = bad
+        if name != "n_sentences":
+            constant = getattr(SynthConfig, name)
+            assert {type(v) for v in np.atleast_1d(constant).tolist()} == {int}
+            with pytest.raises(TypeError, match=name):
+                SynthConfig(**kwargs)
+            return
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             SynthConfig(**kwargs)
 

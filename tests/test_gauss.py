@@ -192,7 +192,7 @@ class TestMomentReport:
         rng = np.random.default_rng(43)
         p0 = random_params(rng, dim=12)
         ens = sample(SampleSpec(params=p0, count=50, seed=99))
-        avgs = ensemble_averages(ens, FIT_TAGS)
+        avgs = ensemble_averages(ens)
         p = fit(avgs)
         report = moment_report(p, ens)
         for t in FIT_TAGS:

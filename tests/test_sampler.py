@@ -167,6 +167,11 @@ class TestMonteCarloCheck:
                 / rec.sample_stderr
             assert abs(shifted_z) > 5
 
+    def test_one_draw_is_refused(self):
+        """One draw has no standard error, so no z-score."""
+        with pytest.raises(ValueError, match="at least 2 draws .* got count 1$"):
+            monte_carlo_check(SampleSpec(params=PARAMS, count=1, seed=4))
+
     def test_records_are_consistent(self):
         spec = SampleSpec(params=PARAMS, count=500, seed=19)
         records = monte_carlo_check(spec, tags=("Md1", "Mo22"))
@@ -176,7 +181,7 @@ class TestMonteCarloCheck:
             assert rec.z_score == pytest.approx(
                 (rec.sample_mean - rec.theory) / rec.sample_stderr)
 
-    @pytest.mark.parametrize("count", (1, 9, 10, 3001))
+    @pytest.mark.parametrize("count", (2, 9, 10, 3001))
     def test_records_match_per_draw_oracle(self, count):
         # block size 9 at D = 30: one partial, one full, a full plus one,
         # and many blocks
@@ -189,7 +194,7 @@ class TestMonteCarloCheck:
         for tag, rec in records.items():
             col = table[:, CATALOG_INDEX[tag]]
             mean = float(col.sum() / count)
-            stderr = float(np.std(col, ddof=1) / np.sqrt(count)) if count > 1 else 0.0
+            stderr = float(np.std(col, ddof=1) / np.sqrt(count))
             theory = predict_moment(params, tag)
             if stderr > 0:
                 z = float((mean - theory) / stderr)

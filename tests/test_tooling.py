@@ -1,7 +1,8 @@
 """The test configuration and source rules: a failing property must fail
 like any test, the benchmark's traced names must exist and a traced run
 must count its layers, every file lingmat writes goes through one
-writer, and no JSON reader coerces."""
+writer, no JSON reader coerces and no JSON writer writes NaN or
+Infinity."""
 
 import ast
 import importlib
@@ -135,3 +136,25 @@ def test_json_readers_do_not_coerce():
                          and call.func.id in ("int", "float")]
     assert offences == []
     assert readers >= 5  # the scan sees the readers it guards
+
+
+def test_json_writers_refuse_non_finite_numbers():
+    """Every ``json.dumps`` and ``json.dump`` call in ``src/lingmat`` passes
+    ``allow_nan=False``, so a NaN or infinity fails the write instead of
+    putting ``NaN`` or ``Infinity``, which are not JSON, in a file or on
+    stdout."""
+    offences, calls = [], 0
+    for path in sorted((REPO / "src" / "lingmat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for call in ast.walk(tree):
+            func = getattr(call, "func", None)
+            if not (isinstance(call, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr in ("dump", "dumps") and isinstance(func.value, ast.Name)
+                    and func.value.id == "json"):
+                continue
+            calls += 1
+            if not any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                       and k.value.value is False for k in call.keywords):
+                offences.append(f"{path.name}:{call.lineno}")
+    assert offences == []
+    assert calls >= 10  # the scan sees the writers it guards

@@ -183,6 +183,15 @@ def test_cli_refuses_a_fifo_out_path(capsys, tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    """``Infinity`` and ``NaN`` are not JSON: the write fails and leaves no
+    file."""
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json({"z_score": value}, tmp_path / "a.json", PROV)
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_symlinked_out_path_is_written_through(tmp_path, writer):
     first, write = WRITERS[writer]
