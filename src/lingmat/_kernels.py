@@ -1,8 +1,9 @@
 """Hot numeric kernels, in numpy.
 
 Three kernel families live here: the per-matrix evaluation of the fixed
-catalog of permutation-invariant polynomials, windowed co-occurrence pair
-counting over one chunk of an integer-encoded corpus, and the byte-block
+catalog of permutation-invariant polynomials, windowed context counting
+around the spans of one chunk of an integer-encoded corpus (a target
+occurrence is a one-token span, a compound a longer one), and the byte-block
 tokenizer with its table of token types, which the corpus reader runs on
 each block.  The reader reads ``_CHUNK`` bytes at a time, and the corpus
 is read back in chunks of whole sentences of at least ``_CHUNK`` tokens,
@@ -112,41 +113,32 @@ def catalog_values(m):
     return out[0] if single else out
 
 
-def context_counts(left, right, lo, hi, rows, type_ids, cmap, window, counts):
-    """Add the counts of ``rows + cmap[type_ids[p]]`` over the context
-    positions ``p`` of anchors to the flat int64 array ``counts``.
+def window_pair_counts(type_ids, offsets, left, right, rows, cmap, window, counts):
+    """Add the context counts of spans inside the sentences of one chunk,
+    given as the type id of each token, to the int64 table ``counts`` in
+    place, and return the number of pairs added.
 
-    Anchor k has context positions ``left[k] - q`` and ``right[k] + q`` for
-    q = 1..window, clipped to its sentence ``[lo[k], hi[k])``; positions
-    whose type maps to -1 in ``cmap`` are skipped.  One masked ``bincount``
-    per offset and direction, gathering type ids at the visited positions
-    only.
+    ``offsets`` delimits the chunk's sentences, its end last.  Span k
+    covers the positions ``left[k]..right[k]`` of one sentence (a target
+    occurrence is a span from its token to itself) and counts into row
+    ``rows[k]`` of ``counts``.  Its context positions are ``left[k] - q``
+    and ``right[k] + q`` for q = 1..window, clipped to its sentence;
+    ``cmap`` maps each type id to a column of ``counts``, or -1 for a
+    position that is not counted.  One masked ``bincount`` per offset and
+    direction, gathering type ids at the visited positions only.
     """
-    before, after = left - lo, hi - 1 - right  # room in the sentence
+    sent = np.searchsorted(offsets, left, side="right")
+    before, after = left - offsets[sent - 1], offsets[sent] - 1 - right  # room in the sentence
+    rows = rows * counts.shape[1]
+    flat, added = counts.reshape(-1), np.int64(0)
     for q in range(1, window + 1):
         for ok, pos in ((before >= q, left - q), (after >= q, right + q)):
             c = cmap.take(type_ids.take(pos[ok]))
             key = rows[ok] + c
-            counts += np.bincount(key[c >= 0], minlength=counts.size)
-
-
-def window_pair_counts(type_ids, tmap, cmap, offsets, window, n_targets, n_contexts):
-    """Co-occurrence counts between targets and contexts inside the
-    sentences of one chunk, given as the type id of each token.
-
-    ``tmap``/``cmap`` map each type id to a target respectively context
-    index, or -1.  ``offsets`` delimits the chunk's sentences, its end
-    last.  A pair is counted for every (target position, context position)
-    within distance ``window`` in the same sentence; a position never
-    pairs with itself.
-    """
-    counts = np.zeros(n_targets * n_contexts, dtype=np.int64)
-    t = tmap.take(type_ids)
-    pos = np.flatnonzero(t >= 0)
-    sent = np.searchsorted(offsets, pos, side="right")
-    context_counts(pos, pos, offsets[sent - 1], offsets[sent],
-                   t.take(pos).astype(np.int64) * n_contexts, type_ids, cmap, window, counts)
-    return counts.reshape(n_targets, n_contexts)
+            key = key[c >= 0]
+            flat += np.bincount(key, minlength=flat.size)
+            added += key.size
+    return added
 
 
 # ---------------------------------------------------------------------------

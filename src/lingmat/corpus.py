@@ -16,9 +16,11 @@ block by block, counts the tokens of each (word, tag) pair, and appends
 each block's type ids and sentence starts to an unnamed temporary file,
 the spill.  Vocabulary, basis, part-of-speech votes and dataset selection
 come from the counts.  Pass 2 (`count_cooccurrence`) reads the spilled
-type ids back in chunks of whole sentences and counts the windows of the
-targets and the contexts of every compound in one go.  An error in a
-spill write or read-back names `tempfile`'s directory, where the spill is.
+type ids back in chunks of whole sentences and counts one kind of thing,
+the context of a span: a target occurrence is a span of one token, a
+compound the span from its head to its noun, and one kernel call per chunk
+counts the contexts of all of them into one table.  An error in a spill
+write or read-back names `tempfile`'s directory, where the spill is.
 
 A vector set, from the PPMI step to the training sets, is a pair
 (labels, values): one float64 (N, dim) array whose row i is the vector of
@@ -80,23 +82,6 @@ class TokenizedCorpus:
     def __post_init__(self):
         for arr in (self.word_tag_counts, self.word_of, self.tag_of):
             arr.setflags(write=False)
-
-    @classmethod
-    def from_sentences(cls, sentences) -> "TokenizedCorpus":
-        """From sentences of (word, tag) tokens, as one block of pass 1
-        whose types are the distinct (word, tag) pairs; empty sentences
-        are dropped."""
-        encoder, types = _Encoder("<sentences>"), {}
-        type_ids, first = [], []
-        for sentence in sentences:
-            if sentence:
-                first.append(len(type_ids))
-                type_ids += (types.setdefault(token, len(types)) for token in sentence)
-        encoder.grow(len(types))
-        for t, (word, tag) in enumerate(types):
-            encoder.name(t, word, tag)
-        encoder.add(np.array(type_ids, dtype=np.int32), np.array(first, dtype=np.int64))
-        return encoder.corpus()
 
     @property
     def tagged(self) -> bool:
@@ -173,8 +158,9 @@ class _Encoder:
     """Pass 1, block by block.  Each token's bytes map to a node of a
     `_kernels.TypeTable`, its type id.  A new type is decoded and parsed
     once, at its first position, which fixes its word and tag ids in order
-    of first occurrence; the word ids become the corpus's ``word_index``.  Per block, `add` counts the tokens of each type
-    and appends their type ids and the sentence starts to the spill."""
+    of first occurrence; the word ids become the corpus's ``word_index``.
+    Per block, `add` counts the tokens of each type and appends their type
+    ids and the sentence starts to the spill."""
 
     def __init__(self, path, spill=True):
         self.path = path
@@ -211,7 +197,8 @@ class _Encoder:
                 line = self.lines + _kernels.tokens(block[:lo] + _kernels.PAD)[3] + 1
                 raise CorpusError(f"{self.path}:{line}: invalid UTF-8 ({exc.reason}) "
                                   f"in token {raw[:40]!r}") from None
-            self.name(node[t], word, tag)
+            self.word_of[node[t]] = self.words.setdefault(word, len(self.words))
+            self.tag_of[node[t]] = self.tags.setdefault(tag, len(self.tags))
 
     def grow(self, n_types):
         """Room in the per-type arrays for type ids below `n_types`."""
@@ -220,10 +207,6 @@ class _Encoder:
             self.word_of, self.tag_of, self.counts = (
                 np.concatenate([a, np.zeros(more, dtype=a.dtype)])
                 for a in (self.word_of, self.tag_of, self.counts))
-
-    def name(self, t, word, tag):
-        self.word_of[t] = self.words.setdefault(word, len(self.words))
-        self.tag_of[t] = self.tags.setdefault(tag, len(self.tags))
 
     def add(self, types, first):
         """One block: the int32 type id of each token, and the int64
@@ -313,12 +296,6 @@ class BasisSpec:
     def index(self, word: str) -> int:
         return self._index[word]
 
-    def head(self, size: int) -> "BasisSpec":
-        """The first `size` words; valid because the order is by frequency."""
-        if not 1 <= size <= self.size:
-            raise ValueError(f"cannot take {size} words from a basis of {self.size}")
-        return BasisSpec(self.words[:size])
-
 
 def select_basis(corpus: TokenizedCorpus, size: int) -> BasisSpec:
     """Top-`size` content words by frequency, ties broken lexicographically."""
@@ -365,32 +342,31 @@ def count_cooccurrence(corpus: TokenizedCorpus, targets, basis: BasisSpec,
     into ``table.compounds``, for `build_compound_vectors`.  Adjective
     and unknown heads take the noun right after them, verb heads the
     nearest within `window` tokens to the right; the span covers every
-    token from head to noun, and its context is every token within
-    `window` of the span on either side.
+    token from head to noun.  Each target occurrence is a span of its own
+    token, so one count serves both: per chunk, `_SpanFinder` finds the
+    spans and `_kernels.window_pair_counts` adds every basis token within
+    `window` of a span, on either side, to the span's row of one table.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     targets = tuple(dict.fromkeys(targets))  # dedupe, keep order
     heads = {head: (tuple(dict.fromkeys(nouns)), _reach_of(pos_class, window))
              for head, (nouns, pos_class) in (compounds or {}).items()}
-    finder = _SpanFinder(corpus, heads)
-    tmap, cmap = corpus.lookup(targets), corpus.lookup(basis.words)
-    dense = np.zeros((len(targets), basis.size), dtype=np.int64)
+    finder = _SpanFinder(corpus, targets, heads)
+    cmap = corpus.lookup(basis.words)
     occurrences = np.zeros(finder.n_rows, dtype=np.int64)
     joint = np.zeros((finder.n_rows, basis.size), dtype=np.int64)
     for type_ids, offsets in corpus.chunks():
-        dense += _kernels.window_pair_counts(type_ids, tmap, cmap, offsets, window,
-                                             len(targets), basis.size)
-        start, end, row, sent = finder.spans(type_ids, offsets)
+        start, end, row = finder.spans(type_ids, offsets)
         occurrences += np.bincount(row, minlength=finder.n_rows)
-        _kernels.context_counts(start, end, offsets[sent], offsets[sent + 1],
-                                row * basis.size, type_ids, cmap, window, joint.reshape(-1))
+        _kernels.window_pair_counts(type_ids, offsets, start, end, row, cmap, window, joint)
     counts = {word: {basis.words[c]: int(row[c]) for c in np.flatnonzero(row)}
-              for word, row in zip(targets, dense)}
+              for word, row in zip(targets, joint)}
     cuts = np.cumsum([len(nouns) for nouns, _ in heads.values()])[:-1]
     counted = {head: (nouns, basis, head_occurrences, head_joint)
                for (head, (nouns, _)), head_occurrences, head_joint
-               in zip(heads.items(), np.split(occurrences, cuts), np.split(joint, cuts))}
+               in zip(heads.items(), np.split(occurrences[len(targets):], cuts),
+                      np.split(joint[len(targets):], cuts))}
     return CoocTable(counts=counts, totals=build_vocab(corpus), n_total=corpus.n_total,
                      window=window, compounds=counted)
 
@@ -442,38 +418,45 @@ def _reach_of(pos_class: str, window: int) -> int:
 
 
 class _SpanFinder:
-    """The compound spans of several heads, chunk by chunk: `heads` maps
-    each head to (distinct nouns, reach), and rows number the heads' nouns
-    in order.  Each head occurrence takes, for each of its nouns, the
-    nearest occurrence within reach to the right as the compound span.
-    Heads are looked up per type id; word ids are gathered only at the
+    """The spans of pass 2, chunk by chunk, each with its row of the count
+    table: rows 0..T-1 are the T `targets`, whose every occurrence is a
+    span of one token, and rows T onward number the compounds, the nouns
+    of each head of `heads` (head -> (distinct nouns, reach)) in order.
+    Each head occurrence takes, for each of its nouns, the nearest
+    occurrence within reach to the right as the compound span.  Targets
+    and heads are looked up per type id; word ids are gathered only at the
     candidate positions after a head.  `np.searchsorted` in one sorted
     table of ``head index * len(words) + word id`` keys, ended by the
     largest int64, finds every candidate's row at once."""
 
-    def __init__(self, corpus: TokenizedCorpus, heads):
+    def __init__(self, corpus: TokenizedCorpus, targets, heads):
         self.n_words = len(corpus.words)
         self.word_of = corpus.word_of
+        self.target_of = corpus.lookup(targets)
         self.head_of = corpus.lookup(heads)
+        # whether each type id is a target or a head: the gathers over a
+        # whole chunk then make bytes, not int32 indices
+        self.is_target, self.is_head = self.target_of >= 0, self.head_of >= 0
         self.reach = np.array([reach for _, reach in heads.values()], dtype=np.int64)
         nouns = [(h, noun) for h, (head_nouns, _) in enumerate(heads.values())
                  for noun in head_nouns]
-        self.n_rows = len(nouns)
+        self.n_rows = len(targets) + len(nouns)
         word = np.array([corpus.word_index.get(noun, -1) for _, noun in nouns], dtype=np.int64)
-        self.rows = np.flatnonzero(word >= 0)
+        known = np.flatnonzero(word >= 0)
         keys = np.array([h for h, _ in nouns], dtype=np.int64) * self.n_words + word
-        order = np.argsort(keys[self.rows])
-        self.keys = np.append(keys[self.rows][order], np.iinfo(np.int64).max)
-        self.rows = self.rows[order]
+        order = np.argsort(keys[known])
+        self.keys = np.append(keys[known][order], np.iinfo(np.int64).max)
+        self.rows = known[order] + len(targets)
 
     def spans(self, type_ids, offsets):
-        """(start, end, row, sentence) of the spans in one chunk, ordered
-        by start and then by row; sentences index ``offsets``."""
-        head = self.head_of.take(type_ids)
-        pos = np.flatnonzero(head >= 0)
-        head = head.take(pos).astype(np.int64)
-        sent = np.searchsorted(offsets, pos, side="right") - 1
-        room = np.minimum(offsets[sent + 1] - 1 - pos, self.reach.take(head))
+        """(start, end, row) of the spans in one chunk: the target
+        occurrences in position order, then the compound spans ordered by
+        start and then by row."""
+        at = np.flatnonzero(self.is_target.take(type_ids))
+        pos = np.flatnonzero(self.is_head.take(type_ids))
+        head = self.head_of.take(type_ids.take(pos)).astype(np.int64)
+        sent = np.searchsorted(offsets, pos, side="right")
+        room = np.minimum(offsets[sent] - 1 - pos, self.reach.take(head))
         base = head * self.n_words
         none = np.zeros(0, dtype=np.int64)
         found = [(none, none, none)]
@@ -487,7 +470,9 @@ class _SpanFinder:
         # keep the nearest occurrence (smallest q, found first) of each noun
         _, first = np.unique(k * self.n_rows + row, return_index=True)
         k, q, row = k[first], q[first], row[first]
-        return pos[k], pos[k] + q, row, sent[k]
+        start = pos[k]
+        return (np.concatenate((at, start)), np.concatenate((at, start + q)),
+                np.concatenate((self.target_of.take(type_ids.take(at)), row)))
 
 
 def build_compound_vectors(table: CoocTable, target: str
@@ -553,12 +538,6 @@ class DatasetSelection:
 
     def words(self) -> list[str]:
         return [e.word for e in self.entries]
-
-    def entry(self, word: str) -> SelectionEntry:
-        for e in self.entries:
-            if e.word == word:
-                return e
-        raise KeyError(word)
 
     def to_json_dict(self) -> dict:
         return {"targets": [

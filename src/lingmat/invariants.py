@@ -11,13 +11,12 @@ evaluator used as an oracle, and the model's Wick moments all read it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .matrix_core import Ensemble, WordMatrix, check_int, check_real
+from .matrix_core import Ensemble, check_int, check_real, values_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +88,6 @@ CATALOG_INDEX = {tag: i for i, tag in enumerate(CATALOG)}
 QUADRATIC_TAGS = tuple(t for t, g in CATALOG_GRAPHS.items() if g.degree == 2)
 
 
-def _values_of(m) -> np.ndarray:
-    if isinstance(m, WordMatrix):
-        return m.values
-    return np.ascontiguousarray(m, dtype=np.float64)
-
-
 def validate_tag(tag: str) -> str:
     if tag not in CATALOG_INDEX:
         raise KeyError(f"unknown invariant tag {tag!r}; catalog: {', '.join(CATALOG)}")
@@ -108,12 +101,12 @@ def eval_invariant(tag: str, m) -> float:
     picks the tag's entry.
     """
     validate_tag(tag)
-    return float(_kernels.catalog_values(_values_of(m))[CATALOG_INDEX[tag]])
+    return float(_kernels.catalog_values(values_of(m))[CATALOG_INDEX[tag]])
 
 
 def eval_all(m) -> dict[str, float]:
     """All catalog invariants of one matrix in a single pass."""
-    return dict(zip(CATALOG, _kernels.catalog_values(_values_of(m)).tolist()))
+    return dict(zip(CATALOG, _kernels.catalog_values(values_of(m)).tolist()))
 
 
 def eval_graph_invariant(g: GraphInvariant, m) -> float:
@@ -124,7 +117,7 @@ def eval_graph_invariant(g: GraphInvariant, m) -> float:
     """
     from itertools import permutations
 
-    v = _values_of(m)
+    v = values_of(m)
     d = v.shape[0]
     if d < g.vertex_count:
         return 0.0
@@ -157,9 +150,6 @@ class EnsembleAverages:
         values = {validate_tag(t): check_real(t, x) for t, x in obj["values"].items()}
         return cls(dim=check_int("dim", obj["dim"]), count=check_int("count", obj["count"]),
                    values=values)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def ensemble_averages(ensemble: Ensemble) -> EnsembleAverages:

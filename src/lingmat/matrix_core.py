@@ -104,6 +104,13 @@ class WordMatrix:
         return self.values.shape[0]
 
 
+def values_of(m) -> np.ndarray:
+    """The values of a `WordMatrix`, or `m` as a C-contiguous float64 array."""
+    if isinstance(m, WordMatrix):
+        return m.values
+    return np.ascontiguousarray(m, dtype=np.float64)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
     """Labels plus one locked, C-contiguous float64 (N, D, D) stack whose

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import WordMatrix, check_int, check_seed
+from .matrix_core import WordMatrix, check_int, check_seed, values_of
 
 
 class SingularSystemError(ValueError):
@@ -94,15 +94,9 @@ class RegressionConfig:
             raise ValueError("convergence tolerance must be positive")
 
 
-def _values_of(m) -> np.ndarray:
-    if isinstance(m, WordMatrix):
-        return m.values
-    return np.asarray(m, dtype=np.float64)
-
-
 def loss(m, ts: TrainingSet, ridge_lambda: float) -> float:
     """(1/2m)(||M X^T - Y^T||^2 + lambda ||M||^2), Frobenius norms."""
-    values = _values_of(m)
+    values = values_of(m)
     if values.shape != (ts.dim, ts.dim):
         raise ValueError(f"matrix shape {values.shape} does not fit data dimension {ts.dim}")
     resid = values @ ts.x.T - ts.y.T
@@ -112,7 +106,7 @@ def loss(m, ts: TrainingSet, ridge_lambda: float) -> float:
 
 def gradient(m, ts: TrainingSet, ridge_lambda: float) -> np.ndarray:
     """(1/m)((M X^T - Y^T) X + lambda M)."""
-    values = _values_of(m)
+    values = values_of(m)
     resid = values @ ts.x.T - ts.y.T
     return (resid @ ts.x + ridge_lambda * values) / ts.rows
 

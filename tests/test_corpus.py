@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import re
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,6 @@ from lingmat.corpus import (
     BasisSpec,
     CorpusError,
     Thresholds,
-    TokenizedCorpus,
     build_compound_vectors,
     build_noun_vectors,
     build_vocab,
@@ -32,11 +33,17 @@ from oracles import window_counts_bruteforce
 
 
 def corpus_of(text):
-    sentences = [[(w.rpartition("|")[0] or w,
-                   w.rpartition("|")[2] if "|" in w else None)
-                  for w in line.split()]
-                 for line in text.strip().split("\n") if line.split()]
-    return TokenizedCorpus.from_sentences(sentences)
+    """The corpus that `read_corpus` reads from a file holding `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return read_corpus(path)
+
+
+def text_of(sentences):
+    """Corpus text with one line per sentence of untagged words."""
+    return "\n".join(" ".join(sentence) for sentence in sentences)
 
 
 class TestVocab:
@@ -89,17 +96,11 @@ class TestBasis:
         c = corpus_of("the cat the mat")
         assert select_basis(c, 2).words == ("the", "cat")
 
-    def test_head_prefix(self):
-        b = BasisSpec(("x", "y", "z"))
-        assert b.head(2).words == ("x", "y")
-
     @pytest.mark.parametrize("size", [0, -1, -3])
     def test_size_below_one_is_an_error(self, size):
         c = corpus_of("a b c d a")
         with pytest.raises(ValueError, match=f"^basis size must be >= 1, got {size}$"):
             select_basis(c, size)
-        with pytest.raises(ValueError, match=f"^cannot take {size} words from a basis of 3$"):
-            BasisSpec(("x", "y", "z")).head(size)
 
 
 class TestCooccurrence:
@@ -128,11 +129,9 @@ class TestCooccurrence:
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(70)
         words = [f"w{i}" for i in range(12)]
-        sentences = [
-            [(words[int(k)], None) for k in rng.integers(0, 12, size=rng.integers(1, 15))]
-            for _ in range(60)
-        ]
-        c = TokenizedCorpus.from_sentences(sentences)
+        sentences = [[words[int(k)] for k in rng.integers(0, 12, size=rng.integers(1, 15))]
+                     for _ in range(60)]
+        c = corpus_of(text_of(sentences))
         targets = words[:5]
         basis = BasisSpec(tuple(words[3:10]))
         for window in (1, 2, 5):
@@ -144,10 +143,9 @@ class TestCooccurrence:
 
     def test_shuffling_sentences_changes_nothing(self):
         rng = np.random.default_rng(71)
-        sentences = [[(f"w{int(k)}", None) for k in rng.integers(0, 6, size=8)]
-                     for _ in range(30)]
-        c1 = TokenizedCorpus.from_sentences(sentences)
-        c2 = TokenizedCorpus.from_sentences(list(reversed(sentences)))
+        sentences = [[f"w{int(k)}" for k in rng.integers(0, 6, size=8)] for _ in range(30)]
+        c1 = corpus_of(text_of(sentences))
+        c2 = corpus_of(text_of(reversed(sentences)))
         basis = BasisSpec(tuple(f"w{i}" for i in range(6)))
         t1 = count_cooccurrence(c1, ["w0", "w1"], basis)
         t2 = count_cooccurrence(c2, ["w0", "w1"], basis)
@@ -210,9 +208,8 @@ class TestNounVectors:
 
     def test_values_nonnegative(self):
         rng = np.random.default_rng(72)
-        sentences = [[(f"w{int(k)}", None) for k in rng.integers(0, 8, size=10)]
-                     for _ in range(40)]
-        c = TokenizedCorpus.from_sentences(sentences)
+        sentences = [[f"w{int(k)}" for k in rng.integers(0, 8, size=10)] for _ in range(40)]
+        c = corpus_of(text_of(sentences))
         basis = BasisSpec(tuple(f"w{i}" for i in range(8)))
         table = count_cooccurrence(c, ["w0", "w1"], basis)
         _, values = build_noun_vectors(table, basis, ["w0", "w1"])
@@ -302,7 +299,8 @@ class TestSelectDataset:
         th = Thresholds(min_target_freq=10, drop_top=0, min_pair_count=5, min_args=2)
         sel = select_dataset(c, pairs, th)
         assert sel.words() == ["alpha", "beta"]
-        assert sel.entry("alpha").args == (("n1", 10), ("n2", 10))
+        entries = {e.word: e for e in sel.entries}
+        assert entries["alpha"].args == (("n1", 10), ("n2", 10))
 
     def test_boundary_args_count(self):
         c, pairs = self.corpus_and_pairs()
@@ -344,8 +342,9 @@ class TestSelectDataset:
         c = corpus_of("big|J cat|N\nbig|J dog|N\nruns|V cat|N")
         pairs = {"big": {"cat": 1, "dog": 1}, "runs": {"cat": 1}}
         sel = select_dataset(c, pairs, Thresholds(0, 0, 0, 0))
-        assert sel.entry("big").pos_class == "adjective"
-        assert sel.entry("runs").pos_class == "verb"
+        entries = {e.word: e for e in sel.entries}
+        assert entries["big"].pos_class == "adjective"
+        assert entries["runs"].pos_class == "verb"
 
 
 class TestPairsFile:

@@ -141,21 +141,6 @@ def check_chunks(corpus, sentences):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.lists(st.tuples(word, st.one_of(st.none(), tag)), max_size=6),
-                max_size=8))
-def test_from_sentences_round_trip(sentences):
-    want = tuple(tuple(s) for s in sentences if s)
-    for chunk in CHUNKS:
-        with chunk_length(chunk):
-            corpus = TokenizedCorpus.from_sentences(sentences)
-            assert corpus.sentences == want, chunk
-            assert corpus.tagged == oracles.is_tagged(want)
-            if want:
-                assert (list(build_vocab(corpus).items())
-                        == list(oracles.vocab(want).items())), chunk
-
-
-@settings(max_examples=50, deadline=None)
 @given(any_corpus)
 def test_vocab_basis_and_pos_class(text):
     for chunk in CHUNKS:
@@ -407,19 +392,22 @@ def test_corpus_read_from_a_pipe_matches_the_file(tmp_path, desk_corpus):
         np.testing.assert_array_equal(offsets, want_offsets)
 
 
-def test_sentences_view_is_decoded_from_the_arrays():
-    """`from_sentences` is one block of pass 1 whose types are the
-    distinct (word, tag) pairs; the view decodes the spill."""
-    corpus = TokenizedCorpus.from_sentences([[("a", "N"), ("b", None)], [], [("a", "")]])
+def test_sentences_view_is_decoded_from_the_arrays(tmp_path):
+    """Types are distinct token byte strings, so ``a|`` (an empty tag,
+    read as none) is a type of its own beside ``b``; the view decodes the
+    spill."""
+    path = tmp_path / "corpus.txt"
+    path.write_text("a|N b\n\na|\n", encoding="utf-8")
+    corpus = read_corpus(path)
     assert corpus.words == ("a", "b")
-    assert corpus.tags == (None, "N", "")
+    assert corpus.tags == (None, "N")
     np.testing.assert_array_equal(corpus.word_of, [0, 1, 0])
-    np.testing.assert_array_equal(corpus.tag_of, [1, 0, 2])
-    np.testing.assert_array_equal(corpus.word_tag_counts, [[0, 1, 1], [1, 0, 0]])
+    np.testing.assert_array_equal(corpus.tag_of, [1, 0, 0])
+    np.testing.assert_array_equal(corpus.word_tag_counts, [[1, 1], [1, 0]])
     ((ids, offsets),) = corpus.chunks()
     np.testing.assert_array_equal(ids, [0, 1, 2])
     np.testing.assert_array_equal(offsets, [0, 2, 3])
-    assert corpus.sentences == ((("a", "N"), ("b", None)), (("a", ""),))
+    assert corpus.sentences == ((("a", "N"), ("b", None)), (("a", None),))
     assert not corpus.word_tag_counts.flags.writeable
     corpus.close()
     with pytest.raises(ValueError):
@@ -469,20 +457,21 @@ def test_word_index_is_pass_1s_and_lookups_leave_it_alone(tmp_path):
     assert "word_index" in {f.name for f in dataclasses.fields(TokenizedCorpus)}
     path = tmp_path / "corpus.txt"
     path.write_text("big|J cat|N\nx big|J\n", encoding="utf-8")
-    for corpus in (read_corpus(path), TokenizedCorpus.from_sentences(
-            [[("big", "J"), ("cat", "N")], [("x", None), ("big", "J")]])):
-        assert corpus.word_index == {"big": 0, "cat": 1, "x": 2}
-        assert corpus.lookup(["dog", "cat"]).tolist() == [-1, 1, -1]
-        assert pos_class_of("dog", corpus) == "unknown"
-        count_cooccurrence(corpus, ["dog"], BasisSpec(("cat",)), 2,
-                           {"big": (["dog", "cat"], "adjective"), "emu": (["cat"], "verb")})
-        assert corpus.word_index == {"big": 0, "cat": 1, "x": 2}
+    corpus = read_corpus(path)
+    assert corpus.word_index == {"big": 0, "cat": 1, "x": 2}
+    assert corpus.lookup(["dog", "cat"]).tolist() == [-1, 1, -1]
+    assert pos_class_of("dog", corpus) == "unknown"
+    count_cooccurrence(corpus, ["dog"], BasisSpec(("cat",)), 2,
+                       {"big": (["dog", "cat"], "adjective"), "emu": (["cat"], "verb")})
+    assert corpus.word_index == {"big": 0, "cat": 1, "x": 2}
 
 
-def test_compounds_of_an_uncounted_head_raise():
+def test_compounds_of_an_uncounted_head_raise(tmp_path):
     """Compound vectors come only from the counts of the one pass; a head
     it did not count is an error that names the head."""
-    corpus = TokenizedCorpus.from_sentences([[("big", "J"), ("red", "J"), ("cat", "N")]])
+    path = tmp_path / "corpus.txt"
+    path.write_text("big|J red|J cat|N\n", encoding="utf-8")
+    corpus = read_corpus(path)
     table = count_cooccurrence(corpus, ["cat"], BasisSpec(("big", "cat")), 2,
                                {"big": (["cat"], "adjective")})
     with pytest.raises(ValueError, match="compounds of 'red' were not counted"):

@@ -181,7 +181,7 @@ class TestEnsembleAverages:
 
     def test_json_roundtrip(self):
         avgs = EnsembleAverages(dim=4, count=2, values={"Md1": 1.5, "Mo1": -0.25})
-        back = EnsembleAverages.from_json_dict(json.loads(avgs.dumps()))
+        back = EnsembleAverages.from_json_dict(json.loads(json.dumps(avgs.to_json_dict())))
         assert back.dim == 4 and back.count == 2
         assert back.values == avgs.values
 

@@ -77,6 +77,29 @@ def test_a_traced_run_counts_its_layers(tmp_path):
         assert metrics[name] > 0, name
 
 
+
+def test_traced_window_pairs_count_every_span(tmp_path):
+    """Under the benchmark's tracer, ``kernels.window_pairs`` of one
+    `count_cooccurrence` call is every pair it adds: the target pairs in
+    ``table.counts`` and the context pairs of every compound."""
+    from lingmat.corpus import BasisSpec, count_cooccurrence, read_corpus
+    from lingmat.synth import SynthConfig, write_synth_corpus
+
+    path = tmp_path / "corpus.txt"
+    write_synth_corpus(404, path, tmp_path / "pairs.tsv", SynthConfig(n_sentences=200))
+    corpus = read_corpus(path)
+    basis = BasisSpec(tuple(f"c{i:03d}" for i in range(40)))
+    nouns = [f"n{i:02d}" for i in range(14)]
+    tracer = _tracing().Tracer("pairs")
+    with tracer.installed(0):
+        table = count_cooccurrence(corpus, nouns, basis, 5,
+                                   {"adj00": (nouns, "adjective"), "adj01": (nouns, "verb")})
+    (metrics,) = tracer.layer_metrics().values()
+    target_pairs = sum(n for row in table.counts.values() for n in row.values())
+    compound_pairs = sum(int(joint.sum()) for *_, joint in table.compounds.values())
+    assert target_pairs and compound_pairs
+    assert metrics["kernels.window_pairs"] == target_pairs + compound_pairs
+
 #: Calls that write a file without `matrix_core.atomic_open`.
 _DIRECT_WRITERS = {"save", "savez", "savez_compressed", "savetxt", "tofile",
                    "write_text", "write_bytes"}
