@@ -166,13 +166,14 @@ _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 _LINK = np.uint64(1 << 63)
 
 
-def blocks(fh):
-    """The bytes of binary file `fh` in blocks that end after their last
+def blocks(fh, end=None):
+    """The bytes of binary file `fh`, from its position up to byte `end`
+    (to the end of the file if None), in blocks that end after their last
     line end, before a ``\\r`` that ends a read (it may start a ``\\r\\n``),
-    or at the end of the file.  Each block holds the rest of the previous
-    read plus one read of ``_CHUNK`` bytes; a longer line extends it."""
+    or at the end.  Each block holds the rest of the previous read plus
+    one read of ``_CHUNK`` bytes; a longer line extends it."""
     parts = []
-    while data := fh.read(_CHUNK):
+    while data := fh.read(_CHUNK if end is None else min(_CHUNK, end - fh.tell())):
         cut = (len(data) - 1 if data.endswith(b"\r")
                else max(data.rfind(b"\n"), data.rfind(b"\r")) + 1)
         if cut:

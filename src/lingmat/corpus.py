@@ -22,6 +22,19 @@ compound the span from its head to its noun, and one kernel call per chunk
 counts the contexts of all of them into one table.  An error in a spill
 write or read-back names `tempfile`'s directory, where the spill is.
 
+On Linux both passes use every usable CPU.  Pass 1 cuts a regular file
+into one part per CPU this process may run on (``os.sched_getaffinity``),
+but no more than one per `_MIN_PART` bytes, each ending just after a
+``\\n``.  It reads part 0 itself while one forked worker process per
+other part reads that part, with a type table of its own and a spill of
+its own; type ids are per part, each part's after those of the parts
+before it.  Pass 2 counts each part's spill in the process that wrote
+it, and the integer tables add up.  Where ``os.fork`` or
+``os.sched_getaffinity`` is missing, or this process runs more than one
+thread (as it does with a multi-threaded BLAS loaded), a read is one
+part in this process.  Every count, and so every output byte, is that
+of the one-part read.
+
 A vector set, from the PPMI step to the training sets, is a pair
 (labels, values): one float64 (N, dim) array whose row i is the vector of
 label i, the layout of ``vectors.npy``.
@@ -31,6 +44,9 @@ from __future__ import annotations
 
 import contextlib
 import os
+import pickle
+import signal
+import stat
 import tempfile
 from dataclasses import dataclass, field
 
@@ -65,10 +81,12 @@ class TokenizedCorpus:
     """A corpus after pass 1: ``words``/``tags`` map ids back to strings
     (``tags[0]`` is None, the id of an untagged token) and ``word_index``
     maps each word to its id, ``word_tag_counts`` counts the tokens of each
-    (word id, tag id), ``word_of``/``tag_of`` give the word and tag id of
-    each type id, and the spill holds, per block, each token's type id and
-    each sentence's start (`chunks`); it is None if the corpus was read for
-    its counts only."""
+    (word id, tag id), and ``word_of``/``tag_of`` give the word and tag id
+    of each type id.  ``parts`` holds, per part of the file (see
+    `read_corpus`), its spill and its first type id: the spill holds, per
+    block, each token's type id within the part and each sentence's start
+    (`chunks`), and it is None if the corpus was read for its counts only.
+    One (word, tag) may have a type id in each part."""
 
     words: tuple
     word_index: dict
@@ -76,7 +94,7 @@ class TokenizedCorpus:
     word_tag_counts: np.ndarray
     word_of: np.ndarray
     tag_of: np.ndarray
-    spill: object
+    parts: tuple
     n_total: int
 
     def __post_init__(self):
@@ -89,38 +107,44 @@ class TokenizedCorpus:
         return len(self.tags) > 1
 
     def close(self) -> None:
-        """Close the spill, which `chunks` and `sentences` read; collecting
-        the corpus closes it too."""
-        if self.spill is not None:
-            self.spill.close()
+        """Close the spills, which `chunks` and `sentences` read; collecting
+        the corpus closes them too."""
+        for spill, _ in self.parts:
+            if spill is not None:
+                spill.close()
 
     __del__ = close
 
-    def chunks(self):
-        """Pass 2's input, the only reader of the spill: runs of whole
+    def chunks(self, part=None):
+        """Pass 2's input, the only reader of the spills: the sentences of
+        part `part`, or of every part in order if None, in runs of whole
         sentences of at least ``_kernels._CHUNK`` tokens, the last perhaps
         shorter; per run, its int32 type ids and int64 sentence offsets,
         its length last."""
-        if self.spill is None:
+        parts = self.parts if part is None else self.parts[part:part + 1]
+        if any(spill is None for spill, _ in parts):
             raise ValueError("the corpus was read for its counts only; it has no spill")
-        types, starts, n, at = [], [], 0, 0
-        while True:
-            with _spill_io():
-                self.spill.seek(at)
-                head = self.spill.read(16)
-                k, m = np.frombuffer(head, dtype=np.int64).tolist() if head else (0, 0)
-                data = self.spill.read(8 * m + 4 * k)
-            if not head:
-                break
-            if len(data) != 8 * m + 4 * k:
-                raise OSError("the corpus spill file ends inside a record")
-            at += 16 + len(data)
-            starts.append(np.frombuffer(data, dtype=np.int64, count=m) + n)
-            types.append(np.frombuffer(data, dtype=np.int32, offset=8 * m))
-            n += k
-            if n >= _kernels._CHUNK:
-                yield np.concatenate(types), np.concatenate(starts + [[n]])
-                types, starts, n = [], [], 0
+        types, starts, n = [], [], 0
+        for spill, base in parts:
+            at = 0
+            while True:
+                with _spill_io():
+                    spill.seek(at)
+                    head = spill.read(16)
+                    k, m = np.frombuffer(head, dtype=np.int64).tolist() if head else (0, 0)
+                    data = spill.read(8 * m + 4 * k)
+                if not head:
+                    break
+                if len(data) != 8 * m + 4 * k:
+                    raise OSError("the corpus spill file ends inside a record")
+                at += 16 + len(data)
+                starts.append(np.frombuffer(data, dtype=np.int64, count=m) + n)
+                ids = np.frombuffer(data, dtype=np.int32, offset=8 * m)
+                types.append(ids + np.int32(base) if base else ids)
+                n += k
+                if n >= _kernels._CHUNK:
+                    yield np.concatenate(types), np.concatenate(starts + [[n]])
+                    types, starts, n = [], [], 0
         if n:
             yield np.concatenate(types), np.concatenate(starts + [[n]])
 
@@ -155,22 +179,23 @@ def _parse_token(raw: str):
 
 
 class _Encoder:
-    """Pass 1, block by block.  Each token's bytes map to a node of a
+    """Pass 1 over the part of the file at `path` that starts at byte
+    `start`, block by block.  Each token's bytes map to a node of a
     `_kernels.TypeTable`, its type id.  A new type is decoded and parsed
     once, at its first position, which fixes its word and tag ids in order
-    of first occurrence; the word ids become the corpus's ``word_index``.
-    Per block, `add` counts the tokens of each type and appends their type
-    ids and the sentence starts to the spill."""
+    of first occurrence.  Per block, `add` counts the tokens of each type
+    and appends their type ids and the sentence starts to `spill`, if it
+    is not None."""
 
-    def __init__(self, path, spill=True):
-        self.path = path
+    def __init__(self, path, start, spill):
+        self.path, self.start = path, start
         self.table = _kernels.TypeTable()
         self.words, self.tags = {}, {None: 0}  # ids in order of first occurrence
         self.word_of = np.empty(0, dtype=np.int32)  # per type: word id
         self.tag_of = np.empty(0, dtype=np.int32)
         self.counts = np.empty(0, dtype=np.int64)  # per type: tokens
-        self.lines = 0  # line ends before the current block
-        self.spill = tempfile.TemporaryFile() if spill else None
+        self.lines = 0  # line ends in the part before the current block
+        self.spill = spill
 
     def read(self, block: bytes):
         """Tokenize one block of `_kernels.blocks` and `add` it."""
@@ -194,7 +219,8 @@ class _Encoder:
             try:
                 word, tag = _parse_token(raw.decode("utf-8"))
             except UnicodeDecodeError as exc:
-                line = self.lines + _kernels.tokens(block[:lo] + _kernels.PAD)[3] + 1
+                line = (_line_ends(self.path, self.start) + self.lines
+                        + _kernels.tokens(block[:lo] + _kernels.PAD)[3] + 1)
                 raise CorpusError(f"{self.path}:{line}: invalid UTF-8 ({exc.reason}) "
                                   f"in token {raw[:40]!r}") from None
             self.word_of[node[t]] = self.words.setdefault(word, len(self.words))
@@ -219,15 +245,160 @@ class _Encoder:
                     self.spill.write(first.astype(np.int64, copy=False))
                     self.spill.write(types)
 
-    def corpus(self) -> TokenizedCorpus:
-        """The read corpus; its token counts per (word, tag) sum those of
-        its types."""
-        seen = np.flatnonzero(self.counts)
-        n_tags = len(self.tags)
-        counts = np.zeros((len(self.words), n_tags), dtype=np.int64)
-        np.add.at(counts, (self.word_of[seen], self.tag_of[seen]), self.counts[seen])
-        return TokenizedCorpus(tuple(self.words), self.words, tuple(self.tags), counts,
-                               self.word_of, self.tag_of, self.spill, int(self.counts.sum()))
+    def part(self):
+        """The part as `_merged` takes it: its words and tags in id order,
+        and per type its word id, tag id and tokens.  The spill is flushed
+        first, since a worker's buffers die with it."""
+        if self.spill is not None:
+            with _spill_io():
+                self.spill.flush()
+        n = self.table.size
+        return (list(self.words), list(self.tags), self.word_of[:n], self.tag_of[:n],
+                self.counts[:n])
+
+
+def _line_ends(path, end) -> int:
+    """The line ends in the first `end` bytes of the file, for the line
+    number of an error in a later part."""
+    if not end:
+        return 0
+    with open(path, "rb") as fh:
+        return sum(_kernels.tokens(block + _kernels.PAD)[3] for block in _kernels.blocks(fh, end))
+
+
+#: The fewest bytes per part of a read (16 reads of the reader): below
+#: about this a forked worker costs more than it saves.
+_MIN_PART = 1 << 20
+
+
+def _can_fork() -> bool:
+    """Whether this process may fork workers: ``os.fork`` exists and the
+    process runs one thread.  A fork copies only the calling thread, so a
+    lock that another thread holds stays locked in the child (CPython
+    3.12 warns of it)."""
+    try:
+        return hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where that is unknown."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _cuts(path) -> list:
+    """The byte offsets at which the parts of a read of `path` start, then
+    None for the end of the file.  Where this process may fork, a regular
+    file has one part per usable CPU, but no more than one per
+    `_MIN_PART` bytes; every part after the first starts just after a
+    ``\\n``, so no line and no ``\\r\\n`` is cut."""
+    n = _usable_cpus() if _can_fork() else 1
+    if n > 1:
+        info = os.stat(path)
+        n = min(n, info.st_size // _MIN_PART) if stat.S_ISREG(info.st_mode) else 1
+    cuts = [0]
+    if n > 1:
+        with open(path, "rb") as fh:
+            for k in range(1, n):
+                at = max(cuts[-1], info.st_size * k // n)
+                fh.seek(at)
+                while piece := fh.read(_kernels._CHUNK):
+                    if (i := piece.find(b"\n")) >= 0:
+                        at += i + 1
+                        break
+                    at += len(piece)
+                if not piece or at == info.st_size:
+                    break
+                cuts.append(at)
+    return cuts + [None]
+
+
+@contextlib.contextmanager
+def _forked(job, *args):
+    """Run ``job(*args)`` in a forked child while the block runs.  The
+    block gets a function that returns the job's result or raises its
+    exception, which the child sends pickled over a pipe; if the child
+    dies first, the function raises a RuntimeError with its exit status.
+    The child is killed and reaped when the block ends."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if not pid:  # the child never returns into its caller's frames
+        try:
+            os.close(read_end)
+            try:
+                out = (True, job(*args))
+            except BaseException as exc:
+                out = (False, exc)
+            try:
+                data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(repr(out[1]))))
+            data = memoryview(data)
+            while data:
+                data = data[os.write(write_end, data):]
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    reaped = False
+    try:
+        with open(read_end, "rb") as fh:
+            def result():
+                nonlocal reaped
+                try:
+                    ok, value = pickle.load(fh)
+                except Exception:
+                    reaped = True
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    how = (f"was killed by signal {-code}" if code < 0
+                           else f"exited with status {code}")
+                    raise RuntimeError(f"a corpus worker process {how} before it sent "
+                                       "its result") from None
+                if not ok:
+                    raise value
+                return value
+            yield result
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _each_part(job, n) -> list:
+    """``[job(0), ..., job(n - 1)]``.  Where this process may fork, job 0
+    runs here while each other job runs in a forked child, all at once;
+    otherwise the jobs run here one after another.  The exception of the
+    earliest failing job is raised."""
+    if n == 1 or not _can_fork():
+        return [job(k) for k in range(n)]
+    with contextlib.ExitStack() as stack:
+        results = [stack.enter_context(_forked(job, k)) for k in range(1, n)]
+        return [job(0)] + [result() for result in results]
+
+
+def _merged(parts, spills) -> TokenizedCorpus:
+    """The corpus of the `_Encoder.part` results of the parts, in file
+    order.  Words and tags are numbered in order of first occurrence in
+    the file, and each part's type ids follow those of the parts before
+    it; a type's token count sums into its (word, tag) pair's."""
+    words, tags, columns, bases = {}, {}, ([], [], []), [0]
+    for part_words, part_tags, word_of, tag_of, counts in parts:
+        word_ids = np.array([words.setdefault(w, len(words)) for w in part_words], dtype=np.int32)
+        tag_ids = np.array([tags.setdefault(t, len(tags)) for t in part_tags], dtype=np.int32)
+        for column, a in zip(columns, (word_ids.take(word_of), tag_ids.take(tag_of), counts)):
+            column.append(a)
+        bases.append(bases[-1] + len(counts))
+    word_of, tag_of, counts = map(np.concatenate, columns)
+    seen = np.flatnonzero(counts)
+    table = np.zeros((len(words), len(tags)), dtype=np.int64)
+    np.add.at(table, (word_of[seen], tag_of[seen]), counts[seen])
+    return TokenizedCorpus(tuple(words), words, tuple(tags), table, word_of, tag_of,
+                           tuple(zip(spills, bases)), int(counts.sum()))
 
 
 def read_corpus(path, spill: bool = True) -> TokenizedCorpus:
@@ -240,22 +411,44 @@ def read_corpus(path, spill: bool = True) -> TokenizedCorpus:
     drop.  Numpy tokenizes and looks up each block; Python runs once per
     distinct token, which it decodes strictly (invalid UTF-8 is a
     `CorpusError` naming ``path:line``) and parses with `_parse_token`.
-    The spill is closed if the read fails.  With `spill` false nothing is
-    spilled: the corpus has its counts, which are all that vocabulary,
-    basis and dataset selection read, but no `chunks` for pass 2.
+
+    The file is read in parts (`_cuts`): on Linux, one per usable CPU,
+    each of at least `_MIN_PART` bytes and ending just after a ``\\n``;
+    one part where this process may not fork (`_can_fork`) or the file is
+    not a regular file, such as a pipe.  Part 0 is read here and each other
+    part in a forked worker, each by an `_Encoder` with a type table and a
+    spill of its own, which this process creates before it forks; the
+    parts are then merged in file order (`_merged`).  The error of the
+    earliest failing part is raised, and an invalid UTF-8 error names the
+    line in the whole file.  Every spill is closed if the read fails.
+    With `spill` false nothing is spilled: the corpus has its counts,
+    which are all that vocabulary, basis and dataset selection read, but
+    no `chunks` for pass 2.
     """
-    encoder = _Encoder(path, spill)
+    cuts = _cuts(path)
+    spills = []
     try:
-        with open(path, "rb") as fh:
-            for block in _kernels.blocks(fh):
-                encoder.read(block)
-        if not encoder.counts.any():
+        for _ in cuts[1:]:
+            spills.append(tempfile.TemporaryFile() if spill else None)
+
+        def read_part(k):
+            encoder = _Encoder(path, cuts[k], spills[k])
+            with open(path, "rb") as fh:
+                if cuts[k]:
+                    fh.seek(cuts[k])
+                for block in _kernels.blocks(fh, cuts[k + 1]):
+                    encoder.read(block)
+            return encoder.part()
+
+        corpus = _merged(_each_part(read_part, len(spills)), spills)
+        if not corpus.n_total:
             raise CorpusError(f"{path}: corpus is empty")
     except BaseException:
-        if encoder.spill is not None:
-            encoder.spill.close()
+        for fh in spills:
+            if fh is not None:
+                fh.close()
         raise
-    return encoder.corpus()
+    return corpus
 
 
 def build_vocab(corpus: TokenizedCorpus) -> dict[str, int]:
@@ -354,12 +547,17 @@ def count_cooccurrence(corpus: TokenizedCorpus, targets, basis: BasisSpec,
              for head, (nouns, pos_class) in (compounds or {}).items()}
     finder = _SpanFinder(corpus, targets, heads)
     cmap = corpus.lookup(basis.words)
-    occurrences = np.zeros(finder.n_rows, dtype=np.int64)
-    joint = np.zeros((finder.n_rows, basis.size), dtype=np.int64)
-    for type_ids, offsets in corpus.chunks():
-        start, end, row = finder.spans(type_ids, offsets)
-        occurrences += np.bincount(row, minlength=finder.n_rows)
-        _kernels.window_pair_counts(type_ids, offsets, start, end, row, cmap, window, joint)
+
+    def count(part):
+        occurrences = np.zeros(finder.n_rows, dtype=np.int64)
+        joint = np.zeros((finder.n_rows, basis.size), dtype=np.int64)
+        for type_ids, offsets in corpus.chunks(part):
+            start, end, row = finder.spans(type_ids, offsets)
+            occurrences += np.bincount(row, minlength=finder.n_rows)
+            _kernels.window_pair_counts(type_ids, offsets, start, end, row, cmap, window, joint)
+        return occurrences, joint
+
+    occurrences, joint = (sum(tables) for tables in zip(*_each_part(count, len(corpus.parts))))
     counts = {word: {basis.words[c]: int(row[c]) for c in np.flatnonzero(row)}
               for word, row in zip(targets, joint)}
     cuts = np.cumsum([len(nouns) for nouns, _ in heads.values()])[:-1]
