@@ -4,6 +4,19 @@ counting, and a PPMI + ridge-regression corpus pipeline."""
 
 __version__ = "0.1.0"
 
+import os
+
+#: Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
+#: Each one that is unset is set to 1 before numpy is first imported, so a
+#: process that imports lingmat first runs one thread and its corpus reads
+#: may fork workers (`corpus._can_fork`).  A value the caller set is kept.
+#: On a 2-CPU host no lingmat stage ran faster with two BLAS threads.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .matrix_core import (  # noqa: F401
     Ensemble,
     ParseError,

@@ -31,9 +31,10 @@ its own; type ids are per part, each part's after those of the parts
 before it.  Pass 2 counts each part's spill in the process that wrote
 it, and the integer tables add up.  Where ``os.fork`` or
 ``os.sched_getaffinity`` is missing, or this process runs more than one
-thread (as it does with a multi-threaded BLAS loaded), a read is one
-part in this process.  Every count, and so every output byte, is that
-of the one-part read.
+thread, a read is one part in this process.  A process that imports
+lingmat before numpy runs BLAS with one thread (`lingmat.THREAD_VARS`),
+unless its caller set a BLAS thread count above 1.  Every count, and so
+every output byte, is that of the one-part read.
 
 A vector set, from the PPMI step to the training sets, is a pair
 (labels, values): one float64 (N, dim) array whose row i is the vector of
@@ -610,9 +611,7 @@ def build_noun_vectors(table: CoocTable, basis: BasisSpec, nouns
 
 
 def _reach_of(pos_class: str, window: int) -> int:
-    if pos_class not in ("adjective", "verb", "unknown"):
-        raise ValueError(f"unknown part-of-speech class {pos_class!r}")
-    return 1 if pos_class in ("adjective", "unknown") else window
+    return window if _pos_class(pos_class) == "verb" else 1
 
 
 class _SpanFinder:

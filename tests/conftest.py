@@ -1,6 +1,11 @@
 import os
 import sys
 
+# Before anything imports numpy: lingmat then sets the BLAS thread
+# variables the caller left unset to 1, so this process runs one thread and
+# the split-read tests fork their workers in it.
+import lingmat  # noqa: F401
+
 sys.path.insert(0, os.path.dirname(__file__))
 
 

@@ -2,13 +2,8 @@
 by forked workers, against the one-part read and the oracles.
 
 Reads are forced into 2-4 parts of any size by setting ``_MIN_PART`` to
-one byte and the usable CPU count to the number of parts.  The reader
-forks only in a process that runs one thread, so the tests that need a
-split read run only in one; in a process with more threads (numpy's
-multi-threaded BLAS starts some) they skip, and
-`test_split_tests_pass_in_a_one_thread_child` runs them in a child started
-with one BLAS thread.  Every test that forks checks that no worker and no
-spill descriptor outlives the read.
+one byte and the usable CPU count to the number of parts.  Every test that
+forks checks that no worker and no spill descriptor outlives the read.
 """
 
 import contextlib
@@ -16,8 +11,6 @@ import errno
 import os
 import re
 import signal
-import subprocess
-import sys
 import tempfile
 import threading
 
@@ -25,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lingmat import _kernels, corpus
+from lingmat import THREAD_VARS, _kernels, corpus
 from lingmat.corpus import (
     BasisSpec,
     CorpusError,
@@ -41,19 +34,14 @@ import oracles
 from test_corpus_arrays import any_corpus, chunk_length
 from test_writers import _FullSpill, files
 
-#: Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def one_thread() -> bool:
-    return hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
-
-
-def need_one_thread():
-    if not one_thread():
-        pytest.skip("this process runs more than one thread, so it reads in one part; "
-                    "test_split_tests_pass_in_a_one_thread_child runs this test")
+#: The reader forks only in a process that runs one thread.  conftest
+#: imports lingmat before numpy, so this process runs BLAS with one thread
+#: unless its caller set a thread count above 1.
+CALLER_SET = ", ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS
+                       if os.environ[var] != "1")
+pytestmark = pytest.mark.skipif(
+    bool(CALLER_SET) and not corpus._can_fork(),
+    reason=f"{CALLER_SET} runs BLAS with more than one thread, so every read is one part")
 
 
 @contextlib.contextmanager
@@ -112,7 +100,7 @@ def assert_same_table(got, want):
 
 
 # ---------------------------------------------------------------------------
-# where the file is cut, and when nothing forks (these run in any process)
+# where the file is cut, and when nothing forks
 # ---------------------------------------------------------------------------
 
 def test_parts_end_just_after_a_line_feed(tmp_path, monkeypatch):
@@ -184,7 +172,6 @@ def test_split_read_matches_one_part_read(text, parts, chunk, window, pos_class)
     the split read has the one-part read's words, word ids, tags, counts,
     token total and sentences, and its pass 2 the same tables, which are
     the oracles' too."""
-    need_one_thread()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "corpus.txt")
         with open(path, "wb") as fh:
@@ -240,7 +227,6 @@ def small_run(tmp_path_factory):
 
 @pytest.mark.parametrize("parts", [2, 3, 4])
 def test_split_pipeline_writes_the_same_bytes(tmp_path, small_run, parts):
-    need_one_thread()
     config, want = small_run
     with split_into(parts), leaves_no_worker_or_spill():
         run_pipeline(config(tmp_path / "out"))
@@ -265,7 +251,6 @@ def test_invalid_utf8_names_the_line_of_the_whole_file(tmp_path, bad):
     """Invalid UTF-8 in a later part gives the one-part read's exact
     ``path:line`` message, and with errors in several parts the earliest
     part's error wins."""
-    need_one_thread()
     path = lines_file(tmp_path, bad)
     with pytest.raises(CorpusError) as one:
         read_corpus(path)
@@ -293,7 +278,6 @@ def test_full_disk_in_a_worker_keeps_errno_and_names_the_spill_dir(tmp_path, mon
     """ENOSPC in a worker's spill write (pass 1) or read-back (pass 2)
     reaches `run_pipeline` with its errno and the spill's directory, fails
     build-vectors and leaves only the FAILED marker."""
-    need_one_thread()
     config = small_run[0]
     spill_dir = tmp_path / "tmp"
     spill_dir.mkdir()
@@ -327,7 +311,6 @@ def test_a_worker_that_dies_fails_build_vectors(tmp_path, monkeypatch, small_run
     """A worker that exits or is killed before it sends its result fails
     build-vectors with its exit status and leaves only the FAILED
     marker."""
-    need_one_thread()
     config = small_run[0]
     die = worker_only(lambda: os._exit(3) if how == "exit"
                       else os.kill(os.getpid(), signal.SIGKILL))
@@ -352,7 +335,6 @@ def test_a_worker_that_dies_fails_build_vectors(tmp_path, monkeypatch, small_run
 def test_a_failure_here_kills_the_workers(tmp_path, monkeypatch):
     """When part 0, read in this process, fails, the workers still reading
     later parts are killed and reaped and every spill is closed."""
-    need_one_thread()
     path = lines_file(tmp_path, bad=(1,))
     parent = os.getpid()
     real = corpus._Encoder.read
@@ -366,22 +348,3 @@ def test_a_failure_here_kills_the_workers(tmp_path, monkeypatch):
     with split_into(3), leaves_no_worker_or_spill():
         with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:1: invalid UTF-8"):
             read_corpus(path)
-
-
-# ---------------------------------------------------------------------------
-
-def test_split_tests_pass_in_a_one_thread_child():
-    """Where this process runs more than one thread, the tests above that
-    need a split read skipped; run them in a child whose BLAS and OpenMP
-    runtimes start no threads."""
-    if one_thread():
-        pytest.skip("this process runs one thread; the split tests ran in it")
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rs",
-         os.path.abspath(__file__), "-k", "not one_thread_child"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=600)
-    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
-    assert re.fullmatch(r"=* ?\d+ passed, 1 deselected in [\d.]+s ?=*", summary), summary

@@ -1,15 +1,24 @@
 """The test configuration and source rules: a failing property must fail
-like any test, the benchmark's traced names must exist and a traced run
-must count its layers, every file lingmat writes goes through one
-writer, no JSON reader coerces and no JSON writer writes NaN or
-Infinity."""
+like any test, a fresh lingmat process must run BLAS with one thread
+unless its caller set a count, the benchmark's traced names must exist
+and a traced run must count its layers, every file lingmat writes goes
+through one writer, no JSON reader coerces and no JSON writer writes NaN
+or Infinity."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+import lingmat
+from lingmat import THREAD_VARS, corpus
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -30,6 +39,42 @@ def test_failing_property_is_an_ordinary_failure(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "1 failed" in proc.stdout
+
+
+CHILD = """
+import json, os, sys
+import lingmat
+from lingmat import corpus
+print(json.dumps({"env": {var: os.environ[var] for var in lingmat.THREAD_VARS},
+                  "threads": len(os.listdir("/proc/self/task")),
+                  "can_fork": corpus._can_fork(),
+                  "parts": len(corpus._cuts(sys.argv[1])) - 1}))
+"""
+
+
+@pytest.mark.skipif(corpus._usable_cpus() < 2, reason="one usable CPU: every read is one part")
+@pytest.mark.parametrize("caller", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_a_fresh_process_splits_unless_its_caller_sets_blas_threads(tmp_path, caller):
+    """A fresh interpreter whose caller set no thread variable runs one
+    thread after ``import lingmat`` and cuts a 2 MiB file into 2 parts.  One
+    whose caller set ``OPENBLAS_NUM_THREADS=2`` keeps that value, runs
+    OpenBLAS's threads and reads the file in one part."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if caller and "openblas" not in blas:
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"big|J cat|N\n" * ((2 << 20) // 12 + 1))
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(caller, PYTHONPATH=os.path.dirname(os.path.dirname(lingmat.__file__)))
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got.pop("env") == {**dict.fromkeys(THREAD_VARS, "1"), **caller}
+    if caller:
+        assert got["threads"] > 1 and not got["can_fork"] and got["parts"] == 1
+    else:
+        assert got == {"threads": 1, "can_fork": True, "parts": 2}
 
 
 def _tracing():
@@ -57,7 +102,6 @@ def test_a_traced_run_counts_its_layers(tmp_path):
     tracer run to the end and count work in the corpus, kernel and
     regression layers, so a signature change that breaks a traced call or
     its counter fails here, not only in a traced benchmark run."""
-    import lingmat
     from lingmat.synth import SynthConfig, write_synth_corpus
 
     corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
