@@ -12,15 +12,15 @@ this package); lines starting with '#' are comments.
 
 A corpus is read in two passes, and no array with one entry per token or
 sentence outlives a block or chunk.  Pass 1 (`read_corpus`) tokenizes it
-block by block, counts the tokens of each (word, tag) pair, and appends
-each block's type ids and sentence starts to an unnamed temporary file,
-the spill.  Vocabulary, basis, part-of-speech votes and dataset selection
-come from the counts.  Pass 2 (`count_cooccurrence`) reads the spilled
-type ids back in chunks of whole sentences and counts one kind of thing,
-the context of a span: a target occurrence is a span of one token, a
-compound the span from its head to its noun, and one kernel call per chunk
-counts the contexts of all of them into one table.  An error in a spill
-write or read-back names `tempfile`'s directory, where the spill is.
+block by block, counts the tokens of each type (distinct token bytes),
+and appends each block's type ids and sentence starts to an unnamed
+temporary file, the spill.  Vocabulary, basis, part-of-speech votes and
+dataset selection come from the type counts.  Pass 2
+(`count_cooccurrence`) reads the spilled type ids back in chunks of whole
+sentences and counts one kind of thing, the context of a span: a target
+occurrence is a span of one token, a compound the span from its head to
+its noun, and one kernel call per chunk counts the contexts of all of
+them into one table.  A spill error names `tempfile`'s directory.
 
 On Linux both passes use every usable CPU.  Pass 1 cuts a regular file
 into one part per CPU this process may run on (``os.sched_getaffinity``),
@@ -44,6 +44,7 @@ label i, the layout of ``vectors.npy``.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import os
 import pickle
 import signal
@@ -81,26 +82,29 @@ def _spill_io():
 class TokenizedCorpus:
     """A corpus after pass 1: ``words``/``tags`` map ids back to strings
     (``tags[0]`` is None, the id of an untagged token) and ``word_index``
-    maps each word to its id, ``word_tag_counts`` counts the tokens of each
-    (word id, tag id), and ``word_of``/``tag_of`` give the word and tag id
-    of each type id.  ``parts`` holds, per part of the file (see
-    `read_corpus`), its spill and its first type id: the spill holds, per
-    block, each token's type id within the part and each sentence's start
-    (`chunks`), and it is None if the corpus was read for its counts only.
-    One (word, tag) may have a type id in each part."""
+    maps each word to its id, and ``word_of``/``tag_of``/``counts`` give
+    each type id's word id, tag id and tokens; a continuation node of a
+    token longer than 8 bytes has count 0 and tag id 0.  ``parts`` holds,
+    per part of the file (see `read_corpus`), its spill and its first type
+    id: the spill holds, per block, each token's type id within the part
+    and each sentence's start (`chunks`), and it is None if the corpus was
+    read for its counts only.  One (word, tag) may have a type in each part."""
 
     words: tuple
     word_index: dict
     tags: tuple
-    word_tag_counts: np.ndarray
     word_of: np.ndarray
     tag_of: np.ndarray
+    counts: np.ndarray
     parts: tuple
-    n_total: int
 
     def __post_init__(self):
-        for arr in (self.word_tag_counts, self.word_of, self.tag_of):
+        for arr in (self.word_of, self.tag_of, self.counts):
             arr.setflags(write=False)
+
+    @property
+    def n_total(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def tagged(self) -> bool:
@@ -386,7 +390,7 @@ def _merged(parts, spills) -> TokenizedCorpus:
     """The corpus of the `_Encoder.part` results of the parts, in file
     order.  Words and tags are numbered in order of first occurrence in
     the file, and each part's type ids follow those of the parts before
-    it; a type's token count sums into its (word, tag) pair's."""
+    it."""
     words, tags, columns, bases = {}, {}, ([], [], []), [0]
     for part_words, part_tags, word_of, tag_of, counts in parts:
         word_ids = np.array([words.setdefault(w, len(words)) for w in part_words], dtype=np.int32)
@@ -394,12 +398,8 @@ def _merged(parts, spills) -> TokenizedCorpus:
         for column, a in zip(columns, (word_ids.take(word_of), tag_ids.take(tag_of), counts)):
             column.append(a)
         bases.append(bases[-1] + len(counts))
-    word_of, tag_of, counts = map(np.concatenate, columns)
-    seen = np.flatnonzero(counts)
-    table = np.zeros((len(words), len(tags)), dtype=np.int64)
-    np.add.at(table, (word_of[seen], tag_of[seen]), counts[seen])
-    return TokenizedCorpus(tuple(words), words, tuple(tags), table, word_of, tag_of,
-                           tuple(zip(spills, bases)), int(counts.sum()))
+    return TokenizedCorpus(tuple(words), words, tuple(tags), *map(np.concatenate, columns),
+                           tuple(zip(spills, bases)))
 
 
 def read_corpus(path, spill: bool = True) -> TokenizedCorpus:
@@ -452,20 +452,16 @@ def read_corpus(path, spill: bool = True) -> TokenizedCorpus:
     return corpus
 
 
+def _word_totals(corpus: TokenizedCorpus) -> np.ndarray:
+    """Per word id, its tokens summed over its types; exact below 2**53."""
+    return np.bincount(corpus.word_of, corpus.counts, len(corpus.words)).astype(np.int64)
+
+
 def build_vocab(corpus: TokenizedCorpus) -> dict[str, int]:
     """Exact surface-form frequencies; sums to the total token count."""
     if corpus.n_total == 0:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
-    return dict(zip(corpus.words, corpus.word_tag_counts.sum(axis=1).tolist()))
-
-
-def _content_words(corpus: TokenizedCorpus) -> list[str]:
-    if not corpus.tagged:
-        return list(corpus.words)
-    content = np.array([t is not None and t[:1].upper() in CONTENT_TAG_PREFIXES
-                        for t in corpus.tags])
-    mask = corpus.word_tag_counts[:, content].any(axis=1)
-    return [corpus.words[i] for i in np.flatnonzero(mask)]
+    return dict(zip(corpus.words, _word_totals(corpus).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,17 +488,20 @@ class BasisSpec:
 
 
 def select_basis(corpus: TokenizedCorpus, size: int) -> BasisSpec:
-    """Top-`size` content words by frequency, ties broken lexicographically."""
+    """Top-`size` content words by frequency, ties broken lexicographically.
+    A continuation node (tag id 0, None) is content only when untagged."""
     if size < 1:
         raise ValueError(f"basis size must be >= 1, got {size}")
-    vocab = build_vocab(corpus)
-    content = _content_words(corpus)
-    if len(content) < size:
-        raise CorpusError(
-            f"need {size} content words for the basis but only {len(content)} are available"
-        )
-    ranked = sorted(content, key=lambda w: (-vocab[w], w))
-    return BasisSpec(tuple(ranked[:size]))
+    is_content = np.array([not corpus.tagged or (t is not None and t[:1].upper()
+                                                 in CONTENT_TAG_PREFIXES) for t in corpus.tags])
+    content = np.zeros(len(corpus.words), dtype=bool)
+    content[corpus.word_of[is_content.take(corpus.tag_of)]] = True
+    if len(content := np.flatnonzero(content)) < size:
+        raise CorpusError(f"need {size} content words for the basis but only "
+                          f"{len(content)} are available")
+    ranked = heapq.nsmallest(size, zip((-_word_totals(corpus)[content]).tolist(),
+                                       map(corpus.words.__getitem__, content.tolist())))
+    return BasisSpec(tuple(w for _, w in ranked))
 
 
 @dataclass(frozen=True, eq=False)
@@ -809,19 +808,21 @@ def write_pairs(pairs: dict[str, dict[str, int]], path) -> None:
                 fh.write(f"{head}\t{arg}\t{pairs[head][arg]}\n")
 
 
-def pos_class_of(word: str, corpus: TokenizedCorpus) -> str:
-    """Majority vote of the word's tag letters; ties go to the first letter."""
-    i = corpus.word_index.get(word)
-    if not corpus.tagged or i is None:
-        return "unknown"
-    votes: dict[str, int] = {}
-    for tag, n in zip(corpus.tags, corpus.word_tag_counts[i].tolist()):
-        if tag and n:
-            votes[tag[:1].upper()] = votes.get(tag[:1].upper(), 0) + n
-    if not votes:
-        return "unknown"
-    top = max(sorted(votes), key=lambda k: votes[k])
-    return {"J": "adjective", "V": "verb"}.get(top, "unknown")
+def pos_class_of(corpus: TokenizedCorpus, words) -> dict[str, str]:
+    """Per word, one pass over the types (`lookup`): the majority vote of
+    its tokens' tag letters, J adjective, V verb, else unknown; a tie goes
+    to the alphabetically first tied letter.  Only tagged types vote (not a
+    continuation node, tag id 0); a word with no votes is unknown."""
+    words = list(dict.fromkeys(words))
+    votes = [{} for _ in words]
+    row = corpus.lookup(words)
+    voters = np.flatnonzero((row >= 0) & (corpus.tag_of > 0))
+    for i, tag, n in zip(row[voters].tolist(), corpus.tag_of[voters].tolist(),
+                         corpus.counts[voters].tolist()):
+        letter = corpus.tags[tag][:1].upper()
+        votes[i][letter] = votes[i].get(letter, 0) + n
+    return {w: {"J": "adjective", "V": "verb"}.get(max(sorted(v), key=v.get) if v else None,
+                                                  "unknown") for w, v in zip(words, votes)}
 
 
 def select_dataset(corpus: TokenizedCorpus, pairs: dict[str, dict[str, int]],
@@ -835,21 +836,19 @@ def select_dataset(corpus: TokenizedCorpus, pairs: dict[str, dict[str, int]],
     min_args arguments are dropped.  Raising any threshold never adds a
     target.
     """
-    vocab = build_vocab(corpus)
-    candidates = [h for h in pairs if vocab.get(h, 0) >= thresholds.min_target_freq]
-    candidates.sort(key=lambda w: (-vocab.get(w, 0), w))
-    candidates = candidates[thresholds.drop_top:]
-    entries = []
-    for head in candidates:
+    totals = _word_totals(corpus)
+    freq = {h: int(totals[corpus.word_index[h]]) if h in corpus.word_index else 0 for h in pairs}
+    candidates = [h for h in pairs if freq[h] >= thresholds.min_target_freq]
+    candidates.sort(key=lambda w: (-freq[w], w))
+    kept = {}
+    for head in candidates[thresholds.drop_top:]:
         args = [(noun, cnt) for noun, cnt in pairs[head].items()
                 if cnt >= thresholds.min_pair_count]
-        if len(args) < max(thresholds.min_args, 1):
-            continue
-        args.sort(key=lambda nc: (-nc[1], nc[0]))
-        entries.append(SelectionEntry(word=head, pos_class=pos_class_of(head, corpus),
-                                      freq=vocab.get(head, 0), args=tuple(args)))
-    entries.sort(key=lambda e: e.word)
-    return DatasetSelection(entries=tuple(entries))
+        if len(args) >= max(thresholds.min_args, 1):
+            kept[head] = tuple(sorted(args, key=lambda nc: (-nc[1], nc[0])))
+    return DatasetSelection(entries=tuple(
+        SelectionEntry(word=head, pos_class=pos, freq=freq[head], args=kept[head])
+        for head, pos in sorted(pos_class_of(corpus, kept).items())))
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,8 @@ def stage_build_vectors(corpus, pairs, basis_size, window, out_dir, provenance):
     basis = select_basis(corpus, basis_size)
 
     nouns = sorted({arg for args in pairs.values() for arg in args})
-    heads = {head: (sorted(pairs[head]), pos_class_of(head, corpus)) for head in sorted(pairs)}
+    heads = {head: (sorted(pairs[head]), pos)
+             for head, pos in sorted(pos_class_of(corpus, pairs).items())}
     table = count_cooccurrence(corpus, nouns, basis, window, heads)
     noun_vectors = build_noun_vectors(table, basis, nouns)
 

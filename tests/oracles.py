@@ -198,7 +198,8 @@ def basis_words(sentences, size):
 
 
 def pos_class(sentences, word):
-    """Majority tag letter of `word`; ties go to the first letter."""
+    """Majority tag letter of `word`; a tie goes to the alphabetically
+    first of the tied letters."""
     if not is_tagged(sentences):
         return "unknown"
     votes = {}

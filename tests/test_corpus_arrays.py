@@ -8,6 +8,7 @@ and with the chunks that pass 2 reads back cut to as many tokens, so that
 a chunk ends at almost every sentence and sentences outgrow chunks.
 """
 
+import collections
 import contextlib
 import dataclasses
 import io
@@ -95,6 +96,16 @@ def read_both(text):
 
 any_corpus = st.one_of(corpus_text(), corpus_text(token=word))
 
+
+def pair_counts(corpus):
+    """The tokens of each (word, tag), summed over its types, which do not
+    depend on how the file was cut into parts."""
+    out = collections.Counter()
+    for w, t, n in zip(corpus.word_of.tolist(), corpus.tag_of.tolist(), corpus.counts.tolist()):
+        if n:
+            out[corpus.words[w], corpus.tags[t]] += n
+    return out
+
 #: Chunk lengths every check runs at: the default (None), then chunks so
 #: short that most sentences end a chunk and some outgrow one.
 CHUNKS = (None, 1, 3, 7)
@@ -120,6 +131,7 @@ def test_read_corpus_round_trip(text):
             return
         assert corpus.sentences == sentences, chunk
         assert corpus.n_total == sum(len(s) for s in sentences)
+        assert pair_counts(corpus) == collections.Counter(t for s in sentences for t in s)
         assert corpus.tagged == oracles.is_tagged(sentences)
         with chunk_length(chunk):
             check_chunks(corpus, sentences)
@@ -161,8 +173,8 @@ def check_vocab_basis_and_pos_class(text):
                 select_basis(corpus, size)
             break
         assert select_basis(corpus, size).words == want
-    for w in list(vocab) + ["absent"]:
-        assert pos_class_of(w, corpus) == oracles.pos_class(sentences, w), w
+    words = list(vocab) + ["absent"]
+    assert pos_class_of(corpus, words) == {w: oracles.pos_class(sentences, w) for w in words}
 
 
 @settings(max_examples=50, deadline=None)
@@ -231,8 +243,7 @@ def test_edge_case_tokens_and_lines(tmp_path):
                 (("x", None), ("y", None), ("z", "J")),
             ), chunk
             assert corpus.tagged
-            assert pos_class_of("z", corpus) == "adjective"
-            assert pos_class_of("solo", corpus) == "unknown"
+            assert pos_class_of(corpus, ["z", "solo"]) == {"z": "adjective", "solo": "unknown"}
             # a window longer than every sentence counts whole sentences
             table = count_cooccurrence(corpus, ["solo", "x"],
                                        BasisSpec(("y", "z", "solo")), 50)
@@ -344,9 +355,9 @@ def test_more_than_128_tags_widen_the_tag_ids(tmp_path):
             corpus = read_corpus(path)
             assert corpus.sentences == want, chunk
         assert len(corpus.tags) == 301 and corpus.tag_of.dtype == np.int32
-        assert corpus.word_tag_counts.shape == (8, 301)
-        assert (corpus.word_tag_counts[:, 1:].sum(axis=0) == 1).all()
-        assert not corpus.word_tag_counts.flags.writeable
+        assert len(corpus.words) == 8
+        assert (np.bincount(corpus.tag_of, corpus.counts, 301)[1:] == 1).all()
+        assert not corpus.counts.flags.writeable
 
 
 @pytest.mark.parametrize("data, line", [
@@ -384,7 +395,7 @@ def test_corpus_read_from_a_pipe_matches_the_file(tmp_path, desk_corpus):
     writer.join(timeout=30)
     assert not writer.is_alive()
     from_file = read_corpus(path)
-    np.testing.assert_array_equal(from_pipe.word_tag_counts, from_file.word_tag_counts)
+    assert pair_counts(from_pipe) == pair_counts(from_file)
     assert from_pipe.words == from_file.words and from_pipe.tags == from_file.tags
     for (ids, offsets), (want_ids, want_offsets) in zip(from_pipe.chunks(), from_file.chunks(),
                                                         strict=True):
@@ -403,12 +414,12 @@ def test_sentences_view_is_decoded_from_the_arrays(tmp_path):
     assert corpus.tags == (None, "N")
     np.testing.assert_array_equal(corpus.word_of, [0, 1, 0])
     np.testing.assert_array_equal(corpus.tag_of, [1, 0, 0])
-    np.testing.assert_array_equal(corpus.word_tag_counts, [[1, 1], [1, 0]])
+    np.testing.assert_array_equal(corpus.counts, [1, 1, 1])
     ((ids, offsets),) = corpus.chunks()
     np.testing.assert_array_equal(ids, [0, 1, 2])
     np.testing.assert_array_equal(offsets, [0, 2, 3])
     assert corpus.sentences == ((("a", "N"), ("b", None)), (("a", None),))
-    assert not corpus.word_tag_counts.flags.writeable
+    assert not corpus.counts.flags.writeable
     corpus.close()
     with pytest.raises(ValueError):
         next(corpus.chunks())
@@ -460,7 +471,7 @@ def test_word_index_is_pass_1s_and_lookups_leave_it_alone(tmp_path):
     corpus = read_corpus(path)
     assert corpus.word_index == {"big": 0, "cat": 1, "x": 2}
     assert corpus.lookup(["dog", "cat"]).tolist() == [-1, 1, -1]
-    assert pos_class_of("dog", corpus) == "unknown"
+    assert pos_class_of(corpus, ["dog"]) == {"dog": "unknown"}
     count_cooccurrence(corpus, ["dog"], BasisSpec(("cat",)), 2,
                        {"big": (["dog", "cat"], "adjective"), "emu": (["cat"], "verb")})
     assert corpus.word_index == {"big": 0, "cat": 1, "x": 2}

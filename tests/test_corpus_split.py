@@ -31,7 +31,8 @@ from lingmat.pipeline import PipelineConfig, PipelineError, run_pipeline
 from lingmat.synth import SynthConfig, write_synth_corpus
 
 import oracles
-from test_corpus_arrays import any_corpus, chunk_length
+from test_corpus_arrays import (any_corpus, check_vocab_basis_and_pos_class, chunk_length,
+                                pair_counts)
 from test_writers import _FullSpill, files
 
 #: The reader forks only in a process that runs one thread.  conftest
@@ -77,7 +78,7 @@ def write(tmp_path, data: bytes, name="corpus.txt"):
 def assert_same_corpus(got, want):
     assert got.words == want.words and got.tags == want.tags
     assert got.word_index == want.word_index
-    np.testing.assert_array_equal(got.word_tag_counts, want.word_tag_counts)
+    assert pair_counts(got) == pair_counts(want)
     assert got.n_total == want.n_total
     assert got.sentences == want.sentences
 
@@ -171,7 +172,8 @@ def test_split_read_matches_one_part_read(text, parts, chunk, window, pos_class)
     """Mixed ``\\n``/``\\r\\n``/``\\r`` line ends and non-ASCII separators:
     the split read has the one-part read's words, word ids, tags, counts,
     token total and sentences, and its pass 2 the same tables, which are
-    the oracles' too."""
+    the oracles' too; its vocabulary, basis at every size and every word's
+    part-of-speech class are the oracles'."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "corpus.txt")
         with open(path, "wb") as fh:
@@ -193,6 +195,8 @@ def test_split_read_matches_one_part_read(text, parts, chunk, window, pos_class)
                 got.close()
             assert_same_table(table, counted(one, words, window, pos_class))
             one.close()
+            with split_into(parts):
+                check_vocab_basis_and_pos_class(text)
     want = oracles.window_counts_bruteforce(sentences, words, words, window)
     assert {(t, c): n for t, row in table.counts.items() for c, n in row.items()} == want
     reach = window if pos_class == "verb" else 1

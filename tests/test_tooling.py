@@ -101,7 +101,9 @@ def test_a_traced_run_counts_its_layers(tmp_path):
     """A small pipeline run and Monte Carlo check under the benchmark's
     tracer run to the end and count work in the corpus, kernel and
     regression layers, so a signature change that breaks a traced call or
-    its counter fails here, not only in a traced benchmark run."""
+    its counter fails here, not only in a traced benchmark run.  The run
+    builds its vocabulary once and classifies its heads in at most two
+    calls, one per stage that needs their classes."""
     from lingmat.synth import SynthConfig, write_synth_corpus
 
     corpus, pairs = tmp_path / "corpus.txt", tmp_path / "pairs.tsv"
@@ -119,6 +121,8 @@ def test_a_traced_run_counts_its_layers(tmp_path):
     for name in ("corpus.cooc_s", "corpus.compound_calls", "kernels.window_pairs",
                  "regression.solves"):
         assert metrics[name] > 0, name
+    assert metrics["corpus.vocab_calls"] == 1
+    assert metrics["corpus.pos_calls"] <= 2
 
 
 
