@@ -8,8 +8,9 @@ import os
 
 #: Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
 #: Each one that is unset is set to 1 before numpy is first imported, so a
-#: process that imports lingmat first runs one thread and its corpus reads
-#: may fork workers (`corpus._can_fork`).  A value the caller set is kept.
+#: process that imports lingmat first runs one thread, and its corpus reads
+#: and Monte Carlo checks may fork workers (`_workers._can_fork`).  A value
+#: the caller set is kept.
 #: On a 2-CPU host no lingmat stage ran faster with two BLAS threads.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")

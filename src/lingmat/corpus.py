@@ -22,19 +22,20 @@ occurrence is a span of one token, a compound the span from its head to
 its noun, and one kernel call per chunk counts the contexts of all of
 them into one table.  A spill error names `tempfile`'s directory.
 
-On Linux both passes use every usable CPU.  Pass 1 cuts a regular file
-into one part per CPU this process may run on (``os.sched_getaffinity``),
-but no more than one per `_MIN_PART` bytes, each ending just after a
-``\\n``.  It reads part 0 itself while one forked worker process per
-other part reads that part, with a type table of its own and a spill of
-its own; type ids are per part, each part's after those of the parts
-before it.  Pass 2 counts each part's spill in the process that wrote
-it, and the integer tables add up.  Where ``os.fork`` or
-``os.sched_getaffinity`` is missing, or this process runs more than one
-thread, a read is one part in this process.  A process that imports
-lingmat before numpy runs BLAS with one thread (`lingmat.THREAD_VARS`),
-unless its caller set a BLAS thread count above 1.  Every count, and so
-every output byte, is that of the one-part read.
+On Linux both passes use every usable CPU, through `_workers`.  Pass 1
+cuts a regular file into one part per CPU this process may run on
+(``os.sched_getaffinity``), but no more than one per
+`_workers._MIN_PART` bytes, each ending just after a ``\\n``.  It reads
+part 0 itself while one forked worker process per other part reads that
+part, with a type table of its own and a spill of its own; type ids are
+per part, each part's after those of the parts before it.  Pass 2
+counts each part's spill in the process that wrote it, and the integer
+tables add up.  Where ``os.fork`` or ``os.sched_getaffinity`` is
+missing, or this process runs more than one thread, a read is one part
+in this process.  A process that imports lingmat before numpy runs BLAS
+with one thread (`lingmat.THREAD_VARS`), unless its caller set a BLAS
+thread count above 1.  Every count, and so every output byte, is that of
+the one-part read.
 
 A vector set, from the PPMI step to the training sets, is a pair
 (labels, values): one float64 (N, dim) array whose row i is the vector of
@@ -46,15 +47,13 @@ from __future__ import annotations
 import contextlib
 import heapq
 import os
-import pickle
-import signal
 import stat
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _workers
 from .matrix_core import ParseError, atomic_open, check_int, read_stack, write_stack
 
 
@@ -271,37 +270,14 @@ def _line_ends(path, end) -> int:
         return sum(_kernels.tokens(block + _kernels.PAD)[3] for block in _kernels.blocks(fh, end))
 
 
-#: The fewest bytes per part of a read (16 reads of the reader): below
-#: about this a forked worker costs more than it saves.
-_MIN_PART = 1 << 20
-
-
-def _can_fork() -> bool:
-    """Whether this process may fork workers: ``os.fork`` exists and the
-    process runs one thread.  A fork copies only the calling thread, so a
-    lock that another thread holds stays locked in the child (CPython
-    3.12 warns of it)."""
-    try:
-        return hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where that is unknown."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _cuts(path) -> list:
     """The byte offsets at which the parts of a read of `path` start, then
-    None for the end of the file.  Where this process may fork, a regular
-    file has one part per usable CPU, but no more than one per
-    `_MIN_PART` bytes; every part after the first starts just after a
-    ``\\n``, so no line and no ``\\r\\n`` is cut."""
-    n = _usable_cpus() if _can_fork() else 1
-    if n > 1:
-        info = os.stat(path)
-        n = min(n, info.st_size // _MIN_PART) if stat.S_ISREG(info.st_mode) else 1
+    None for the end of the file.  A regular file has
+    ``_workers._part_count(size)`` parts, anything else one; every part
+    after the first starts just after a ``\\n``, so no line and no
+    ``\\r\\n`` is cut."""
+    info = os.stat(path)
+    n = _workers._part_count(info.st_size) if stat.S_ISREG(info.st_mode) else 1
     cuts = [0]
     if n > 1:
         with open(path, "rb") as fh:
@@ -317,73 +293,6 @@ def _cuts(path) -> list:
                     break
                 cuts.append(at)
     return cuts + [None]
-
-
-@contextlib.contextmanager
-def _forked(job, *args):
-    """Run ``job(*args)`` in a forked child while the block runs.  The
-    block gets a function that returns the job's result or raises its
-    exception, which the child sends pickled over a pipe; if the child
-    dies first, the function raises a RuntimeError with its exit status.
-    The child is killed and reaped when the block ends."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if not pid:  # the child never returns into its caller's frames
-        try:
-            os.close(read_end)
-            try:
-                out = (True, job(*args))
-            except BaseException as exc:
-                out = (False, exc)
-            try:
-                data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                data = pickle.dumps((False, RuntimeError(repr(out[1]))))
-            data = memoryview(data)
-            while data:
-                data = data[os.write(write_end, data):]
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    reaped = False
-    try:
-        with open(read_end, "rb") as fh:
-            def result():
-                nonlocal reaped
-                try:
-                    ok, value = pickle.load(fh)
-                except Exception:
-                    reaped = True
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    how = (f"was killed by signal {-code}" if code < 0
-                           else f"exited with status {code}")
-                    raise RuntimeError(f"a corpus worker process {how} before it sent "
-                                       "its result") from None
-                if not ok:
-                    raise value
-                return value
-            yield result
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _each_part(job, n) -> list:
-    """``[job(0), ..., job(n - 1)]``.  Where this process may fork, job 0
-    runs here while each other job runs in a forked child, all at once;
-    otherwise the jobs run here one after another.  The exception of the
-    earliest failing job is raised."""
-    if n == 1 or not _can_fork():
-        return [job(k) for k in range(n)]
-    with contextlib.ExitStack() as stack:
-        results = [stack.enter_context(_forked(job, k)) for k in range(1, n)]
-        return [job(0)] + [result() for result in results]
 
 
 def _merged(parts, spills) -> TokenizedCorpus:
@@ -414,14 +323,15 @@ def read_corpus(path, spill: bool = True) -> TokenizedCorpus:
     `CorpusError` naming ``path:line``) and parses with `_parse_token`.
 
     The file is read in parts (`_cuts`): on Linux, one per usable CPU,
-    each of at least `_MIN_PART` bytes and ending just after a ``\\n``;
-    one part where this process may not fork (`_can_fork`) or the file is
-    not a regular file, such as a pipe.  Part 0 is read here and each other
-    part in a forked worker, each by an `_Encoder` with a type table and a
-    spill of its own, which this process creates before it forks; the
-    parts are then merged in file order (`_merged`).  The error of the
-    earliest failing part is raised, and an invalid UTF-8 error names the
-    line in the whole file.  Every spill is closed if the read fails.
+    each of at least `_workers._MIN_PART` bytes and ending just after a
+    ``\\n``; one part where this process may not fork
+    (`_workers._can_fork`) or the file is not a regular file, such as a
+    pipe.  Part 0 is read here and each other part in a forked worker,
+    each by an `_Encoder` with a type table and a spill of its own, which
+    this process creates before it forks; the parts are then merged in
+    file order (`_merged`).  The error of the earliest failing part is
+    raised, and an invalid UTF-8 error names the line in the whole file.
+    Every spill is closed if the read fails.
     With `spill` false nothing is spilled: the corpus has its counts,
     which are all that vocabulary, basis and dataset selection read, but
     no `chunks` for pass 2.
@@ -441,7 +351,7 @@ def read_corpus(path, spill: bool = True) -> TokenizedCorpus:
                     encoder.read(block)
             return encoder.part()
 
-        corpus = _merged(_each_part(read_part, len(spills)), spills)
+        corpus = _merged(_workers._each_part("corpus", read_part, len(spills)), spills)
         if not corpus.n_total:
             raise CorpusError(f"{path}: corpus is empty")
     except BaseException:
@@ -557,7 +467,7 @@ def count_cooccurrence(corpus: TokenizedCorpus, targets, basis: BasisSpec,
             _kernels.window_pair_counts(type_ids, offsets, start, end, row, cmap, window, joint)
         return occurrences, joint
 
-    occurrences, joint = (sum(tables) for tables in zip(*_each_part(count, len(corpus.parts))))
+    occurrences, joint = map(sum, zip(*_workers._each_part("corpus", count, len(corpus.parts))))
     counts = {word: {basis.words[c]: int(row[c]) for c in np.flatnonzero(row)}
               for word, row in zip(targets, joint)}
     cuts = np.cumsum([len(nouns) for nouns, _ in heads.values()])[:-1]

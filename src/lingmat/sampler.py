@@ -14,19 +14,27 @@ stream is pinned by the numpy version.
 
 Draws are made and evaluated in blocks of ``_kernels.block_size(D)``
 matrices (9 at D = 30): the block's normals fill one ``(B, D^2)`` array,
-one gather through a per-D index table turns it into a ``(B, D, D)``
-stack, and the Monte Carlo check evaluates the catalog on the stack in
-one call.
+one gather through a per-D index table turns it into a C-contiguous
+``(B, D, D)`` stack, and the Monte Carlo check evaluates the catalog on
+the stack in one call.
+
+The Monte Carlo check runs on every usable CPU (`_workers`): its blocks
+are cut into runs of whole blocks, one per part, and forked workers write
+their rows of the per-draw table in place, in memory shared with this
+process.  Since a row depends only on (seed, k), every record is that of
+a one-part check.  `sample`, `iter_matrices` and ``lingmat sample`` run
+in one process.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _workers
 from .gauss import GaussParams, predict_moment
 from .invariants import CATALOG, CATALOG_INDEX, validate_tag
 from .matrix_core import Ensemble, check_int, check_seed
@@ -77,7 +85,7 @@ def _assemble(params: GaussParams, z: np.ndarray) -> np.ndarray:
     upper = sym + anti
     np.subtract(sym, anti, out=anti)
     sym[...] = upper
-    return z[:, _gather_index(d)].reshape(-1, d, d)
+    return z.take(_gather_index(d), axis=1).reshape(-1, d, d)
 
 
 def sample_matrix(params: GaussParams, rng: np.random.Generator) -> np.ndarray:
@@ -107,12 +115,13 @@ def sample_matrices(params: GaussParams, seed: int, start: int, count: int) -> n
     return _assemble(params, z)
 
 
-def _blocks(spec: SampleSpec):
-    """(start, matrices) for consecutive blocks of ``block_size(D)`` draws."""
+def _blocks(spec: SampleSpec, first: int = 0, stop: int | None = None):
+    """(start, matrices) for consecutive blocks of ``block_size(D)`` draws,
+    from draw `first`, a block boundary, up to `stop` (by default all)."""
     size = _kernels.block_size(spec.params.dim)
-    for start in range(0, spec.count, size):
-        yield start, sample_matrices(spec.params, spec.seed, start,
-                                     min(size, spec.count - start))
+    stop = spec.count if stop is None else stop
+    for start in range(first, stop, size):
+        yield start, sample_matrices(spec.params, spec.seed, start, min(size, stop - start))
 
 
 def iter_matrices(spec: SampleSpec):
@@ -155,9 +164,15 @@ def monte_carlo_check(spec: SampleSpec, tags=CATALOG) -> dict[str, McRecord]:
     """Sample means vs model predictions, one z-score per invariant.
 
     Sampling is fused with invariant evaluation, block by block, so only
-    the per-matrix invariant values (not the matrices) are retained.  The
-    standard error is the sample standard deviation of the per-matrix
-    values over sqrt(N), so N must be at least 2.
+    the per-matrix invariant values (not the matrices) are retained, in
+    one ``(count, 19)`` table in an anonymous shared mapping.  The check
+    is split into ``_workers._part_count(count * D^2 * 8)`` parts, at most
+    one per block, each a run of whole blocks: part 0 runs here and each
+    other part in a forked worker that fills its rows of the table and
+    returns nothing.  A worker's exception is raised here, and a worker
+    that dies is a RuntimeError naming its exit status.  The standard
+    error is the sample standard deviation of the per-matrix values over
+    sqrt(N), so N must be at least 2.
     """
     if spec.count < 2:
         raise ValueError(f"the Monte Carlo check needs at least 2 draws for a "
@@ -165,9 +180,18 @@ def monte_carlo_check(spec: SampleSpec, tags=CATALOG) -> dict[str, McRecord]:
     tags = tuple(tags)
     for t in tags:
         validate_tag(t)
-    per_matrix = np.empty((spec.count, len(CATALOG)))
-    for start, block in _blocks(spec):
-        per_matrix[start:start + len(block)] = _kernels.catalog_values(block)
+    d, width = spec.params.dim, len(CATALOG)
+    size = _kernels.block_size(d)
+    blocks = -(-spec.count // size)
+    parts = min(_workers._part_count(spec.count * d * d * 8), blocks)
+    bounds = [min(blocks * k // parts * size, spec.count) for k in range(parts + 1)]
+    per_matrix = np.frombuffer(mmap.mmap(-1, spec.count * width * 8)).reshape(-1, width)
+
+    def fill(k):
+        for start, block in _blocks(spec, bounds[k], bounds[k + 1]):
+            per_matrix[start:start + len(block)] = _kernels.catalog_values(block)
+
+    _workers._each_part("Monte Carlo", fill, parts)
 
     out = {}
     for tag in tags:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lingmat import THREAD_VARS, _kernels, corpus
+from lingmat import THREAD_VARS, _kernels, _workers, corpus
 from lingmat.corpus import (
     BasisSpec,
     CorpusError,
@@ -41,7 +41,7 @@ from test_writers import _FullSpill, files
 CALLER_SET = ", ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS
                        if os.environ[var] != "1")
 pytestmark = pytest.mark.skipif(
-    bool(CALLER_SET) and not corpus._can_fork(),
+    bool(CALLER_SET) and not _workers._can_fork(),
     reason=f"{CALLER_SET} runs BLAS with more than one thread, so every read is one part")
 
 
@@ -49,8 +49,8 @@ pytestmark = pytest.mark.skipif(
 def split_into(parts):
     """Reads cut the file into up to `parts` parts of any size."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(corpus, "_MIN_PART", 1)
-        mp.setattr(corpus, "_usable_cpus", lambda: parts)
+        mp.setattr(_workers, "_MIN_PART", 1)
+        mp.setattr(_workers, "_usable_cpus", lambda: parts)
         yield
 
 
@@ -109,21 +109,21 @@ def test_parts_end_just_after_a_line_feed(tmp_path, monkeypatch):
     ``\\r\\n`` is cut; parts are about equal; a file has no more parts than
     `_MIN_PART` allows, and a file with no ``\\n`` to cut at, or one that
     is not a regular file, is one part."""
-    monkeypatch.setattr(corpus, "_can_fork", lambda: True)
-    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_workers, "_can_fork", lambda: True)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 4)
     data = b"".join(b"w%d x|N\r\ny\r" % k + b"z\n" * (k % 3) for k in range(400))
     path = write(tmp_path, data)
-    monkeypatch.setattr(corpus, "_MIN_PART", 1)
+    monkeypatch.setattr(_workers, "_MIN_PART", 1)
     cuts = corpus._cuts(path)
     assert len(cuts) == 5 and cuts[0] == 0 and cuts[-1] is None
     assert all(data[c - 1:c] == b"\n" for c in cuts[1:-1])
     sizes = np.diff(cuts[:-1] + [len(data)])
     assert sizes.max() - sizes.min() < 40
-    monkeypatch.setattr(corpus, "_MIN_PART", len(data) // 2)
+    monkeypatch.setattr(_workers, "_MIN_PART", len(data) // 2)
     assert len(corpus._cuts(path)) == 3
-    monkeypatch.setattr(corpus, "_MIN_PART", len(data) // 2 + 1)
+    monkeypatch.setattr(_workers, "_MIN_PART", len(data) // 2 + 1)
     assert corpus._cuts(path) == [0, None]
-    monkeypatch.setattr(corpus, "_MIN_PART", 1)
+    monkeypatch.setattr(_workers, "_MIN_PART", 1)
     assert corpus._cuts(write(tmp_path, b"a\rb\rc\r" * 50, "cr.txt")) == [0, None]
     late = b"c\r" * 50 + b"a b\n"
     assert corpus._cuts(write(tmp_path, late + b"d\r" * 50, "late.txt")) == [0, len(late), None]
@@ -142,8 +142,8 @@ def test_one_cpu_or_a_second_thread_forks_nothing(tmp_path, monkeypatch, why):
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(corpus, "_MIN_PART", 1)
-    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1 if why == "one CPU" else 4)
+    monkeypatch.setattr(_workers, "_MIN_PART", 1)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1 if why == "one CPU" else 4)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     if why == "a second thread":
@@ -224,7 +224,7 @@ def small_run(tmp_path_factory):
             "regression": {"lambda": 0.01}})
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(corpus, "_usable_cpus", lambda: 1)
+        mp.setattr(_workers, "_usable_cpus", lambda: 1)
         run_pipeline(config(root / "one"))
     return config, files(root / "one")
 

@@ -1,7 +1,12 @@
+import os
+import re
+import signal
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from lingmat import _kernels
+from lingmat import _kernels, _workers
 from lingmat.gauss import GaussParams, predict_moment
 from lingmat.invariants import CATALOG, CATALOG_INDEX, eval_all
 from lingmat.matrix_core import PermutationMap, apply_permutation
@@ -16,9 +21,11 @@ from lingmat.sampler import (
 )
 
 from oracles import close, sample_matrix_reference
+from test_corpus_split import leaves_no_worker_or_spill, pytestmark as one_thread, worker_only
 
 PARAMS = GaussParams(dim=10, lam=1.6, a=0.8, b=2.4, j0=0.7, js=-0.4)
 C04 = dict(lam=1.3, a=0.9, b=1.8, j0=0.6, js=-0.35)
+D30 = GaussParams(dim=30, **C04)
 
 
 def philox(seed, k):
@@ -34,6 +41,34 @@ def reference_draws(params, seed, start, count):
 def assert_bits_equal(got, want):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@lru_cache(maxsize=None)
+def per_draw_table(count):
+    """The catalog of each of the first `count` draws of seed 4 at D = 30,
+    one matrix at a time."""
+    return np.stack([_kernels.catalog_values(m)
+                     for m in reference_draws(D30, 4, 0, count)])
+
+
+def assert_records_match_oracle(count, records, tags=CATALOG):
+    """The Monte Carlo records of seed 4 at D = 30 are those of the
+    per-draw table, bit for bit."""
+    table = per_draw_table(count)
+    assert list(records) == list(tags)
+    for tag, rec in records.items():
+        col = table[:, CATALOG_INDEX[tag]]
+        mean = float(col.sum() / count)
+        stderr = float(np.std(col, ddof=1) / np.sqrt(count))
+        theory = predict_moment(D30, tag)
+        if stderr > 0:
+            z = float((mean - theory) / stderr)
+        else:
+            z = 0.0 if mean == theory else np.inf
+        assert rec.to_json_dict() == {"tag": tag, "theory": theory,
+                                      "sample_mean": mean,
+                                      "sample_stderr": stderr,
+                                      "z_score": z}
 
 
 class TestSampleDeterminism:
@@ -78,8 +113,9 @@ class TestBlockedSampling:
         params = GaussParams(dim=dim, **C04)
         b = _kernels.block_size(dim)
         for start, count in ((0, 1), (3, b), (b + 1, b + 1), (2 * b - 1, 2)):
-            assert_bits_equal(sample_matrices(params, 99, start, count),
-                              reference_draws(params, 99, start, count))
+            got = sample_matrices(params, 99, start, count)
+            assert got.flags.c_contiguous
+            assert_bits_equal(got, reference_draws(params, 99, start, count))
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_iter_matrices_match_reference(self, dim):
@@ -185,25 +221,8 @@ class TestMonteCarloCheck:
     def test_records_match_per_draw_oracle(self, count):
         # block size 9 at D = 30: one partial, one full, a full plus one,
         # and many blocks
-        params = GaussParams(dim=30, **C04)
-        spec = SampleSpec(params=params, count=count, seed=4)
-        table = np.stack([_kernels.catalog_values(m)
-                          for m in reference_draws(params, spec.seed, 0, count)])
-        records = monte_carlo_check(spec)
-        assert list(records) == list(CATALOG)
-        for tag, rec in records.items():
-            col = table[:, CATALOG_INDEX[tag]]
-            mean = float(col.sum() / count)
-            stderr = float(np.std(col, ddof=1) / np.sqrt(count))
-            theory = predict_moment(params, tag)
-            if stderr > 0:
-                z = float((mean - theory) / stderr)
-            else:
-                z = 0.0 if mean == theory else np.inf
-            assert rec.to_json_dict() == {"tag": tag, "theory": theory,
-                                          "sample_mean": mean,
-                                          "sample_stderr": stderr,
-                                          "z_score": z}
+        spec = SampleSpec(params=D30, count=count, seed=4)
+        assert_records_match_oracle(count, monte_carlo_check(spec))
 
     def test_csv_rendering(self):
         spec = SampleSpec(params=PARAMS, count=100, seed=20)
@@ -211,3 +230,83 @@ class TestMonteCarloCheck:
         lines = text.strip().split("\n")
         assert lines[0] == "tag,theory,sample_mean,sample_stderr,z_score"
         assert lines[1].startswith("Md1,")
+
+
+class TestSplitMonteCarloCheck:
+    """The check in parts: forked workers fill their rows of one shared
+    table.  Parts are forced by setting ``_MIN_PART`` to one byte and the
+    usable CPU count to the number of parts."""
+
+    SUBSET = ("Mo32", "Md1", "Qin")
+
+    @one_thread
+    @pytest.mark.parametrize("parts", (1, 2, 3, 4))
+    @pytest.mark.parametrize("count", (2, 9, 10, 3001))
+    def test_split_records_match_per_draw_oracle(self, monkeypatch, count, parts):
+        """One worker per part after the first, at most one part per block
+        (more workers than CPUs on a 2-CPU host), and the records of every
+        tag or of a subset are the oracle's bit for bit."""
+        # A one-part check of other draws first: if the table's memory is
+        # reused, rows that a worker did not share hold that check's values.
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+        monte_carlo_check(SampleSpec(params=D30, count=count, seed=5))
+        forks, real_fork = [], os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(_workers, "_MIN_PART", 1)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: parts)
+        spec = SampleSpec(params=D30, count=count, seed=4)
+        with leaves_no_worker_or_spill():
+            records = monte_carlo_check(spec)
+            subset = monte_carlo_check(spec, tags=self.SUBSET)
+        assert len(forks) == 2 * (min(parts, -(-count // 9)) - 1)
+        assert_records_match_oracle(count, records)
+        assert_records_match_oracle(count, subset, self.SUBSET)
+
+    @one_thread
+    def test_a_worker_exception_is_raised_here(self, monkeypatch):
+        def fault():
+            raise ValueError("a bad block")
+
+        fail, real = worker_only(fault), _kernels.catalog_values
+        monkeypatch.setattr(_kernels, "catalog_values", lambda block: fail() or real(block))
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
+        with leaves_no_worker_or_spill(), pytest.raises(ValueError, match="^a bad block$"):
+            monte_carlo_check(SampleSpec(params=D30, count=3001, seed=4))
+
+    @one_thread
+    @pytest.mark.parametrize("how, message", [
+        ("exit", "exited with status 3"),
+        ("kill", f"was killed by signal {int(signal.SIGKILL)}")])
+    def test_a_worker_that_dies_names_its_exit_status(self, monkeypatch, how, message):
+        die = worker_only(lambda: os._exit(3) if how == "exit"
+                          else os.kill(os.getpid(), signal.SIGKILL))
+        real = _kernels.catalog_values
+        monkeypatch.setattr(_kernels, "catalog_values", lambda block: die() or real(block))
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+        with leaves_no_worker_or_spill(), pytest.raises(RuntimeError) as info:
+            monte_carlo_check(SampleSpec(params=D30, count=3001, seed=4))
+        assert re.fullmatch(f"a Monte Carlo worker process {message} before it sent "
+                            "its result", str(info.value))
+
+    @pytest.mark.parametrize("why", ["below the minimum", "may not fork"])
+    def test_nothing_forks_below_the_minimum_or_where_forking_is_unsafe(self, monkeypatch,
+                                                                         why):
+        """200 draws at D = 30 are 1.44 MB of matrices, under two
+        `_MIN_PART`: one part.  A process that may not fork (one that runs
+        a second thread) checks 3001 draws in one part too."""
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(_workers, "_can_fork", lambda: why == "below the minimum")
+        count = 200 if why == "below the minimum" else 3001
+        if why == "may not fork":
+            monkeypatch.setattr(_workers, "_MIN_PART", 1)
+        assert_records_match_oracle(count, monte_carlo_check(
+            SampleSpec(params=D30, count=count, seed=4)))

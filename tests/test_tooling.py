@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import lingmat
-from lingmat import THREAD_VARS, corpus
+from lingmat import THREAD_VARS, _workers
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -44,15 +44,15 @@ def test_failing_property_is_an_ordinary_failure(tmp_path):
 CHILD = """
 import json, os, sys
 import lingmat
-from lingmat import corpus
+from lingmat import _workers, corpus
 print(json.dumps({"env": {var: os.environ[var] for var in lingmat.THREAD_VARS},
                   "threads": len(os.listdir("/proc/self/task")),
-                  "can_fork": corpus._can_fork(),
+                  "can_fork": _workers._can_fork(),
                   "parts": len(corpus._cuts(sys.argv[1])) - 1}))
 """
 
 
-@pytest.mark.skipif(corpus._usable_cpus() < 2, reason="one usable CPU: every read is one part")
+@pytest.mark.skipif(_workers._usable_cpus() < 2, reason="one usable CPU: every read is one part")
 @pytest.mark.parametrize("caller", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
 def test_a_fresh_process_splits_unless_its_caller_sets_blas_threads(tmp_path, caller):
     """A fresh interpreter whose caller set no thread variable runs one
