@@ -30,86 +30,120 @@ def block_size(dim):
 _CHUNK = 1 << 16
 
 
+#: The rows of V, one per matrix: 1, d = diag M, d∘d, r = M·1, c = 1·M,
+#: g = diag M² and e = diag M³.
+_GRAM_VECTORS = ("1", "d", "d2", "r", "c", "g", "e")
+
+#: The base quantities that are entries of the Gram matrix V Vᵀ.
+_GRAM_ENTRIES = {"t1": ("1", "d"), "s": ("1", "r"), "q2": ("d", "d"), "q3": ("d", "d2"),
+                 "q4": ("d2", "d2"), "tr2": ("1", "g"), "tr3": ("1", "e"), "dr": ("d", "r"),
+                 "dc": ("d", "c"), "cr": ("r", "c"), "rr": ("r", "r"), "cc": ("c", "c"),
+                 "dg": ("d", "g"), "d2g": ("d2", "g"), "gg": ("g", "g"), "de": ("d", "e")}
+
+#: The base quantities of one matrix M, in the order ``catalog_values``
+#: gathers them: the sums of M∘M, M∘M∘M, (M∘M)², (M∘Mᵀ)² and M³∘Mᵀ, the
+#: Gram entries, h = dᵀ(M∘Mᵀ)d, and three products of sums.
+_BASE = ("f2", "f3", "f4", "f22", "tr4", *_GRAM_ENTRIES, "h", "t1t1", "st1", "ss")
+
+#: Each catalog invariant in catalog order: its tag, its graph's vertex
+#: count and its restricted sum over pairwise-distinct indices, expanded
+#: by inclusion-exclusion over index coincidences into ``_BASE``.
+_EXPANSIONS = (
+    ("Md1", 1, {"t1": 1}),
+    ("Mo1", 2, {"s": 1, "t1": -1}),
+    ("Md2", 1, {"q2": 1}),
+    ("Mo21", 2, {"f2": 1, "q2": -1}),
+    ("Mo22", 2, {"tr2": 1, "q2": -1}),
+    ("Qdd", 2, {"t1t1": 1, "q2": -1}),
+    ("Qdio", 2, {"dr": 1, "q2": -1}),
+    ("Qoid", 2, {"dc": 1, "q2": -1}),
+    ("Qchain", 3, {"cr": 1, "dr": -1, "dc": -1, "tr2": -1, "q2": 2}),
+    ("Qout", 3, {"rr": 1, "dr": -2, "f2": -1, "q2": 2}),
+    ("Qin", 3, {"cc": 1, "dc": -2, "f2": -1, "q2": 2}),
+    ("Qodiag", 3, {"st1": 1, "t1t1": -1, "dr": -1, "dc": -1, "q2": 2}),
+    ("Qdisc", 4, {"ss": 1, "st1": -2, "rr": -1, "cc": -1, "cr": -2, "t1t1": 1, "f2": 1,
+                  "tr2": 1, "dr": 4, "dc": 4, "q2": -6}),
+    ("Md3", 1, {"q3": 1}),
+    ("Mo31", 2, {"f3": 1, "q3": -1}),
+    ("Mo32", 3, {"tr3": 1, "dg": -3, "q3": 2}),
+    ("Md4", 1, {"q4": 1}),
+    ("Mo41", 2, {"f4": 1, "q4": -1}),
+    ("Mo42", 4, {"tr4": 1, "de": -4, "gg": -2, "h": 2, "f22": 1, "d2g": 8, "q4": -6}),
+)
+
+#: Where each Gram entry sits in a flattened V Vᵀ.
+_GRAM_INDEX = np.array([_GRAM_VECTORS.index(a) * len(_GRAM_VECTORS) + _GRAM_VECTORS.index(b)
+                        for a, b in _GRAM_ENTRIES.values()])
+
+#: The ``(25, 19)`` coefficients: catalog = base quantities @ ``COEF``.
+COEF = np.array([[e.get(b, 0) for _, _, e in _EXPANSIONS] for b in _BASE], dtype=float)
+
+#: Vertices of each invariant's graph: the invariant is an empty sum, 0,
+#: at any D below it.
+VERTICES = np.array([v for _, v, _ in _EXPANSIONS])
+
+
 def catalog_values(m):
     """All 19 catalog invariants, in the order of ``invariants.CATALOG``, of
     one ``(D, D)`` matrix (a ``(19,)`` vector) or of each matrix of an
     ``(N, D, D)`` stack (an ``(N, 19)`` table).
 
     Restricted sums over pairwise-distinct indices are expanded by
-    inclusion-exclusion over index-coincidence patterns into unrestricted
-    contractions.  Mo32 and Mo42 take one batched matrix product; every
-    other entry costs O(D^2) per matrix.
+    inclusion-exclusion (``_EXPANSIONS``) into the 25 unrestricted
+    contractions of ``_BASE``.  Per block: one contiguous copy of Mᵀ, the
+    products M² and M³, five elementwise products written into one
+    ``(5, N, D, D)`` buffer and summed in one reduction, one batched
+    ``(7, D) @ (D, 7)`` Gram product of the vectors ``_GRAM_VECTORS`` and
+    one batched ``(1, D) @ (D, D) @ (D, 1)`` product for h.  The
+    invariants are the base quantities times ``COEF``; those with more
+    graph vertices than D are set to exactly 0.
 
     A matrix is evaluated as a stack of one, and every row of a stack gets
-    the same bits as the matrix alone: the stack and each product summed
-    are C-contiguous, each reduction runs over one matrix's own axes, and
-    each dot product is a batched ``(1, D) @ (D, 1)`` matmul, the same
-    BLAS call as a 1-D ``@``.
+    the same bits as the matrix alone: the stack and every buffer are
+    C-contiguous, each reduction runs over one matrix's own axes, and
+    every product is batched, one BLAS call per matrix of the same shape
+    at any N.  That holds for the last step too, a batched
+    ``(1, 25) @ (25, 19)``; a 2-D ``(N, 25) @ (25, 19)`` would be a gemm
+    call at N > 1 but a gemv call at N = 1.
     """
     m = np.ascontiguousarray(m)
     single = m.ndim == 2
     if single:
         m = m[None]
-    mT = m.swapaxes(-1, -2)
+    n, dim = len(m), m.shape[-1]
+    mT = np.ascontiguousarray(m.swapaxes(1, 2))
+    v = np.empty((n, len(_GRAM_VECTORS), dim))
+    v[:, 0] = 1.0
+    v[:, 1] = np.diagonal(m, axis1=1, axis2=2)
+    np.multiply(v[:, 1], v[:, 1], out=v[:, 2])
+    ones = np.ones(dim)
+    np.matmul(m, ones, out=v[:, 3])
+    np.matmul(ones, m, out=v[:, 4])
 
-    def dot(x, y):  # x_k . y_k for each member k
-        return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    # buf[2] holds M² until (M∘M)² replaces it, buf[4] M³ until M³∘Mᵀ does
+    buf = np.empty((5,) + m.shape)
+    np.matmul(m, m, out=buf[2])
+    v[:, 5] = np.diagonal(buf[2], axis1=1, axis2=2)
+    np.matmul(buf[2], m, out=buf[4])
+    v[:, 6] = np.diagonal(buf[4], axis1=1, axis2=2)
+    np.multiply(buf[4], mT, out=buf[4])  # sums to tr M⁴
+    np.multiply(m, m, out=buf[0])
+    np.multiply(buf[0], m, out=buf[1])
+    np.multiply(buf[0], buf[0], out=buf[2])
+    np.multiply(m, mT, out=buf[3])  # M∘Mᵀ
+    h = (v[:, 1:2] @ buf[3]) @ v[:, 1, :, None]
+    np.multiply(buf[3], buf[3], out=buf[3])
+    gram = (v @ v.swapaxes(1, 2)).reshape(n, len(_GRAM_VECTORS) ** 2)
 
-    d = np.ascontiguousarray(np.diagonal(m, axis1=1, axis2=2))
-    d2 = d * d
-    t1 = d.sum(axis=1)
-    q2 = d2.sum(axis=1)
-    q3 = (d2 * d).sum(axis=1)
-    q4 = (d2 * d * d).sum(axis=1)
-    s = m.sum(axis=(1, 2))
-    scratch = np.empty_like(m)
-    m2e = m * m
-    f2 = m2e.sum(axis=(1, 2))
-    f3 = np.multiply(m2e, m, out=scratch).sum(axis=(1, 2))
-    f4 = np.multiply(m2e, m2e, out=scratch).sum(axis=(1, 2))
-    r = m.sum(axis=2)
-    c = m.sum(axis=1)
-    mt = np.multiply(m, mT, out=np.empty_like(m))  # (i,j) -> M_ij * M_ji
-    tr2 = mt.sum(axis=(1, 2))
-    dr = dot(d, r)
-    dc = dot(d, c)
-    cr = dot(c, r)
-    rr = (r * r).sum(axis=1)
-    cc = (c * c).sum(axis=1)
-    g = mt.sum(axis=2)  # g_i = sum_j M_ij M_ji = (M^2)_ii
-    dg2 = dot(d, g)
-    sg2 = (g * g).sum(axis=1)
-    dg = dot(d2, g)
-    h = dot((d[:, None, :] @ mt)[:, 0], d)
-    f22 = np.multiply(mt, mt, out=scratch).sum(axis=(1, 2))
-
-    out = np.empty((len(m), 19))
-    out[:, 0] = t1
-    out[:, 1] = s - t1
-    out[:, 2] = q2
-    out[:, 3] = f2 - q2
-    out[:, 4] = tr2 - q2
-    out[:, 5] = t1 * t1 - q2
-    out[:, 6] = dr - q2
-    out[:, 7] = dc - q2
-    out[:, 8] = cr - dr - dc - tr2 + 2.0 * q2
-    out[:, 9] = rr - 2.0 * dr - f2 + 2.0 * q2
-    out[:, 10] = cc - 2.0 * dc - f2 + 2.0 * q2
-    out[:, 11] = s * t1 - t1 * t1 - dr - dc + 2.0 * q2
-    out[:, 12] = (s * s - 2.0 * s * t1 - rr - cc - 2.0 * cr
-                  + t1 * t1 + f2 + tr2 + 4.0 * dr + 4.0 * dc - 6.0 * q2)
-    out[:, 13] = q3
-    out[:, 14] = f3 - q3
-    out[:, 16] = q4
-    out[:, 17] = f4 - q4
-    mm = m @ m
-    mm3 = np.multiply(mm, mT, out=scratch)  # (i,j) -> (M^2)_ij M_ji
-    tr3 = mm3.sum(axis=(1, 2))
-    dm3 = dot(d, mm3.sum(axis=2))  # d . diag(M^3)
-    tr4 = np.multiply(mm, mm.swapaxes(-1, -2), out=scratch).sum(axis=(1, 2))
-    out[:, 15] = tr3 - 3.0 * dg2 + 2.0 * q3
-    out[:, 18] = (tr4 - 4.0 * dm3 - 2.0 * sg2 + 2.0 * h + f22
-                  + 8.0 * dg - 6.0 * q4)
+    base = np.empty((n, 1, len(_BASE)))
+    f = base[:, 0]
+    f[:, :5] = buf.sum(axis=(2, 3)).T
+    f[:, 5:21] = gram[:, _GRAM_INDEX]
+    f[:, 21] = h[:, 0, 0]
+    t1, s = f[:, 5], f[:, 6]
+    f[:, 22], f[:, 23], f[:, 24] = t1 * t1, s * t1, s * s
+    out = (base @ COEF)[:, 0]
+    out[:, VERTICES > dim] = 0.0
     return out[0] if single else out
 
 

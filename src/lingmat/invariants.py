@@ -97,7 +97,7 @@ def validate_tag(tag: str) -> str:
 def eval_invariant(tag: str, m) -> float:
     """Value of one catalog invariant on a matrix.
 
-    Evaluates the whole catalog, one dense matrix product included, and
+    Evaluates the whole catalog, two dense matrix products included, and
     picks the tag's entry.
     """
     validate_tag(tag)

@@ -56,6 +56,16 @@ class TestEvalInvariant:
             for tag in CATALOG:
                 assert close(eval_invariant(tag, m), loop_invariant(tag, m), 1e-12)
 
+    @pytest.mark.parametrize("d", (7, 9, 12))
+    def test_matches_loop_oracle_at_larger_dimensions(self, d):
+        # the sum of the absolute terms bounds the round-off of any
+        # summation order, the oracle's and the kernel's
+        m = np.random.default_rng(d).normal(0.3, 1.0, size=(d, d))
+        got = _kernels.catalog_values(m)
+        for tag in CATALOG:
+            err = abs(got[CATALOG_INDEX[tag]] - loop_invariant(tag, m))
+            assert err <= 1e-12 * loop_invariant(tag, np.abs(m)), (tag, d)
+
     def test_qdisc_vanishes_at_d3(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
@@ -63,11 +73,15 @@ class TestEvalInvariant:
             assert eval_invariant("Qdisc", m) == pytest.approx(0.0, abs=1e-9)
 
     def test_vacuous_sums_are_zero(self):
+        # exactly 0.0, alone and in a stack: the expansion leaves no round-off
         rng = np.random.default_rng(13)
-        for tag, g in CATALOG_GRAPHS.items():
-            for d in range(1, g.vertex_count):
-                m = wm(rng.normal(size=(d, d)))
-                assert eval_invariant(tag, m) == pytest.approx(0.0, abs=1e-9), (tag, d)
+        for d in (1, 2, 3):
+            stack = rng.normal(0.4, 2.0, size=(5, d, d))
+            empty = [CATALOG_INDEX[t] for t, g in CATALOG_GRAPHS.items() if g.vertex_count > d]
+            assert (_kernels.catalog_values(stack)[:, empty] == 0.0).all(), d
+            for m in stack:
+                assert (_kernels.catalog_values(m)[empty] == 0.0).all(), d
+                assert all(eval_invariant(CATALOG[i], m) == 0.0 for i in empty), d
 
     def test_unknown_tag(self):
         with pytest.raises(KeyError, match="unknown invariant"):
@@ -96,6 +110,11 @@ class TestStackedCatalog:
             want = self.per_matrix(stack)
             assert got.shape == (len(stack), len(CATALOG)), layout
             assert got.tobytes() == want.tobytes(), layout
+
+    def test_expansion_table_follows_the_catalog(self):
+        assert [tag for tag, _, _ in _kernels._EXPANSIONS] == list(CATALOG)
+        assert _kernels.VERTICES.tolist() == [g.vertex_count for g in CATALOG_GRAPHS.values()]
+        assert _kernels.COEF.shape == (len(_kernels._BASE), len(CATALOG))
 
     def test_matrix_input_gives_vector(self):
         m = np.random.default_rng(3).normal(size=(4, 4))

@@ -8,7 +8,7 @@ import pytest
 
 from lingmat import _kernels, _workers
 from lingmat.gauss import GaussParams, predict_moment
-from lingmat.invariants import CATALOG, CATALOG_INDEX, eval_all
+from lingmat.invariants import CATALOG, CATALOG_GRAPHS, CATALOG_INDEX, eval_all
 from lingmat.matrix_core import PermutationMap, apply_permutation
 from lingmat.sampler import (
     SampleSpec,
@@ -193,6 +193,16 @@ class TestMonteCarloCheck:
                                 tags=("Mo32",))["Mo32"]
         assert rec.theory == 0.0
         assert abs(rec.sample_mean) < 5 * rec.sample_stderr
+
+    def test_empty_invariants_read_z_zero(self):
+        # at D = 2 the invariants of three and four graph vertices are empty sums
+        records = monte_carlo_check(SampleSpec(params=GaussParams(dim=2, **C04),
+                                               count=2000, seed=3))
+        for tag, g in CATALOG_GRAPHS.items():
+            if g.vertex_count > 2:
+                assert records[tag].to_json_dict() == {
+                    "tag": tag, "theory": 0.0, "sample_mean": 0.0,
+                    "sample_stderr": 0.0, "z_score": 0.0}
 
     def test_harness_detects_shifted_theory(self):
         # shifting the theory by 10 standard errors must push |z| beyond 5
