@@ -14,12 +14,15 @@ import numpy as np
 
 #: Bytes of float64 matrix data per stacked block: the bound on what one
 #: block holds, which keeps memory per draw flat at any ensemble size.
-_BLOCK_BYTES = 65536
+#: Evaluating a block allocates about three blocks more, the Mᵀ, M² and
+#: M³ of ``catalog_values``.
+_BLOCK_BYTES = 131072
 
 
 def block_size(dim):
     """Matrices per stacked ``(B, D, D)`` block: as many as fit in
-    ``_BLOCK_BYTES``, and at least one (B = 9 at D = 30)."""
+    ``_BLOCK_BYTES``, and at least one (B = 18 at D = 30, 4 at D = 60, 2
+    at D = 80, 1 from D = 91 up)."""
     return max(1, _BLOCK_BYTES // (8 * dim * dim))
 
 
@@ -91,10 +94,12 @@ def catalog_values(m):
     Restricted sums over pairwise-distinct indices are expanded by
     inclusion-exclusion (``_EXPANSIONS``) into the 25 unrestricted
     contractions of ``_BASE``.  Per block: one contiguous copy of Mᵀ, the
-    products M² and M³, five elementwise products written into one
-    ``(5, N, D, D)`` buffer and summed in one reduction, one batched
+    products M² and M³, five elementwise products, one batched
     ``(7, D) @ (D, 7)`` Gram product of the vectors ``_GRAM_VECTORS`` and
-    one batched ``(1, D) @ (D, D) @ (D, 1)`` product for h.  The
+    one batched ``(1, D) @ (D, D) @ (D, 1)`` product for h.  Mᵀ, M² and
+    M³ are the only temporaries of the stack's size: once the diagonals
+    of M² and M³ are in V, each elementwise product is written into one
+    of them and summed over its matrix axes into a ``(5, N)`` table.  The
     invariants are the base quantities times ``COEF``; those with more
     graph vertices than D are set to exactly 0.
 
@@ -120,24 +125,30 @@ def catalog_values(m):
     np.matmul(m, ones, out=v[:, 3])
     np.matmul(ones, m, out=v[:, 4])
 
-    # buf[2] holds M² until (M∘M)² replaces it, buf[4] M³ until M³∘Mᵀ does
-    buf = np.empty((5,) + m.shape)
-    np.matmul(m, m, out=buf[2])
-    v[:, 5] = np.diagonal(buf[2], axis1=1, axis2=2)
-    np.matmul(buf[2], m, out=buf[4])
-    v[:, 6] = np.diagonal(buf[4], axis1=1, axis2=2)
-    np.multiply(buf[4], mT, out=buf[4])  # sums to tr M⁴
-    np.multiply(m, m, out=buf[0])
-    np.multiply(buf[0], m, out=buf[1])
-    np.multiply(buf[0], buf[0], out=buf[2])
-    np.multiply(m, mT, out=buf[3])  # M∘Mᵀ
-    h = (v[:, 1:2] @ buf[3]) @ v[:, 1, :, None]
-    np.multiply(buf[3], buf[3], out=buf[3])
+    # M² and M³ are scratch once their diagonals are in V: each elementwise
+    # product is written into one of them and summed at once
+    sq = np.matmul(m, m)
+    v[:, 5] = np.diagonal(sq, axis1=1, axis2=2)
+    cube = np.matmul(sq, m)
+    v[:, 6] = np.diagonal(cube, axis1=1, axis2=2)
+    sums = np.empty((5, n))
+    np.multiply(cube, mT, out=cube)  # sums to tr M⁴
+    cube.sum(axis=(1, 2), out=sums[4])
+    np.multiply(m, m, out=sq)
+    sq.sum(axis=(1, 2), out=sums[0])
+    np.multiply(sq, m, out=cube)
+    cube.sum(axis=(1, 2), out=sums[1])
+    np.multiply(sq, sq, out=cube)
+    cube.sum(axis=(1, 2), out=sums[2])
+    np.multiply(m, mT, out=sq)  # M∘Mᵀ
+    h = (v[:, 1:2] @ sq) @ v[:, 1, :, None]
+    np.multiply(sq, sq, out=sq)
+    sq.sum(axis=(1, 2), out=sums[3])
     gram = (v @ v.swapaxes(1, 2)).reshape(n, len(_GRAM_VECTORS) ** 2)
 
     base = np.empty((n, 1, len(_BASE)))
     f = base[:, 0]
-    f[:, :5] = buf.sum(axis=(2, 3)).T
+    f[:, :5] = sums.T
     f[:, 5:21] = gram[:, _GRAM_INDEX]
     f[:, 21] = h[:, 0, 0]
     t1, s = f[:, 5], f[:, 6]

@@ -13,10 +13,11 @@ identical ensemble on every run and for any blocking; the exact bit
 stream is pinned by the numpy version.
 
 Draws are made and evaluated in blocks of ``_kernels.block_size(D)``
-matrices (9 at D = 30): the block's normals fill one ``(B, D^2)`` array,
+matrices (18 at D = 30): the block's normals fill one ``(B, D^2)`` array,
 one gather through a per-D index table turns it into a C-contiguous
 ``(B, D, D)`` stack, and the Monte Carlo check evaluates the catalog on
-the stack in one call.
+the stack in one call.  A run of blocks builds its generator, its state
+dict, its scale and shift rows and its gather index once (`_Draws`).
 
 The Monte Carlo check runs on every usable CPU (`_workers`): its blocks
 are cut into runs of whole blocks, one per part, and forked workers write
@@ -69,59 +70,87 @@ def _gather_index(dim: int) -> np.ndarray:
     return index
 
 
-def _assemble(params: GaussParams, z: np.ndarray) -> np.ndarray:
-    """Matrices from rows of D^2 standard normals in the frozen draw order.
+class _Draws:
+    """Draws from the measure of ``params``: ``draws(seed, start, count)``
+    is ``sample_matrices(params, seed, start, count)``.
 
-    Each entry is ``loc + scale * z``, the arithmetic of
-    ``Generator.normal(loc, scale)``, so the bits equal those of drawing
-    the three parts with three ``normal`` calls.  ``z`` is overwritten.
+    What every block of a run shares is built once: one Philox generator
+    and its Generator, the state dict whose key array is rewritten for
+    each matrix, the scale and shift rows of an assembled draw row, and
+    the gather index of D.
     """
-    d = params.dim
-    n = d * (d - 1) // 2
-    z *= np.repeat([np.sqrt(params.var_diag), np.sqrt(1.0 / params.a),
-                    np.sqrt(1.0 / params.b)], [d, n, n])
-    z += np.repeat([params.mean_diag, params.mean_off, 0.0], [d, n, n])
-    sym, anti = z[:, d:d + n], z[:, d + n:]
-    upper = sym + anti
-    np.subtract(sym, anti, out=anti)
-    sym[...] = upper
-    return z.take(_gather_index(d), axis=1).reshape(-1, d, d)
+
+    def __init__(self, params: GaussParams):
+        d = params.dim
+        n = d * (d - 1) // 2
+        self.dim, self.pairs = d, n
+        self.scale = np.repeat([np.sqrt(params.var_diag), np.sqrt(1.0 / params.a),
+                                np.sqrt(1.0 / params.b)], [d, n, n])
+        self.shift = np.repeat([params.mean_diag, params.mean_off, 0.0], [d, n, n])
+        self.index = _gather_index(d)
+        self.bits = np.random.Philox(key=0)
+        self.rng = np.random.Generator(self.bits)
+        zeros = np.zeros(4, dtype=np.uint64)
+        self.key = np.zeros(2, dtype=np.uint64)
+        self.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": self.key},
+                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def __call__(self, seed: int, start: int, count: int) -> np.ndarray:
+        """Matrices ``start .. start + count - 1`` of the run keyed by
+        ``seed``.
+
+        Before each matrix k the generator's state is set to the fresh
+        state of ``Philox(key=(seed << 64) | k)`` (128-bit key, high word
+        the run seed, low word the matrix index), so each draw equals that
+        of a newly built stream without building one.
+        """
+        z = np.empty((count, self.dim ** 2))
+        self.key[1] = seed
+        for k in range(count):
+            self.key[0] = start + k
+            self.bits.state = self.state
+            self.rng.standard_normal(out=z[k])
+        return self.assemble(z)
+
+    def assemble(self, z: np.ndarray) -> np.ndarray:
+        """Matrices from rows of D^2 standard normals in the frozen draw
+        order.
+
+        Each entry is ``loc + scale * z``, the arithmetic of
+        ``Generator.normal(loc, scale)``, so the bits equal those of
+        drawing the three parts with three ``normal`` calls.  ``z`` is
+        overwritten.
+        """
+        d, n = self.dim, self.pairs
+        z *= self.scale
+        z += self.shift
+        sym, anti = z[:, d:d + n], z[:, d + n:]
+        upper = sym + anti
+        np.subtract(sym, anti, out=anti)
+        sym[...] = upper
+        return z.take(self.index, axis=1).reshape(-1, d, d)
 
 
 def sample_matrix(params: GaussParams, rng: np.random.Generator) -> np.ndarray:
     """One matrix draw from the factorized measure."""
-    return _assemble(params, rng.standard_normal((1, params.dim ** 2)))[0]
+    return _Draws(params).assemble(rng.standard_normal((1, params.dim ** 2)))[0]
 
 
 def sample_matrices(params: GaussParams, seed: int, start: int, count: int) -> np.ndarray:
     """Matrices ``start .. start + count - 1`` of the run keyed by ``seed``,
-    as a ``(count, D, D)`` array.
-
-    One Philox generator is rekeyed per matrix: its state is set to the
-    fresh state of ``Philox(key=(seed << 64) | k)`` (128-bit key, high
-    word the run seed, low word the matrix index), so each draw equals
-    that of a newly built stream without building one.
-    """
-    z = np.empty((count, params.dim ** 2))
-    bits = np.random.Philox(key=0)
-    rng = np.random.Generator(bits)
-    zeros = np.zeros(4, dtype=np.uint64)
-    for k in range(count):
-        bits.state = {"bit_generator": "Philox",
-                      "state": {"counter": zeros,
-                                "key": np.array([start + k, seed], dtype=np.uint64)},
-                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        rng.standard_normal(out=z[k])
-    return _assemble(params, z)
+    as a ``(count, D, D)`` array (see `_Draws`)."""
+    return _Draws(params)(seed, start, count)
 
 
 def _blocks(spec: SampleSpec, first: int = 0, stop: int | None = None):
     """(start, matrices) for consecutive blocks of ``block_size(D)`` draws,
-    from draw `first`, a block boundary, up to `stop` (by default all)."""
+    from draw `first`, a block boundary, up to `stop` (by default all),
+    all drawn by one `_Draws`."""
     size = _kernels.block_size(spec.params.dim)
     stop = spec.count if stop is None else stop
+    draws = _Draws(spec.params)
     for start in range(first, stop, size):
-        yield start, sample_matrices(spec.params, spec.seed, start, min(size, stop - start))
+        yield start, draws(spec.seed, start, min(size, stop - start))
 
 
 def iter_matrices(spec: SampleSpec):

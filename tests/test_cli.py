@@ -805,7 +805,7 @@ class TestCatalogPasses:
         monkeypatch.setattr(_kernels, "catalog_values", counted)
         n = run_pipeline(config)["selection_size"]
         assert len(calls) == sum(math.ceil(n / _kernels.block_size(d))
-                                 for d in (60, 80, 100)) == 25
+                                 for d in (60, 80, 100)) == 18
         assert sum(calls) == 3 * n
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,21 @@ class TestStackedCatalog:
         assert _kernels.VERTICES.tolist() == [g.vertex_count for g in CATALOG_GRAPHS.values()]
         assert _kernels.COEF.shape == (len(_kernels._BASE), len(CATALOG))
 
+    @pytest.mark.parametrize("dim", (30, 60, 100))
+    def test_block_evaluation_allocates_under_four_stacks(self, dim):
+        """One block's evaluation allocates less than four times the
+        stack's bytes: the kernel holds Mᵀ, M² and M³ and no more
+        block-sized temporaries, the premise of ``_BLOCK_BYTES``."""
+        stack = np.random.default_rng(dim).normal(size=(_kernels.block_size(dim), dim, dim))
+        _kernels.catalog_values(stack)  # first-call set-up is not per block
+        tracemalloc.start()
+        try:
+            _kernels.catalog_values(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * stack.nbytes
+
     def test_matrix_input_gives_vector(self):
         m = np.random.default_rng(3).normal(size=(4, 4))
         vec = _kernels.catalog_values(m)
@@ -189,10 +205,10 @@ class TestEnsembleAverages:
             assert close(avgs.values[tag], want, 1e-11), tag
 
     def test_blocked_evaluation_matches_per_member_kernel(self):
-        # 17 members at D = 30 are two blocks of 9 and 8
+        # 2B - 1 members at D = 30 are two blocks, of B and B - 1
         rng = np.random.default_rng(22)
-        ens = Ensemble([f"w{i}" for i in range(17)], rng.normal(size=(17, 30, 30)))
-        assert _kernels.block_size(ens.dim) == 9
+        n = 2 * _kernels.block_size(30) - 1
+        ens = Ensemble([f"w{i}" for i in range(n)], rng.normal(size=(n, 30, 30)))
         table = np.stack([_kernels.catalog_values(m.copy()) for m in ens.values])
         means = table.sum(axis=0) / len(ens)
         avgs = ensemble_averages(ens)

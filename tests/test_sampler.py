@@ -26,6 +26,11 @@ from test_corpus_split import leaves_no_worker_or_spill, pytestmark as one_threa
 PARAMS = GaussParams(dim=10, lam=1.6, a=0.8, b=2.4, j0=0.7, js=-0.4)
 C04 = dict(lam=1.3, a=0.9, b=1.8, j0=0.6, js=-0.35)
 D30 = GaussParams(dim=30, **C04)
+#: Matrices per block at D = 30.
+B30 = _kernels.block_size(30)
+#: Draw counts of the D = 30 checks: one partial block (2, 9 and 10), one
+#: full block, a full block plus one, and many blocks.
+COUNTS = (2, 9, 10, B30, B30 + 1, 3001)
 
 
 def philox(seed, k):
@@ -134,12 +139,13 @@ class TestBlockedSampling:
                               sample_matrix_reference(params, philox(5, k)))
 
     def test_block_size_budget(self):
-        assert _kernels.block_size(30) == 9
+        assert _kernels._BLOCK_BYTES == 131072
+        assert _kernels.block_size(30) == B30 == 18
         assert _kernels.block_size(100) == 1
         for dim in range(1, 120):
             b = _kernels.block_size(dim)
             assert b >= 1
-            assert b == 1 or 8 * dim * dim * b <= 65536
+            assert b == 1 or 8 * dim * dim * b <= 131072
 
 
 class TestSampleStatistics:
@@ -227,10 +233,8 @@ class TestMonteCarloCheck:
             assert rec.z_score == pytest.approx(
                 (rec.sample_mean - rec.theory) / rec.sample_stderr)
 
-    @pytest.mark.parametrize("count", (2, 9, 10, 3001))
+    @pytest.mark.parametrize("count", COUNTS)
     def test_records_match_per_draw_oracle(self, count):
-        # block size 9 at D = 30: one partial, one full, a full plus one,
-        # and many blocks
         spec = SampleSpec(params=D30, count=count, seed=4)
         assert_records_match_oracle(count, monte_carlo_check(spec))
 
@@ -251,7 +255,7 @@ class TestSplitMonteCarloCheck:
 
     @one_thread
     @pytest.mark.parametrize("parts", (1, 2, 3, 4))
-    @pytest.mark.parametrize("count", (2, 9, 10, 3001))
+    @pytest.mark.parametrize("count", COUNTS)
     def test_split_records_match_per_draw_oracle(self, monkeypatch, count, parts):
         """One worker per part after the first, at most one part per block
         (more workers than CPUs on a 2-CPU host), and the records of every
@@ -273,7 +277,7 @@ class TestSplitMonteCarloCheck:
         with leaves_no_worker_or_spill():
             records = monte_carlo_check(spec)
             subset = monte_carlo_check(spec, tags=self.SUBSET)
-        assert len(forks) == 2 * (min(parts, -(-count // 9)) - 1)
+        assert len(forks) == 2 * (min(parts, -(-count // B30)) - 1)
         assert_records_match_oracle(count, records)
         assert_records_match_oracle(count, subset, self.SUBSET)
 
