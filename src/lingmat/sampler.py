@@ -19,17 +19,19 @@ one gather through a per-D index table turns it into a C-contiguous
 the stack in one call.  A run of blocks builds its generator, its state
 dict, its scale and shift rows and its gather index once (`_Draws`).
 
-The Monte Carlo check runs on every usable CPU (`_workers`): its blocks
-are cut into runs of whole blocks, one per part, and forked workers write
-their rows of the per-draw table in place, in memory shared with this
-process.  Since a row depends only on (seed, k), every record is that of
-a one-part check.  `sample`, `iter_matrices` and ``lingmat sample`` run
-in one process.
+The Monte Carlo check keeps no per-draw values.  Its draws are cut into
+groups of whole blocks (`_group_size`), and each group is summed up by
+two rows of 19 values, its means and its sums of squared deviations
+from them; the rows of all groups are merged in group order.  The check
+runs on every usable CPU (`_workers`): each part is a run of whole
+groups, and forked workers send their groups' rows back pickled.  Since
+a group's rows depend only on the seed and its draws, every record is
+that of a one-part check.  `sample`, `iter_matrices` and
+``lingmat sample`` run in one process.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -189,19 +191,54 @@ class McRecord:
                 "z_score": self.z_score}
 
 
+#: The fewest draws of a Monte Carlo group: 128 keeps the group rows at
+#: about 2 bytes per draw, 304 B per group of 144 draws at D = 30.
+_GROUP_DRAWS = 128
+
+
+def _group_size(dim: int) -> int:
+    """Draws per Monte Carlo group: the fewest whole blocks that hold at
+    least `_GROUP_DRAWS` draws (144 at D = 30, 128 from D = 91 up)."""
+    size = _kernels.block_size(dim)
+    return -(-_GROUP_DRAWS // size) * size
+
+
+def _group_moments(spec: SampleSpec, first: int, stop: int) -> np.ndarray:
+    """The groups of draws `first` to `stop` (`first` a group boundary), as
+    a ``(2, groups, 19)`` array: each group's means over its draws, then
+    its sums of squared deviations from those means."""
+    group = _group_size(spec.params.dim)
+    out = np.empty((2, -(-(stop - first) // group), len(CATALOG)))
+    values = np.empty((group, len(CATALOG)))
+    for start, block in _blocks(spec, first, stop):
+        at = (start - first) % group
+        filled = at + len(block)
+        values[at:filled] = _kernels.catalog_values(block)
+        if filled == group or start + len(block) == stop:
+            g = (start - first) // group
+            out[0, g] = values[:filled].sum(axis=0) / filled
+            out[1, g] = ((values[:filled] - out[0, g]) ** 2).sum(axis=0)
+    return out
+
+
 def monte_carlo_check(spec: SampleSpec, tags=CATALOG) -> dict[str, McRecord]:
     """Sample means vs model predictions, one z-score per invariant.
 
-    Sampling is fused with invariant evaluation, block by block, so only
-    the per-matrix invariant values (not the matrices) are retained, in
-    one ``(count, 19)`` table in an anonymous shared mapping.  The check
-    is split into ``_workers._part_count(count * D^2 * 8)`` parts, at most
-    one per block, each a run of whole blocks: part 0 runs here and each
-    other part in a forked worker that fills its rows of the table and
-    returns nothing.  A worker's exception is raised here, and a worker
-    that dies is a RuntimeError naming its exit status.  The standard
-    error is the sample standard deviation of the per-matrix values over
-    sqrt(N), so N must be at least 2.
+    Sampling is fused with invariant evaluation, block by block, and the
+    values of each group of `_group_size` draws are summed up by their
+    means and their sums of squared deviations (`_group_moments`), so no
+    per-draw value outlives its group.  The check is split into
+    ``_workers._part_count(count * D^2 * 8)`` parts, at most one per
+    group, each a run of whole groups: part 0 runs here and each other
+    part in a forked worker that sends its groups' rows back.  A worker's
+    exception is raised here, and a worker that dies is a RuntimeError
+    naming its exit status.
+
+    The group rows are merged in group order (Chan, Golub and LeVeque):
+    the mean is ``sum(n_g m_g) / N`` and the sum of squared deviations
+    ``sum(M2_g) + sum(n_g (m_g - mean)^2)``, so a large mean does not
+    cancel against the spread.  The standard error is the sample standard
+    deviation over sqrt(N), so N must be at least 2.
     """
     if spec.count < 2:
         raise ValueError(f"the Monte Carlo check needs at least 2 draws for a "
@@ -209,24 +246,23 @@ def monte_carlo_check(spec: SampleSpec, tags=CATALOG) -> dict[str, McRecord]:
     tags = tuple(tags)
     for t in tags:
         validate_tag(t)
-    d, width = spec.params.dim, len(CATALOG)
-    size = _kernels.block_size(d)
-    blocks = -(-spec.count // size)
-    parts = min(_workers._part_count(spec.count * d * d * 8), blocks)
-    bounds = [min(blocks * k // parts * size, spec.count) for k in range(parts + 1)]
-    per_matrix = np.frombuffer(mmap.mmap(-1, spec.count * width * 8)).reshape(-1, width)
-
-    def fill(k):
-        for start, block in _blocks(spec, bounds[k], bounds[k + 1]):
-            per_matrix[start:start + len(block)] = _kernels.catalog_values(block)
-
-    _workers._each_part("Monte Carlo", fill, parts)
+    d, group = spec.params.dim, _group_size(spec.params.dim)
+    groups = -(-spec.count // group)
+    parts = min(_workers._part_count(spec.count * d * d * 8), groups)
+    bounds = [min(groups * k // parts * group, spec.count) for k in range(parts + 1)]
+    means, m2 = np.concatenate(_workers._each_part(
+        "Monte Carlo", lambda k: _group_moments(spec, bounds[k], bounds[k + 1]), parts),
+        axis=1)
+    sizes = np.full((groups, 1), float(group))
+    sizes[-1] = spec.count - (groups - 1) * group
+    mean_all = (sizes * means).sum(axis=0) / spec.count
+    m2_all = m2.sum(axis=0) + (sizes * (means - mean_all) ** 2).sum(axis=0)
+    stderr_all = np.sqrt(m2_all / (spec.count - 1)) / np.sqrt(spec.count)
 
     out = {}
     for tag in tags:
-        col = per_matrix[:, CATALOG_INDEX[tag]]
-        mean = float(col.sum() / spec.count)
-        stderr = float(np.std(col, ddof=1) / np.sqrt(spec.count))
+        i = CATALOG_INDEX[tag]
+        mean, stderr = float(mean_all[i]), float(stderr_all[i])
         theory = predict_moment(spec.params, tag)
         if stderr > 0:
             z = (mean - theory) / stderr

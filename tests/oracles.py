@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from lingmat.invariants import CATALOG_INDEX
 from lingmat.synth import SynthConfig, _harmonics, _quota_tokens
 
 
@@ -125,6 +126,26 @@ def closed_form_moment(params, tag):
     if tag == "Mo42":
         return f(4) * mu_o ** 4
     raise KeyError(tag)
+
+
+def mc_records_reference(table, theory):
+    """The Monte Carlo records of a ``(count, 19)`` table of per-draw
+    catalog values, two-pass: each column's mean, then the sample standard
+    deviation about that mean over sqrt(count).  `theory` maps each tag
+    to its model moment; the records come in its order, as JSON dicts."""
+    count = len(table)
+    out = {}
+    for tag, moment in theory.items():
+        col = table[:, CATALOG_INDEX[tag]]
+        mean = float(col.sum() / count)
+        stderr = float(np.std(col, ddof=1) / np.sqrt(count))
+        if stderr > 0:
+            z = float((mean - moment) / stderr)
+        else:
+            z = 0.0 if mean == moment else np.inf
+        out[tag] = {"tag": tag, "theory": moment, "sample_mean": mean,
+                    "sample_stderr": stderr, "z_score": z}
+    return out
 
 
 def close(a, b, rel):

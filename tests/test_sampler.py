@@ -1,14 +1,17 @@
 import os
 import re
 import signal
+import subprocess
+import sys
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from lingmat import _kernels, _workers
+import lingmat
+from lingmat import _kernels, _workers, sampler
 from lingmat.gauss import GaussParams, predict_moment
-from lingmat.invariants import CATALOG, CATALOG_GRAPHS, CATALOG_INDEX, eval_all
+from lingmat.invariants import CATALOG, CATALOG_GRAPHS, eval_all
 from lingmat.matrix_core import PermutationMap, apply_permutation
 from lingmat.sampler import (
     SampleSpec,
@@ -20,7 +23,7 @@ from lingmat.sampler import (
     sample_matrix,
 )
 
-from oracles import close, sample_matrix_reference
+from oracles import close, mc_records_reference, sample_matrix_reference
 from test_corpus_split import leaves_no_worker_or_spill, pytestmark as one_thread, worker_only
 
 PARAMS = GaussParams(dim=10, lam=1.6, a=0.8, b=2.4, j0=0.7, js=-0.4)
@@ -49,31 +52,40 @@ def assert_bits_equal(got, want):
 
 
 @lru_cache(maxsize=None)
-def per_draw_table(count):
-    """The catalog of each of the first `count` draws of seed 4 at D = 30,
-    one matrix at a time."""
+def per_draw_table(params, seed, count):
+    """The catalog of each of the first `count` draws of `seed`, one
+    matrix at a time."""
     return np.stack([_kernels.catalog_values(m)
-                     for m in reference_draws(D30, 4, 0, count)])
+                     for m in reference_draws(params, seed, 0, count)])
+
+
+def oracle_records(params, seed, count, tags=CATALOG):
+    return mc_records_reference(per_draw_table(params, seed, count),
+                                {tag: predict_moment(params, tag) for tag in tags})
 
 
 def assert_records_match_oracle(count, records, tags=CATALOG):
     """The Monte Carlo records of seed 4 at D = 30 are those of the
-    per-draw table, bit for bit."""
-    table = per_draw_table(count)
+    two-pass oracle on the per-draw table: the mean and z to 1e-11
+    standard errors and the standard error to 1e-13 of itself (the check
+    sums group moments, the oracle whole columns, so the last digits
+    differ).  A record whose standard error is 0 is the oracle's exactly."""
+    want = oracle_records(D30, 4, count, tags)
     assert list(records) == list(tags)
     for tag, rec in records.items():
-        col = table[:, CATALOG_INDEX[tag]]
-        mean = float(col.sum() / count)
-        stderr = float(np.std(col, ddof=1) / np.sqrt(count))
-        theory = predict_moment(D30, tag)
-        if stderr > 0:
-            z = float((mean - theory) / stderr)
-        else:
-            z = 0.0 if mean == theory else np.inf
-        assert rec.to_json_dict() == {"tag": tag, "theory": theory,
-                                      "sample_mean": mean,
-                                      "sample_stderr": stderr,
-                                      "z_score": z}
+        got, ref = rec.to_json_dict(), want[tag]
+        stderr = ref["sample_stderr"]
+        if stderr == 0:
+            assert got == ref
+            continue
+        assert got["theory"] == ref["theory"]
+        assert abs(got["sample_mean"] - ref["sample_mean"]) <= 1e-11 * stderr, tag
+        assert abs(got["sample_stderr"] - stderr) <= 1e-13 * stderr, tag
+        assert abs(got["z_score"] - ref["z_score"]) <= 1e-11, tag
+
+
+def as_json(records):
+    return {tag: rec.to_json_dict() for tag, rec in records.items()}
 
 
 class TestSampleDeterminism:
@@ -238,6 +250,57 @@ class TestMonteCarloCheck:
         spec = SampleSpec(params=D30, count=count, seed=4)
         assert_records_match_oracle(count, monte_carlo_check(spec))
 
+    def test_merge_is_accurate_when_the_mean_dwarfs_the_spread(self):
+        """With j0 / lam ~ 3e5 at D = 10 the Md values are about 1e6 times
+        their spread, where a one-pass ``sum(x^2) - N mean^2`` puts the
+        standard error off by 4e-6 of itself or more.  The last bit of such
+        a mean is ~1e-8 standard errors at 2000 draws, so the means are
+        compared to 1e-15 of themselves and z to that over the standard
+        error; the group means' rounding enters the between-group sum, so
+        the standard error is compared to 1e-9 of itself."""
+        params = GaussParams(dim=10, lam=1.3, a=0.9, b=1.8, j0=4e5, js=-0.35)
+        records = monte_carlo_check(SampleSpec(params=params, count=2000, seed=4))
+        want = oracle_records(params, 4, 2000)
+        assert want["Md1"]["sample_mean"] > 1e6 * want["Md1"]["sample_stderr"] * np.sqrt(2000)
+        for tag, rec in records.items():
+            got, ref = rec.to_json_dict(), want[tag]
+            stderr, mean = ref["sample_stderr"], ref["sample_mean"]
+            assert got["theory"] == ref["theory"]
+            assert abs(got["sample_mean"] - mean) <= 1e-15 * abs(mean), tag
+            assert abs(got["sample_stderr"] - stderr) <= 1e-9 * stderr, tag
+            z_tolerance = 1e-15 * abs(mean) / stderr + 1e-11
+            assert abs(got["z_score"] - ref["z_score"]) <= z_tolerance, tag
+
+    def test_groups_are_the_fewest_whole_blocks_of_128_draws(self):
+        assert sampler._group_size(30) == 144
+        for dim in range(1, 120):
+            size, group = _kernels.block_size(dim), sampler._group_size(dim)
+            assert group % size == 0 and group - size < 128 <= group
+        assert {sampler._group_size(dim) for dim in range(91, 120)} == {128}
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+    def test_peak_memory_stays_flat_in_the_draw_count(self):
+        """A fresh interpreter's peak RSS (VmHWM) after a check of 200 000
+        draws at D = 10 is within 2 MB of its peak after 20 000: the check
+        keeps per-group, not per-draw, statistics.  A per-draw table would
+        add 27 MB."""
+        child = (
+            "from lingmat import GaussParams, SampleSpec, monte_carlo_check\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            f"params = {PARAMS!r}\n"
+            "for count in (20000, 200000):\n"
+            "    monte_carlo_check(SampleSpec(params=params, count=count, seed=1))\n"
+            "    print(peak())\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lingmat.__file__)))
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        small, large = map(int, proc.stdout.split())
+        assert large - small < 2048, (small, large)
+
     def test_csv_rendering(self):
         spec = SampleSpec(params=PARAMS, count=100, seed=20)
         text = mc_records_csv(monte_carlo_check(spec, tags=("Md1",)))
@@ -247,8 +310,8 @@ class TestMonteCarloCheck:
 
 
 class TestSplitMonteCarloCheck:
-    """The check in parts: forked workers fill their rows of one shared
-    table.  Parts are forced by setting ``_MIN_PART`` to one byte and the
+    """The check in parts: forked workers send back the moments of their
+    groups.  Parts are forced by setting ``_MIN_PART`` to one byte and the
     usable CPU count to the number of parts."""
 
     SUBSET = ("Mo32", "Md1", "Qin")
@@ -257,13 +320,15 @@ class TestSplitMonteCarloCheck:
     @pytest.mark.parametrize("parts", (1, 2, 3, 4))
     @pytest.mark.parametrize("count", COUNTS)
     def test_split_records_match_per_draw_oracle(self, monkeypatch, count, parts):
-        """One worker per part after the first, at most one part per block
+        """One worker per part after the first, at most one part per group
         (more workers than CPUs on a 2-CPU host), and the records of every
-        tag or of a subset are the oracle's bit for bit."""
-        # A one-part check of other draws first: if the table's memory is
-        # reused, rows that a worker did not share hold that check's values.
+        tag or of a subset are those of a one-part check bit for bit.  A
+        group is bound to one block, so that every count forks."""
+        monkeypatch.setattr(sampler, "_GROUP_DRAWS", 1)
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
-        monte_carlo_check(SampleSpec(params=D30, count=count, seed=5))
+        spec = SampleSpec(params=D30, count=count, seed=4)
+        whole = monte_carlo_check(spec)
+        assert_records_match_oracle(count, whole)
         forks, real_fork = [], os.fork
 
         def counted_fork():
@@ -273,13 +338,34 @@ class TestSplitMonteCarloCheck:
         monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(_workers, "_MIN_PART", 1)
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: parts)
-        spec = SampleSpec(params=D30, count=count, seed=4)
         with leaves_no_worker_or_spill():
             records = monte_carlo_check(spec)
             subset = monte_carlo_check(spec, tags=self.SUBSET)
         assert len(forks) == 2 * (min(parts, -(-count // B30)) - 1)
-        assert_records_match_oracle(count, records)
-        assert_records_match_oracle(count, subset, self.SUBSET)
+        assert as_json(records) == as_json(whole)
+        assert as_json(subset) == {tag: whole[tag].to_json_dict() for tag in self.SUBSET}
+
+    @pytest.mark.parametrize("parts", (2, 3, 4))
+    def test_parts_are_runs_of_whole_groups(self, monkeypatch, parts):
+        """At D = 30 a group is 8 blocks, 144 draws: 3001 draws are 21
+        groups, the last of 121 draws, and each part starts on a group
+        (two parts: 1440 and 1561 draws).  The records are those of one
+        part, bit for bit.  The parts run here one after another."""
+        monkeypatch.setattr(_workers, "_can_fork", lambda: False)
+        spec = SampleSpec(params=D30, count=3001, seed=4)
+        whole = monte_carlo_check(spec)
+        spans, real = [], sampler._group_moments
+        monkeypatch.setattr(sampler, "_group_moments",
+                            lambda spec, first, stop: spans.append((first, stop))
+                            or real(spec, first, stop))
+        monkeypatch.setattr(_workers, "_part_count", lambda nbytes: parts)
+        records = monte_carlo_check(spec)
+        assert len(spans) == parts and spans[0][0] == 0 and spans[-1][1] == 3001
+        assert all(stop == first and stop % 144 == 0
+                   for (_, stop), (first, _) in zip(spans, spans[1:]))
+        if parts == 2:
+            assert spans == [(0, 1440), (1440, 3001)]
+        assert as_json(records) == as_json(whole)
 
     @one_thread
     def test_a_worker_exception_is_raised_here(self, monkeypatch):
