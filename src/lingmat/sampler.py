@@ -2,22 +2,26 @@
 statistical harness that checks every model moment against sample
 means.
 
-Reproducibility contract: matrix k of a run is drawn from a dedicated
-Philox stream keyed by (seed, k).  Each matrix takes D^2 standard normals
-from its stream in one call (numpy's Generator, i.e. the ziggurat
-method), in the frozen order diagonal entries, then upper-triangle
-symmetric parts, then antisymmetric parts, and scales each as
-``loc + scale * z``: bit for bit what drawing the three parts with
-``Generator.normal`` gives.  The same SampleSpec therefore yields the
-identical ensemble on every run and for any blocking; the exact bit
-stream is pinned by the numpy version.
+Reproducibility contract: the draws of a run are cut into streams of
+`_STREAM_DRAWS` = 128 matrices, and draw k of seed s is draw k mod 128
+of stream k // 128, the generator
+``Generator(SFC64(SeedSequence(s, spawn_key=(k // 128,))))``.  Each
+matrix takes the next D^2 standard normals of its stream (numpy's
+Generator, i.e. the ziggurat method), in the frozen order diagonal
+entries, then upper-triangle symmetric parts, then antisymmetric parts,
+and scales each as ``loc + scale * z``: bit for bit what drawing the
+three parts with ``Generator.normal`` gives.  A draw therefore depends
+only on the seed, D and its index, not on the blocking nor on the
+process that draws it; the exact bit stream is pinned by the numpy
+version.
 
 Draws are made and evaluated in blocks of ``_kernels.block_size(D)``
 matrices (18 at D = 30): the block's normals fill one ``(B, D^2)`` array,
-one gather through a per-D index table turns it into a C-contiguous
-``(B, D, D)`` stack, and the Monte Carlo check evaluates the catalog on
-the stack in one call.  A run of blocks builds its generator, its state
-dict, its scale and shift rows and its gather index once (`_Draws`).
+one ``standard_normal`` call per stream the block touches, one gather
+through a per-D index table turns it into a C-contiguous ``(B, D, D)``
+stack, and the Monte Carlo check evaluates the catalog on the stack in
+one call.  A run of blocks keeps its open stream, its scale and shift
+rows and its gather index (`_Draws`).
 
 The Monte Carlo check keeps no per-draw values.  Its draws are cut into
 groups of whole blocks (`_group_size`), and each group is summed up by
@@ -72,14 +76,21 @@ def _gather_index(dim: int) -> np.ndarray:
     return index
 
 
+#: Draws per stream of the reproducibility contract (see the module
+#: docstring), whatever the block or group size.
+_STREAM_DRAWS = 128
+
+
 class _Draws:
     """Draws from the measure of ``params``: ``draws(seed, start, count)``
     is ``sample_matrices(params, seed, start, count)``.
 
-    What every block of a run shares is built once: one Philox generator
-    and its Generator, the state dict whose key array is rewritten for
-    each matrix, the scale and shift rows of an assembled draw row, and
-    the gather index of D.
+    What every block of a run shares is kept: the open stream and the
+    index of its next draw, the scale and shift rows of an assembled draw
+    row, and the gather index of D.  A call that starts where the last
+    one ended goes on in the open stream; any other call opens the stream
+    of its first draw and discards that stream's earlier draws, at most
+    127.
     """
 
     def __init__(self, params: GaussParams):
@@ -90,29 +101,34 @@ class _Draws:
                                 np.sqrt(1.0 / params.b)], [d, n, n])
         self.shift = np.repeat([params.mean_diag, params.mean_off, 0.0], [d, n, n])
         self.index = _gather_index(d)
-        self.bits = np.random.Philox(key=0)
-        self.rng = np.random.Generator(self.bits)
-        zeros = np.zeros(4, dtype=np.uint64)
-        self.key = np.zeros(2, dtype=np.uint64)
-        self.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": self.key},
-                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self.rng, self.seed, self.next, self.left = None, None, None, 0
 
     def __call__(self, seed: int, start: int, count: int) -> np.ndarray:
         """Matrices ``start .. start + count - 1`` of the run keyed by
-        ``seed``.
-
-        Before each matrix k the generator's state is set to the fresh
-        state of ``Philox(key=(seed << 64) | k)`` (128-bit key, high word
-        the run seed, low word the matrix index), so each draw equals that
-        of a newly built stream without building one.
-        """
+        ``seed``, each stream's part of them drawn in one call."""
         z = np.empty((count, self.dim ** 2))
-        self.key[1] = seed
-        for k in range(count):
-            self.key[0] = start + k
-            self.bits.state = self.state
-            self.rng.standard_normal(out=z[k])
+        if count and (seed, start) != (self.seed, self.next):
+            self._open(seed, start, z)
+        at = 0
+        while at < count:
+            if not self.left:
+                self._open(seed, self.next, z)
+            stop = min(count, at + self.left)
+            self.rng.standard_normal(out=z[at:stop])
+            self.next += stop - at
+            self.left -= stop - at
+            at = stop
         return self.assemble(z)
+
+    def _open(self, seed: int, first: int, z: np.ndarray) -> None:
+        """Open the stream of draw `first` of `seed` and discard the
+        stream's draws before it, at most ``len(z)`` rows at a time."""
+        stream, skip = divmod(first, _STREAM_DRAWS)
+        key = np.random.SeedSequence(seed, spawn_key=(stream,))
+        self.rng = np.random.Generator(np.random.SFC64(key))
+        for at in range(0, skip, len(z)):
+            self.rng.standard_normal(out=z[:min(len(z), skip - at)])
+        self.seed, self.next, self.left = seed, first, _STREAM_DRAWS - skip
 
     def assemble(self, z: np.ndarray) -> np.ndarray:
         """Matrices from rows of D^2 standard normals in the frozen draw
@@ -140,7 +156,9 @@ def sample_matrix(params: GaussParams, rng: np.random.Generator) -> np.ndarray:
 
 def sample_matrices(params: GaussParams, seed: int, start: int, count: int) -> np.ndarray:
     """Matrices ``start .. start + count - 1`` of the run keyed by ``seed``,
-    as a ``(count, D, D)`` array (see `_Draws`)."""
+    as a ``(count, D, D)`` array: draw k is draw k mod `_STREAM_DRAWS` of
+    the SFC64 stream ``SeedSequence(seed, spawn_key=(k // _STREAM_DRAWS,))``
+    (see `_Draws`)."""
     return _Draws(params)(seed, start, count)
 
 

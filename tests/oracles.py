@@ -78,6 +78,23 @@ def sample_matrix_reference(params, rng):
     return m
 
 
+def stream_draws_reference(params, seed, start, count):
+    """Draws ``start .. start + count - 1`` of `seed`: draw k is draw
+    k mod 128 of the stream ``SFC64(SeedSequence(seed, spawn_key=(k // 128,)))``.
+    The stream of `start` is built anew and its earlier draws are thrown
+    away, one `sample_matrix_reference` call each; every draw after it is
+    one call on the stream it falls in."""
+    draws, rng = [], None
+    for k in range(start, start + count):
+        if rng is None or k % 128 == 0:
+            key = np.random.SeedSequence(seed, spawn_key=(k // 128,))
+            rng = np.random.Generator(np.random.SFC64(key))
+            for _ in range(k % 128):
+                sample_matrix_reference(params, rng)
+        draws.append(sample_matrix_reference(params, rng))
+    return np.stack(draws)
+
+
 def closed_form_moment(params, tag):
     """The published closed-form model moments, one branch per tag."""
     d = params.dim

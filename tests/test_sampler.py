@@ -23,7 +23,12 @@ from lingmat.sampler import (
     sample_matrix,
 )
 
-from oracles import close, mc_records_reference, sample_matrix_reference
+from oracles import (
+    close,
+    mc_records_reference,
+    sample_matrix_reference,
+    stream_draws_reference,
+)
 from test_corpus_split import leaves_no_worker_or_spill, pytestmark as one_thread, worker_only
 
 PARAMS = GaussParams(dim=10, lam=1.6, a=0.8, b=2.4, j0=0.7, js=-0.4)
@@ -37,13 +42,12 @@ COUNTS = (2, 9, 10, B30, B30 + 1, 3001)
 
 
 def philox(seed, k):
-    """Matrix k's stream of a run keyed by seed."""
+    """A Philox generator keyed by (seed, k)."""
     return np.random.Generator(np.random.Philox(key=(seed << 64) | k))
 
 
 def reference_draws(params, seed, start, count):
-    return np.stack([sample_matrix_reference(params, philox(seed, k))
-                     for k in range(start, start + count)])
+    return stream_draws_reference(params, seed, start, count)
 
 
 def assert_bits_equal(got, want):
@@ -142,6 +146,35 @@ class TestBlockedSampling:
             spec = SampleSpec(params=params, count=count, seed=2 ** 64 - 1)
             assert_bits_equal(np.stack(list(iter_matrices(spec))),
                               reference_draws(params, spec.seed, 0, count))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_sample_matrices_across_stream_boundaries(self, dim):
+        """Streams are 128 draws long: a call that starts at draw 127, 128,
+        129 or 255 opens the stream of its start, throws away that
+        stream's earlier draws and opens the next stream at 128 or 256."""
+        params = GaussParams(dim=dim, **C04)
+        for start, count in ((127, 130), (128, 129), (129, 128), (255, 2)):
+            got = sample_matrices(params, 99, start, count)
+            assert_bits_equal(got, reference_draws(params, 99, start, count))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_iter_matrices_across_streams(self, dim):
+        params = GaussParams(dim=dim, **C04)
+        spec = SampleSpec(params=params, count=300, seed=2 ** 64 - 1)
+        assert_bits_equal(np.stack(list(iter_matrices(spec))),
+                          reference_draws(params, spec.seed, 0, 300))
+
+    def test_streams_are_keyed_by_seed_and_stream_index(self):
+        """Draw 0 of seeds s and s + 1 differ.  Draw 128 of a seed, the
+        first of its stream 1, differs from draw 0 and is the first draw
+        of a fresh ``SFC64(SeedSequence(s, spawn_key=(1,)))``."""
+        seed = 29
+        draws = sample_matrices(PARAMS, seed, 0, 129)
+        assert not np.array_equal(draws[0], sample_matrices(PARAMS, seed + 1, 0, 1)[0])
+        assert not np.array_equal(draws[0], draws[128])
+        stream = np.random.SeedSequence(seed, spawn_key=(1,))
+        assert_bits_equal(draws[128],
+                          sample_matrix(PARAMS, np.random.Generator(np.random.SFC64(stream))))
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_sample_matrix_matches_reference(self, dim):
@@ -365,6 +398,26 @@ class TestSplitMonteCarloCheck:
                    for (_, stop), (first, _) in zip(spans, spans[1:]))
         if parts == 2:
             assert spans == [(0, 1440), (1440, 3001)]
+        assert as_json(records) == as_json(whole)
+
+    @pytest.mark.parametrize("parts", (2, 3, 4))
+    def test_parts_that_start_inside_a_stream(self, monkeypatch, parts):
+        """Every later part of 3001 draws at D = 30 starts on a group of
+        144 draws inside a stream of 128 (two parts: at 1440, draw 32 of
+        stream 11), so it opens that stream and throws away the draws
+        before its first.  The records are those of the one-part check bit
+        for bit, and those of the per-draw oracle."""
+        monkeypatch.setattr(_workers, "_can_fork", lambda: False)
+        spec = SampleSpec(params=D30, count=3001, seed=4)
+        whole = monte_carlo_check(spec)
+        assert_records_match_oracle(3001, whole)
+        firsts, real = [], sampler._group_moments
+        monkeypatch.setattr(sampler, "_group_moments",
+                            lambda spec, first, stop: firsts.append(first)
+                            or real(spec, first, stop))
+        monkeypatch.setattr(_workers, "_part_count", lambda nbytes: parts)
+        records = monte_carlo_check(spec)
+        assert len(firsts) == parts and all(first % 128 for first in firsts[1:])
         assert as_json(records) == as_json(whole)
 
     @one_thread
