@@ -16,12 +16,14 @@ process that draws it; the exact bit stream is pinned by the numpy
 version.
 
 Draws are made and evaluated in blocks of ``_kernels.block_size(D)``
-matrices (18 at D = 30): the block's normals fill one ``(B, D^2)`` array,
-one ``standard_normal`` call per stream the block touches, one gather
-through a per-D index table turns it into a C-contiguous ``(B, D, D)``
-stack, and the Monte Carlo check evaluates the catalog on the stack in
-one call.  A run of blocks keeps its open stream, its scale and shift
-rows and its gather index (`_Draws`).
+matrices (18 at D = 30), all by one generator, `_blocks`, the only code
+that opens a stream: the block's normals fill one ``(B, D^2)`` array, one
+``standard_normal`` call per stream the block touches, and `_assemble`
+scales them and gathers them into a C-contiguous ``(B, D, D)`` stack.
+A run of blocks keeps its open stream in `_blocks` and builds its scale
+and shift rows and its gather index (`_layout`) once.  `sample_matrices`
+and `sample` copy the blocks into one preallocated stack, and the Monte
+Carlo check evaluates the catalog on each block in one call.
 
 The Monte Carlo check keeps no per-draw values.  Its draws are cut into
 groups of whole blocks (`_group_size`), and each group is summed up by
@@ -36,8 +38,8 @@ that of a one-part check.  `sample`, `iter_matrices` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,121 +63,99 @@ class SampleSpec:
         check_seed(self.seed)
 
 
-@lru_cache(maxsize=8)
-def _gather_index(dim: int) -> np.ndarray:
-    """Flat position i*D + j of a matrix -> column of its assembled draw
-    row [diagonal, sym + anti, sym - anti] (upper-triangle pairs in
-    ``triu_indices`` order)."""
-    iu, ju = np.triu_indices(dim, k=1)
-    pairs = np.arange(iu.size)
-    index = np.empty(dim * dim, dtype=np.intp)
-    index[np.arange(dim) * (dim + 1)] = np.arange(dim)
-    index[iu * dim + ju] = dim + pairs
-    index[ju * dim + iu] = dim + iu.size + pairs
-    index.setflags(write=False)
-    return index
-
-
 #: Draws per stream of the reproducibility contract (see the module
 #: docstring), whatever the block or group size.
 _STREAM_DRAWS = 128
 
 
-class _Draws:
-    """Draws from the measure of ``params``: ``draws(seed, start, count)``
-    is ``sample_matrices(params, seed, start, count)``.
+def _layout(params: GaussParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scale and shift rows of an assembled draw row [diagonal,
+    sym + anti, sym - anti] (upper-triangle pairs in ``triu_indices``
+    order), and the gather index from flat position i*D + j of a matrix
+    to its column in that row."""
+    d = params.dim
+    iu, ju = np.triu_indices(d, k=1)
+    n, pairs = iu.size, np.arange(iu.size)
+    scale = np.repeat([np.sqrt(params.var_diag), np.sqrt(1.0 / params.a),
+                       np.sqrt(1.0 / params.b)], [d, n, n])
+    shift = np.repeat([params.mean_diag, params.mean_off, 0.0], [d, n, n])
+    index = np.empty(d * d, dtype=np.intp)
+    index[np.arange(d) * (d + 1)] = np.arange(d)
+    index[iu * d + ju] = d + pairs
+    index[ju * d + iu] = d + n + pairs
+    return scale, shift, index
 
-    What every block of a run shares is kept: the open stream and the
-    index of its next draw, the scale and shift rows of an assembled draw
-    row, and the gather index of D.  A call that starts where the last
-    one ended goes on in the open stream; any other call opens the stream
-    of its first draw and discards that stream's earlier draws, at most
-    127.
+
+def _assemble(z: np.ndarray, layout) -> np.ndarray:
+    """Matrices from rows of D^2 standard normals in the frozen draw order.
+
+    Each entry is ``loc + scale * z``, the arithmetic of
+    ``Generator.normal(loc, scale)``, so the bits equal those of drawing
+    the three parts with three ``normal`` calls.  ``z`` is overwritten.
     """
+    scale, shift, index = layout
+    d = math.isqrt(len(index))
+    n = d * (d - 1) // 2
+    z *= scale
+    z += shift
+    sym, anti = z[:, d:d + n], z[:, d + n:]
+    upper = sym + anti
+    np.subtract(sym, anti, out=anti)
+    sym[...] = upper
+    return z.take(index, axis=1).reshape(-1, d, d)
 
-    def __init__(self, params: GaussParams):
-        d = params.dim
-        n = d * (d - 1) // 2
-        self.dim, self.pairs = d, n
-        self.scale = np.repeat([np.sqrt(params.var_diag), np.sqrt(1.0 / params.a),
-                                np.sqrt(1.0 / params.b)], [d, n, n])
-        self.shift = np.repeat([params.mean_diag, params.mean_off, 0.0], [d, n, n])
-        self.index = _gather_index(d)
-        self.rng, self.seed, self.next, self.left = None, None, None, 0
 
-    def __call__(self, seed: int, start: int, count: int) -> np.ndarray:
-        """Matrices ``start .. start + count - 1`` of the run keyed by
-        ``seed``, each stream's part of them drawn in one call."""
-        z = np.empty((count, self.dim ** 2))
-        if count and (seed, start) != (self.seed, self.next):
-            self._open(seed, start, z)
+def _blocks(params: GaussParams, seed: int, first: int, stop: int):
+    """(start, matrices) for consecutive blocks of ``block_size(D)`` draws
+    of the run keyed by `seed`, from draw `first` up to `stop`.
+
+    The only code that opens a stream.  The open stream stays in its
+    locals from block to block, so a block takes one ``standard_normal``
+    call per stream it touches.  When `first` falls inside a stream, that
+    stream's earlier draws, at most 127, are thrown away first.
+    """
+    layout = _layout(params)
+    size = _kernels.block_size(params.dim)
+    rng = None
+    for start in range(first, stop, size):
+        z = np.empty((min(size, stop - start), params.dim ** 2))
         at = 0
-        while at < count:
-            if not self.left:
-                self._open(seed, self.next, z)
-            stop = min(count, at + self.left)
-            self.rng.standard_normal(out=z[at:stop])
-            self.next += stop - at
-            self.left -= stop - at
-            at = stop
-        return self.assemble(z)
-
-    def _open(self, seed: int, first: int, z: np.ndarray) -> None:
-        """Open the stream of draw `first` of `seed` and discard the
-        stream's draws before it, at most ``len(z)`` rows at a time."""
-        stream, skip = divmod(first, _STREAM_DRAWS)
-        key = np.random.SeedSequence(seed, spawn_key=(stream,))
-        self.rng = np.random.Generator(np.random.SFC64(key))
-        for at in range(0, skip, len(z)):
-            self.rng.standard_normal(out=z[:min(len(z), skip - at)])
-        self.seed, self.next, self.left = seed, first, _STREAM_DRAWS - skip
-
-    def assemble(self, z: np.ndarray) -> np.ndarray:
-        """Matrices from rows of D^2 standard normals in the frozen draw
-        order.
-
-        Each entry is ``loc + scale * z``, the arithmetic of
-        ``Generator.normal(loc, scale)``, so the bits equal those of
-        drawing the three parts with three ``normal`` calls.  ``z`` is
-        overwritten.
-        """
-        d, n = self.dim, self.pairs
-        z *= self.scale
-        z += self.shift
-        sym, anti = z[:, d:d + n], z[:, d + n:]
-        upper = sym + anti
-        np.subtract(sym, anti, out=anti)
-        sym[...] = upper
-        return z.take(self.index, axis=1).reshape(-1, d, d)
+        while at < len(z):
+            stream, skip = divmod(start + at, _STREAM_DRAWS)
+            if rng is None or not skip:
+                key = np.random.SeedSequence(seed, spawn_key=(stream,))
+                rng = np.random.Generator(np.random.SFC64(key))
+                for done in range(0, skip, len(z)):
+                    rng.standard_normal(out=z[:min(len(z), skip - done)])
+            end = min(len(z), at + _STREAM_DRAWS - skip)
+            rng.standard_normal(out=z[at:end])
+            at = end
+        yield start, _assemble(z, layout)
 
 
 def sample_matrix(params: GaussParams, rng: np.random.Generator) -> np.ndarray:
     """One matrix draw from the factorized measure."""
-    return _Draws(params).assemble(rng.standard_normal((1, params.dim ** 2)))[0]
+    return _assemble(rng.standard_normal((1, params.dim ** 2)), _layout(params))[0]
 
 
 def sample_matrices(params: GaussParams, seed: int, start: int, count: int) -> np.ndarray:
     """Matrices ``start .. start + count - 1`` of the run keyed by ``seed``,
     as a ``(count, D, D)`` array: draw k is draw k mod `_STREAM_DRAWS` of
     the SFC64 stream ``SeedSequence(seed, spawn_key=(k // _STREAM_DRAWS,))``
-    (see `_Draws`)."""
-    return _Draws(params)(seed, start, count)
-
-
-def _blocks(spec: SampleSpec, first: int = 0, stop: int | None = None):
-    """(start, matrices) for consecutive blocks of ``block_size(D)`` draws,
-    from draw `first`, a block boundary, up to `stop` (by default all),
-    all drawn by one `_Draws`."""
-    size = _kernels.block_size(spec.params.dim)
-    stop = spec.count if stop is None else stop
-    draws = _Draws(spec.params)
-    for start in range(first, stop, size):
-        yield start, draws(spec.seed, start, min(size, stop - start))
+    (see `_blocks`)."""
+    check_seed(seed)
+    for name, value in (("start", start), ("count", count)):
+        if check_int(name, value) < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    out = np.empty((count, params.dim, params.dim))
+    for at, block in _blocks(params, seed, start, start + count):
+        out[at - start:at - start + len(block)] = block
+    return out
 
 
 def iter_matrices(spec: SampleSpec):
     """Stream the draws in order; one block of matrices is held at a time."""
-    for _, block in _blocks(spec):
+    for _, block in _blocks(spec.params, spec.seed, 0, spec.count):
         yield from block
 
 
@@ -187,11 +167,8 @@ def sample_labels(count: int) -> list[str]:
 def sample(spec: SampleSpec) -> Ensemble:
     """The whole ensemble as one stack filled block by block; labels record
     the draw index."""
-    d = spec.params.dim
-    values = np.empty((spec.count, d, d))
-    for start, block in _blocks(spec):
-        values[start:start + len(block)] = block
-    return Ensemble(sample_labels(spec.count), values)
+    return Ensemble(sample_labels(spec.count),
+                    sample_matrices(spec.params, spec.seed, 0, spec.count))
 
 
 @dataclass(frozen=True)
@@ -228,7 +205,7 @@ def _group_moments(spec: SampleSpec, first: int, stop: int) -> np.ndarray:
     group = _group_size(spec.params.dim)
     out = np.empty((2, -(-(stop - first) // group), len(CATALOG)))
     values = np.empty((group, len(CATALOG)))
-    for start, block in _blocks(spec, first, stop):
+    for start, block in _blocks(spec.params, spec.seed, first, stop):
         at = (start - first) % group
         filled = at + len(block)
         values[at:filled] = _kernels.catalog_values(block)

@@ -192,6 +192,53 @@ class TestBlockedSampling:
             assert b >= 1
             assert b == 1 or 8 * dim * dim * b <= 131072
 
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("start", (0, 130))
+    def test_no_draws_is_an_empty_stack(self, dim, start):
+        got = sample_matrices(GaussParams(dim=dim, **C04), 99, start, 0)
+        assert got.shape == (0, dim, dim) and got.dtype == np.float64
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("args, message", [
+        (dict(start=-5), "^start must be >= 0, got -5$"),
+        (dict(count=-2), "^count must be >= 0, got -2$"),
+        (dict(start=2.5), "^start must be an integer, got 2.5$"),
+        (dict(seed=-1), "^seed must be a 64-bit unsigned integer$")])
+    def test_sample_matrices_checks_its_arguments(self, args, message):
+        call = dict(params=PARAMS, seed=1, start=0, count=3) | args
+        with pytest.raises(ValueError, match=message):
+            sample_matrices(**call)
+
+
+def opened_streams(monkeypatch):
+    """The spawn keys of the ``SeedSequence`` objects built from now on, in
+    order: one per stream opened."""
+    keys, real = [], np.random.SeedSequence
+
+    def record(*args, **kwargs):
+        seq = real(*args, **kwargs)
+        keys.append(seq.spawn_key)
+        return seq
+
+    monkeypatch.setattr(np.random, "SeedSequence", record)
+    return keys
+
+
+class TestStreamsOpenOnce:
+    """A run opens each stream it draws from once, whatever its blocks."""
+
+    def test_sample(self, monkeypatch):
+        keys = opened_streams(monkeypatch)
+        sample(SampleSpec(params=PARAMS, count=300, seed=3))
+        assert keys == [(0,), (1,), (2,)]
+
+    def test_group_moments_from_inside_a_stream(self, monkeypatch):
+        """Draw 5040 is draw 48 of stream 39, draw 9999 the last one taken,
+        of stream 78."""
+        keys = opened_streams(monkeypatch)
+        sampler._group_moments(SampleSpec(params=D30, count=10000, seed=4), 5040, 10000)
+        assert keys == [(k,) for k in range(39, 79)]
+
 
 class TestSampleStatistics:
     def test_diagonal_mean(self):
