@@ -11,16 +11,17 @@ stopword list.  Argument pairs arrive from a tab-separated
 this package); lines starting with '#' are comments.
 
 A corpus is read in two passes, and no array with one entry per token or
-sentence outlives a block or chunk.  Pass 1 (`read_corpus`) tokenizes it
-block by block, counts the tokens of each type (distinct token bytes),
-and appends each block's type ids and sentence starts to an unnamed
-temporary file, the spill.  Vocabulary, basis, part-of-speech votes and
-dataset selection come from the type counts.  Pass 2
-(`count_cooccurrence`) reads the spilled type ids back in chunks of whole
-sentences and counts one kind of thing, the context of a span: a target
-occurrence is a span of one token, a compound the span from its head to
-its noun, and one kernel call per chunk counts the contexts of all of
-them into one table.  A spill error names `tempfile`'s directory.
+sentence outlives a block or chunk.  Pass 1 (`read_corpus`, one
+`_read_part` per part of the file) tokenizes it block by block, counts
+the tokens of each type (distinct token bytes), and appends each block's
+type ids and sentence starts to an unnamed temporary file, the spill.
+Vocabulary, basis, part-of-speech votes and dataset selection come from
+the type counts.  Pass 2 (`count_cooccurrence`) reads the spilled type
+ids back in chunks of whole sentences and counts one kind of thing, the
+context of a span: a target occurrence is a span of one token, a
+compound the span from its head to its noun, and one kernel call per
+chunk counts the contexts of all of them into one table.  A spill error
+names `tempfile`'s directory.
 
 On Linux both passes use every usable CPU, through `_workers`.  Pass 1
 cuts a regular file into one part per CPU this process may run on
@@ -182,83 +183,63 @@ def _parse_token(raw: str):
     return (raw, None)
 
 
-class _Encoder:
-    """Pass 1 over the part of the file at `path` that starts at byte
-    `start`, block by block.  Each token's bytes map to a node of a
-    `_kernels.TypeTable`, its type id.  A new type is decoded and parsed
-    once, at its first position, which fixes its word and tag ids in order
-    of first occurrence.  Per block, `add` counts the tokens of each type
-    and appends their type ids and the sentence starts to `spill`, if it
-    is not None."""
-
-    def __init__(self, path, start, spill):
-        self.path, self.start = path, start
-        self.table = _kernels.TypeTable()
-        self.words, self.tags = {}, {None: 0}  # ids in order of first occurrence
-        self.word_of = np.empty(0, dtype=np.int32)  # per type: word id
-        self.tag_of = np.empty(0, dtype=np.int32)
-        self.counts = np.empty(0, dtype=np.int64)  # per type: tokens
-        self.lines = 0  # line ends in the part before the current block
-        self.spill = spill
-
-    def read(self, block: bytes):
-        """Tokenize one block of `_kernels.blocks` and `add` it."""
-        padded = block + _kernels.PAD
-        start, length, first, lines = _kernels.tokens(padded)
-        known = self.table.size  # a token whose node is newer is of a new type
-        node = self.table.nodes(padded, start, length)
-        self.grow(self.table.size)
-        if node.size and node.max() >= known:
-            self._name_new(block, start, length, node, known)
-        self.add(node, first)
-        self.lines += lines
-
-    def _name_new(self, block, start, length, node, known):
-        """Decode and parse each new type once, in order of first position."""
-        new = np.flatnonzero(node >= known)
-        _, first = np.unique(node[new], return_index=True)
-        for t in sorted(new[first].tolist()):
-            lo = int(start[t])
-            raw = block[lo:lo + int(length[t])]
-            try:
-                word, tag = _parse_token(raw.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                line = (_line_ends(self.path, self.start) + self.lines
-                        + _kernels.tokens(block[:lo] + _kernels.PAD)[3] + 1)
-                raise CorpusError(f"{self.path}:{line}: invalid UTF-8 ({exc.reason}) "
-                                  f"in token {raw[:40]!r}") from None
-            self.word_of[node[t]] = self.words.setdefault(word, len(self.words))
-            self.tag_of[node[t]] = self.tags.setdefault(tag, len(self.tags))
-
-    def grow(self, n_types):
-        """Room in the per-type arrays for type ids below `n_types`."""
-        if self.counts.size < n_types:
-            more = max(self.counts.size, n_types - self.counts.size)
-            self.word_of, self.tag_of, self.counts = (
-                np.concatenate([a, np.zeros(more, dtype=a.dtype)])
-                for a in (self.word_of, self.tag_of, self.counts))
-
-    def add(self, types, first):
-        """One block: the int32 type id of each token, and the int64
-        index of each sentence's first token."""
-        if types.size:
-            self.counts += np.bincount(types, minlength=self.counts.size)
-            if self.spill is not None:
-                with _spill_io():
-                    self.spill.write(np.array([types.size, first.size], dtype=np.int64))
-                    self.spill.write(first.astype(np.int64, copy=False))
-                    self.spill.write(types)
-
-    def part(self):
-        """The part as `_merged` takes it: its words and tags in id order,
-        and per type its word id, tag id and tokens.  The spill is flushed
-        first, since a worker's buffers die with it."""
-        if self.spill is not None:
-            with _spill_io():
-                self.spill.flush()
-        n = self.table.size
-        return (list(self.words), list(self.tags), self.word_of[:n], self.tag_of[:n],
-                self.counts[:n])
+def _read_part(path, start, end, spill):
+    """Pass 1 over the bytes of the file at `path` from `start` up to `end`
+    (to its end if None), block by block.  Each token's bytes map to a node
+    of a `_kernels.TypeTable`, its type id.  A new type is decoded and
+    parsed once, at its first position, which fixes its word and tag ids in
+    order of first occurrence.  Per block, the tokens of each type are
+    counted, and their type ids and the sentence starts are appended to
+    `spill` unless it is None; the spill is flushed at the end, since a
+    worker's buffers die with it.  Returns the part as `_merged` takes it:
+    its words and tags in id order, and per type its word id, tag id and
+    tokens."""
+    table = _kernels.TypeTable()
+    words, tags = {}, {None: 0}  # ids in order of first occurrence
+    word_of = np.empty(0, dtype=np.int32)  # per type: word id
+    tag_of = np.empty(0, dtype=np.int32)
+    counts = np.empty(0, dtype=np.int64)  # per type: tokens
+    lines = 0  # line ends in the part before the current block
+    with open(path, "rb") as fh:
+        if start:  # a pipe cannot seek; its one part starts at 0
+            fh.seek(start)
+        for block in _kernels.blocks(fh, end):
+            padded = block + _kernels.PAD
+            at, length, first, block_lines = _kernels.tokens(padded)
+            known = table.size  # a token whose node is newer is of a new type
+            node = table.nodes(padded, at, length)
+            if counts.size < table.size:  # room for the new type ids
+                more = max(counts.size, table.size - counts.size)
+                word_of, tag_of, counts = (np.concatenate([a, np.zeros(more, dtype=a.dtype)])
+                                           for a in (word_of, tag_of, counts))
+            if node.size and node.max() >= known:
+                new = np.flatnonzero(node >= known)
+                _, seen = np.unique(node[new], return_index=True)
+                for t in sorted(new[seen].tolist()):
+                    lo = int(at[t])
+                    raw = block[lo:lo + int(length[t])]
+                    try:
+                        word, tag = _parse_token(raw.decode("utf-8"))
+                    except UnicodeDecodeError as exc:
+                        line = (_line_ends(path, start) + lines
+                                + _kernels.tokens(block[:lo] + _kernels.PAD)[3] + 1)
+                        raise CorpusError(f"{path}:{line}: invalid UTF-8 ({exc.reason}) "
+                                          f"in token {raw[:40]!r}") from None
+                    word_of[node[t]] = words.setdefault(word, len(words))
+                    tag_of[node[t]] = tags.setdefault(tag, len(tags))
+            if node.size:
+                counts += np.bincount(node, minlength=counts.size)
+                if spill is not None:
+                    with _spill_io():
+                        spill.write(np.array([node.size, first.size], dtype=np.int64))
+                        spill.write(first.astype(np.int64, copy=False))
+                        spill.write(node)
+            lines += block_lines
+    if spill is not None:
+        with _spill_io():
+            spill.flush()
+    n = table.size
+    return list(words), list(tags), word_of[:n], tag_of[:n], counts[:n]
 
 
 def _line_ends(path, end) -> int:
@@ -296,7 +277,7 @@ def _cuts(path) -> list:
 
 
 def _merged(parts, spills) -> TokenizedCorpus:
-    """The corpus of the `_Encoder.part` results of the parts, in file
+    """The corpus of the `_read_part` results of the parts, in file
     order.  Words and tags are numbered in order of first occurrence in
     the file, and each part's type ids follow those of the parts before
     it."""
@@ -327,7 +308,7 @@ def read_corpus(path, spill: bool = True) -> TokenizedCorpus:
     ``\\n``; one part where this process may not fork
     (`_workers._can_fork`) or the file is not a regular file, such as a
     pipe.  Part 0 is read here and each other part in a forked worker,
-    each by an `_Encoder` with a type table and a spill of its own, which
+    each by `_read_part` with a type table and a spill of its own, which
     this process creates before it forks; the parts are then merged in
     file order (`_merged`).  The error of the earliest failing part is
     raised, and an invalid UTF-8 error names the line in the whole file.
@@ -341,17 +322,9 @@ def read_corpus(path, spill: bool = True) -> TokenizedCorpus:
     try:
         for _ in cuts[1:]:
             spills.append(tempfile.TemporaryFile() if spill else None)
-
-        def read_part(k):
-            encoder = _Encoder(path, cuts[k], spills[k])
-            with open(path, "rb") as fh:
-                if cuts[k]:
-                    fh.seek(cuts[k])
-                for block in _kernels.blocks(fh, cuts[k + 1]):
-                    encoder.read(block)
-            return encoder.part()
-
-        corpus = _merged(_workers._each_part("corpus", read_part, len(spills)), spills)
+        corpus = _merged(_workers._each_part(
+            "corpus", lambda k: _read_part(path, cuts[k], cuts[k + 1], spills[k]), len(spills)),
+            spills)
         if not corpus.n_total:
             raise CorpusError(f"{path}: corpus is empty")
     except BaseException:

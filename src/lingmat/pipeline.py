@@ -3,12 +3,15 @@ observables -> fit -> report, with a dimension sweep.
 
 Every stage writes its outputs as files and can be re-run independently
 through the CLI; a run with identical config and seed is byte-identical
-(no artifact records timing or thread information).  A run first removes
-the ``D###`` and ``vectors`` trees and the ``report.json``, ``sweep.csv``
-and ``selection.json`` of an earlier run in the same out_dir, so a rerun
-leaves the tree a fresh run writes and a failed rerun no stale summary.
-A failed run leaves a FAILED marker naming the stage, and only complete
-files (`atomic_open`).
+(no artifact records timing or thread information).  A run first writes
+a FAILED marker saying that it did not finish, and removes it only once
+the top-level ``report.json`` is in place, so a run that is killed says
+so too.  It then removes the ``D###`` and ``vectors`` trees, the
+``report.json``, ``sweep.csv`` and ``selection.json`` of an earlier run
+in the same out_dir and the ``.tmp`` files that a killed run left of
+them and of the marker, so a rerun leaves the tree a fresh run writes
+and a failed rerun no stale summary.  A failed run rewrites the marker
+to name the stage, and leaves only complete files (`atomic_open`).
 """
 
 from __future__ import annotations
@@ -296,24 +299,32 @@ def sweep_stability(params_by_dim: dict[int, GaussParams]) -> dict[str, float]:
     return out
 
 
+#: The top-level files of an earlier run that a run removes before its
+#: first stage, beside its ``D###`` and ``vectors`` trees: the summaries,
+#: and the temp files that a killed `atomic_open` leaves.
+_STALE = ("report.json", "sweep.csv", "selection.json",
+          "FAILED.tmp", "report.json.tmp", "sweep.csv.tmp", "selection.json.tmp")
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute all stages; returns the summary report dict."""
     config.validate_paths()
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     marker = os.path.join(out, "FAILED")
-    if os.path.exists(marker):
-        os.remove(marker)
-    for name in os.listdir(out):
-        path = os.path.join(out, name)
-        if re.fullmatch(r"D\d{3,}|vectors", name) and os.path.isdir(path):
-            shutil.rmtree(path)
-        elif name in ("report.json", "sweep.csv", "selection.json"):
-            os.remove(path)
     prov = config.provenance()
 
     stage = STAGES[0]
     try:
+        with atomic_open(marker) as fh:  # removed once report.json is in place
+            fh.write("error: the run did not finish\n")
+        for name in os.listdir(out):
+            path = os.path.join(out, name)
+            if re.fullmatch(r"D\d{3,}|vectors", name) and os.path.isdir(path):
+                shutil.rmtree(path)
+            elif name in _STALE:
+                os.remove(path)
+
         corpus = read_corpus(config.corpus)
         try:
             pairs = read_pairs(config.pairs)
@@ -363,6 +374,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "reports": reports,
         }
         write_json(summary, os.path.join(out, "report.json"), prov)
+        os.remove(marker)
         return summary
     except Exception as exc:
         with atomic_open(marker) as fh:

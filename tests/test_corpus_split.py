@@ -318,15 +318,14 @@ def test_a_worker_that_dies_fails_build_vectors(tmp_path, monkeypatch, small_run
     config = small_run[0]
     die = worker_only(lambda: os._exit(3) if how == "exit"
                       else os.kill(os.getpid(), signal.SIGKILL))
-    module, name = (corpus._Encoder, "read") if where == "pass 1" else (_kernels,
-                                                                        "window_pair_counts")
-    real = getattr(module, name)
+    name = "tokens" if where == "pass 1" else "window_pair_counts"
+    real = getattr(_kernels, name)
 
     def dying(*args):
         die()
         return real(*args)
 
-    monkeypatch.setattr(module, name, dying)
+    monkeypatch.setattr(_kernels, name, dying)
     with split_into(2), leaves_no_worker_or_spill():
         with pytest.raises(PipelineError) as info:
             run_pipeline(config(tmp_path / "out"))
@@ -341,14 +340,14 @@ def test_a_failure_here_kills_the_workers(tmp_path, monkeypatch):
     later parts are killed and reaped and every spill is closed."""
     path = lines_file(tmp_path, bad=(1,))
     parent = os.getpid()
-    real = corpus._Encoder.read
+    real = _kernels.tokens
 
-    def slow_in_workers(self, block):
+    def slow_in_workers(padded):
         if os.getpid() != parent:
             threading.Event().wait(60)
-        return real(self, block)
+        return real(padded)
 
-    monkeypatch.setattr(corpus._Encoder, "read", slow_in_workers)
+    monkeypatch.setattr(_kernels, "tokens", slow_in_workers)
     with split_into(3), leaves_no_worker_or_spill():
         with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:1: invalid UTF-8"):
             read_corpus(path)

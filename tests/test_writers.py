@@ -5,16 +5,18 @@ previous complete file or no file, never part of one and never a
 
 import builtins
 import errno
+import itertools
 import json
 import os
 import re
+import signal
 import stat
 import tempfile
 
 import numpy as np
 import pytest
 
-from lingmat import cli, matrix_core
+from lingmat import _workers, cli, matrix_core
 from lingmat.corpus import write_pairs
 from lingmat.matrix_core import (Ensemble, WordMatrix, atomic_open, read_ensemble,
                                  write_ensemble, write_matrix, write_vector)
@@ -254,6 +256,61 @@ def test_failed_pipeline_leaves_failed_and_only_complete_files(tmp_path, monkeyp
     assert after.keys() < ref.keys()
     for name, data in after.items():
         assert data == ref[name], name
+
+
+def killed_run(config, k):
+    """Run the pipeline in a forked child that SIGKILLs itself just before
+    its k-th ``os.replace``, and wait until it is dead."""
+    def run():
+        renames, real = itertools.count(1), os.replace
+
+        def replace(*args):
+            if next(renames) == k:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        os.replace = replace  # in the child only, which never returns
+        run_pipeline(config)
+
+    with _workers._forked("pipeline", run) as result:
+        with pytest.raises(RuntimeError, match=f"killed by signal {int(signal.SIGKILL)} "):
+            result()
+
+
+def test_killed_pipeline_leaves_failed_and_a_rerun_a_fresh_tree(tmp_path):
+    """A run killed before any rename after its FAILED marker's own leaves
+    the marker, also over a finished run.  A rerun that fails leaves no
+    ``.tmp`` file of the killed run, and one that finishes writes the tree
+    of a fresh run."""
+    write_synth_corpus(6, tmp_path / "corpus.txt", tmp_path / "pairs.tsv",
+                       SynthConfig(n_sentences=750))
+    (tmp_path / "no-pairs.tsv").write_text("# none\n")
+
+    def config(out, pairs="pairs.tsv"):
+        return PipelineConfig.from_json_dict({
+            "corpus": str(tmp_path / "corpus.txt"), "pairs": str(tmp_path / pairs),
+            "out_dir": str(out), "basis_sizes": [20],
+            "thresholds": {"min_target_freq": 10, "drop_top": 0,
+                           "min_pair_count": 1, "min_args": 5}})
+
+    renames, real = [], os.replace
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "replace", lambda src, dst: renames.append(dst) or real(src, dst))
+        run_pipeline(config(tmp_path / "fresh"))
+    fresh = files(tmp_path / "fresh")
+    assert "FAILED" not in fresh
+    assert renames[0] == os.path.realpath(tmp_path / "fresh" / "FAILED")
+
+    out = tmp_path / "out"
+    for k in range(2, len(renames) + 1):
+        killed_run(config(out), k)
+        assert (out / "FAILED").read_text() == "error: the run did not finish\n", k
+        with pytest.raises(PipelineError, match="no argument pairs found"):
+            run_pipeline(config(out, "no-pairs.tsv"))
+        assert list(files(out)) == ["FAILED"], k
+        killed_run(config(out), k)
+        run_pipeline(config(out))
+        assert files(out) == fresh, k
 
 
 class _FullSpill:
