@@ -160,8 +160,8 @@ def catalog_values(m):
 
 def window_pair_counts(type_ids, offsets, left, right, rows, cmap, window, counts):
     """Add the context counts of spans inside the sentences of one chunk,
-    given as the type id of each token, to the int64 table ``counts`` in
-    place, and return the number of pairs added.
+    given as the ``intp`` type id of each token, to the int64 table
+    ``counts`` in place, and return the number of pairs added.
 
     ``offsets`` delimits the chunk's sentences, its end last.  Span k
     covers the positions ``left[k]..right[k]`` of one sentence (a target
@@ -200,8 +200,8 @@ _SPACE_CODES = {width: np.array(sorted(
     int.from_bytes(c.encode(), "big") for c in _UNICODE_SPACES if len(c.encode()) == width))
     for width in (2, 3)}
 
-#: Zero bytes that follow a block given to `tokens` or `TypeTable.nodes`,
-#: so that an 8-byte load at any block position stays inside the buffer.
+#: Zero bytes that follow each block of `blocks`, so that an 8-byte load
+#: at any block position stays inside the buffer.
 PAD = bytes(8)
 
 #: Per n in 0..8, the mask of the low n bytes of a little-endian uint64.
@@ -215,32 +215,32 @@ def blocks(fh, end=None):
     """The bytes of binary file `fh`, from its position up to byte `end`
     (to the end of the file if None), in blocks that end after their last
     line end, before a ``\\r`` that ends a read (it may start a ``\\r\\n``),
-    or at the end.  Each block holds the rest of the previous read plus
-    one read of ``_CHUNK`` bytes; a longer line extends it."""
+    or at the end, each followed by `PAD`.  Each block holds the rest of
+    the previous read plus one read of ``_CHUNK`` bytes; a longer line
+    extends it."""
     parts = []
     while data := fh.read(_CHUNK if end is None else min(_CHUNK, end - fh.tell())):
         cut = (len(data) - 1 if data.endswith(b"\r")
                else max(data.rfind(b"\n"), data.rfind(b"\r")) + 1)
         if cut:
-            parts.append(data[:cut])
+            parts += (data[:cut], PAD)
             yield b"".join(parts)
             parts, data = [], data[cut:]
         if data:
             parts.append(data)
     if parts:
-        yield b"".join(parts)
+        yield b"".join(parts + [PAD])
 
 
 def tokens(padded: bytes):
-    """The tokens of a block, given as its bytes followed by `PAD`.
+    """The tokens of a block of `blocks`, its bytes followed by `PAD`.
 
     A token is a maximal run of bytes that are neither separators nor line
-    ends.  Returns the start and length of each token (int32 unless the
-    block holds 2**31 bytes or more), the index of the first token of
-    each sentence, and the block's line ends as text-mode reading counts
-    them, where ``\\n``, ``\\r`` and ``\\r\\n`` each count once: tokens
-    split as ``str.split`` splits the lines of text-mode reading, and
-    lines without tokens drop.
+    ends.  Returns the start and length of each token and the index of the
+    first token of each sentence, all ``intp``, and the block's line ends
+    as text-mode reading counts them, where ``\\n``, ``\\r`` and ``\\r\\n``
+    each count once: tokens split as ``str.split`` splits the lines of
+    text-mode reading, and lines without tokens drop.
     """
     buf = np.frombuffer(padded, dtype=np.uint8)
     n = buf.size - len(PAD)
@@ -260,7 +260,6 @@ def tokens(padded: bytes):
             for k in range(width):
                 body[hit + k] = False
     edges = np.flatnonzero(inside[1:] != inside[:-1])
-    edges = edges.astype(np.int32 if n < 2**31 else np.int64)  # one line can exceed 2 GB
     del inside, body
     start, length = edges[0::2], edges[1::2] - edges[0::2]
     ends = np.flatnonzero((b == 0x0A) | (b == 0x0D))

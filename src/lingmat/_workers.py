@@ -9,6 +9,11 @@ once.  A child inherits the parent's memory as it was at the fork, so it
 reads the parent's tables without pickling; its result, or its
 exception, comes back pickled over a pipe.  Children are always killed
 and reaped before `_each_part` returns or raises.
+
+Workers are not pinned to CPUs: on a 2-vCPU host, a worker shared its
+parent's vCPU for about the first 1.5 s of a process in 7 of 30
+in-process pipeline iterations (0.21-0.26 s each, against 0.15-0.19 s),
+but placing or pinning the parts on CPUs measured slower.
 """
 
 from __future__ import annotations

@@ -46,6 +46,7 @@ label i, the layout of ``vectors.npy``.
 from __future__ import annotations
 
 import contextlib
+import errno
 import heapq
 import os
 import stat
@@ -120,49 +121,47 @@ class TokenizedCorpus:
 
     __del__ = close
 
-    def chunks(self, part=None):
-        """Pass 2's input, the only reader of the spills: the sentences of
-        part `part`, or of every part in order if None, in runs of whole
-        sentences of at least ``_kernels._CHUNK`` tokens, the last perhaps
-        shorter; per run, its int32 type ids and int64 sentence offsets,
-        its length last."""
-        parts = self.parts if part is None else self.parts[part:part + 1]
-        if any(spill is None for spill, _ in parts):
+    def chunks(self, part):
+        """Pass 2's input, the only reader of the spills: part `part` in runs
+        of whole sentences of at least ``_kernels._CHUNK`` tokens, the last
+        perhaps shorter; per run, its ``intp`` type ids and int64 sentence
+        offsets, its length last.  A spill cut inside a record is EIO."""
+        spill, base = self.parts[part]
+        if spill is None:
             raise ValueError("the corpus was read for its counts only; it has no spill")
-        types, starts, n = [], [], 0
-        for spill, base in parts:
-            at = 0
-            while True:
-                with _spill_io():
-                    spill.seek(at)
-                    head = spill.read(16)
-                    k, m = np.frombuffer(head, dtype=np.int64).tolist() if head else (0, 0)
-                    data = spill.read(8 * m + 4 * k)
-                if not head:
-                    break
-                if len(data) != 8 * m + 4 * k:
-                    raise OSError("the corpus spill file ends inside a record")
-                at += 16 + len(data)
-                starts.append(np.frombuffer(data, dtype=np.int64, count=m) + n)
-                ids = np.frombuffer(data, dtype=np.int32, offset=8 * m)
-                types.append(ids + np.int32(base) if base else ids)
-                n += k
-                if n >= _kernels._CHUNK:
-                    yield np.concatenate(types), np.concatenate(starts + [[n]])
-                    types, starts, n = [], [], 0
-        if n:
-            yield np.concatenate(types), np.concatenate(starts + [[n]])
+        types, starts, n, at = [], [], 0, 0
+        while True:
+            with _spill_io():
+                spill.seek(at)
+                head = spill.read(16)
+                k, m = np.frombuffer(head, dtype=np.int64).tolist() if len(head) == 16 else (0, 0)
+                data = spill.read(8 * m + 4 * k)
+                if len(head) % 16 or len(data) != 8 * m + 4 * k:
+                    raise OSError(errno.EIO, "it ends inside a record")
+            at += 16 + len(data)
+            starts.append(np.frombuffer(data, dtype=np.int64, count=m) + n)
+            types.append(np.frombuffer(data, dtype=np.int32, offset=8 * m))
+            n += k
+            if n >= _kernels._CHUNK or n and not head:
+                ids = np.concatenate(types, dtype=np.intp)
+                ids += base
+                offsets = np.concatenate(starts + [[n]])
+                types, starts, n = [], [], 0  # the records' bytes die before the chunk is used
+                yield ids, offsets
+            if not head:
+                return
 
     @property
     def sentences(self) -> tuple:
-        """Sentences as tuples of (word, tag), decoded from the spill on
+        """Sentences as tuples of (word, tag), decoded from the spills on
         every access; for tests and oracles."""
         out = []
-        for types, offsets in self.chunks():
-            toks = list(zip(map(self.words.__getitem__, self.word_of.take(types).tolist()),
-                            map(self.tags.__getitem__, self.tag_of.take(types).tolist())))
-            bounds = offsets.tolist()
-            out += (tuple(toks[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        for part in range(len(self.parts)):
+            for types, offsets in self.chunks(part):
+                toks = list(zip(map(self.words.__getitem__, self.word_of.take(types).tolist()),
+                                map(self.tags.__getitem__, self.tag_of.take(types).tolist())))
+                bounds = offsets.tolist()
+                out += (tuple(toks[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
         return tuple(out)
 
     def lookup(self, words) -> np.ndarray:
@@ -189,11 +188,10 @@ def _read_part(path, start, end, spill):
     of a `_kernels.TypeTable`, its type id.  A new type is decoded and
     parsed once, at its first position, which fixes its word and tag ids in
     order of first occurrence.  Per block, the tokens of each type are
-    counted, and their type ids and the sentence starts are appended to
-    `spill` unless it is None; the spill is flushed at the end, since a
-    worker's buffers die with it.  Returns the part as `_merged` takes it:
-    its words and tags in id order, and per type its word id, tag id and
-    tokens."""
+    counted, and unless `spill` is None their type ids and the sentence
+    starts are appended to it and flushed, since a worker's buffers die
+    with it.  Returns the part as `_merged` takes it: its words and tags
+    in id order, and per type its word id, tag id and tokens."""
     table = _kernels.TypeTable()
     words, tags = {}, {None: 0}  # ids in order of first occurrence
     word_of = np.empty(0, dtype=np.int32)  # per type: word id
@@ -204,13 +202,11 @@ def _read_part(path, start, end, spill):
         if start:  # a pipe cannot seek; its one part starts at 0
             fh.seek(start)
         for block in _kernels.blocks(fh, end):
-            padded = block + _kernels.PAD
-            at, length, first, block_lines = _kernels.tokens(padded)
+            at, length, first, block_lines = _kernels.tokens(block)
             known = table.size  # a token whose node is newer is of a new type
-            node = table.nodes(padded, at, length)
-            if counts.size < table.size:  # room for the new type ids
-                more = max(counts.size, table.size - counts.size)
-                word_of, tag_of, counts = (np.concatenate([a, np.zeros(more, dtype=a.dtype)])
+            node = table.nodes(block, at, length)
+            if counts.size < table.size:  # zeros for the new type ids, at least doubling
+                word_of, tag_of, counts = (np.pad(a, (0, max(a.size, table.size - a.size)))
                                            for a in (word_of, tag_of, counts))
             if node.size and node.max() >= known:
                 new = np.flatnonzero(node >= known)
@@ -234,10 +230,8 @@ def _read_part(path, start, end, spill):
                         spill.write(np.array([node.size, first.size], dtype=np.int64))
                         spill.write(first.astype(np.int64, copy=False))
                         spill.write(node)
+                        spill.flush()
             lines += block_lines
-    if spill is not None:
-        with _spill_io():
-            spill.flush()
     n = table.size
     return list(words), list(tags), word_of[:n], tag_of[:n], counts[:n]
 
@@ -248,7 +242,7 @@ def _line_ends(path, end) -> int:
     if not end:
         return 0
     with open(path, "rb") as fh:
-        return sum(_kernels.tokens(block + _kernels.PAD)[3] for block in _kernels.blocks(fh, end))
+        return sum(_kernels.tokens(block)[3] for block in _kernels.blocks(fh, end))
 
 
 def _cuts(path) -> list:
@@ -438,6 +432,7 @@ def count_cooccurrence(corpus: TokenizedCorpus, targets, basis: BasisSpec,
             start, end, row = finder.spans(type_ids, offsets)
             occurrences += np.bincount(row, minlength=finder.n_rows)
             _kernels.window_pair_counts(type_ids, offsets, start, end, row, cmap, window, joint)
+            del type_ids, offsets, start, end, row  # before the next chunk is read
         return occurrences, joint
 
     occurrences, joint = map(sum, zip(*_workers._each_part("corpus", count, len(corpus.parts))))

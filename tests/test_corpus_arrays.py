@@ -11,6 +11,7 @@ a chunk ends at almost every sentence and sentences outgrow chunks.
 import collections
 import contextlib
 import dataclasses
+import errno
 import io
 import os
 import re
@@ -138,18 +139,21 @@ def test_read_corpus_round_trip(text):
 
 
 def check_chunks(corpus, sentences):
-    """Pass 2 reads back every sentence whole, in order, as type ids, in
-    chunks of at least ``_CHUNK`` tokens but the last."""
-    chunks = list(corpus.chunks())
+    """Pass 2 reads back every sentence whole, in order, as ``intp`` type
+    ids, part by part, in chunks of at least ``_CHUNK`` tokens but the
+    last of each part."""
+    per_part = [list(corpus.chunks(part)) for part in range(len(corpus.parts))]
+    chunks = [chunk for part in per_part for chunk in part]
     tokens = [token for sentence in sentences for token in sentence]
     assert [(corpus.words[corpus.word_of[t]], corpus.tags[corpus.tag_of[t]])
             for ids, _ in chunks for t in ids.tolist()] == tokens
     assert [int(b - a) for ids, offsets in chunks
             for a, b in zip(offsets[:-1], offsets[1:])] == [len(s) for s in sentences]
-    for ids, offsets in chunks[:-1]:
-        assert ids.size >= _kernels._CHUNK
+    for part in per_part:
+        for ids, offsets in part[:-1]:
+            assert ids.size >= _kernels._CHUNK
     for ids, offsets in chunks:
-        assert ids.dtype == np.int32 and offsets[0] == 0 and offsets[-1] == ids.size
+        assert ids.dtype == np.intp and offsets[0] == 0 and offsets[-1] == ids.size
 
 
 @settings(max_examples=50, deadline=None)
@@ -286,6 +290,14 @@ def test_type_table_nodes_are_the_byte_strings(words, seps):
     assert len(set(node)) == len(first)
 
 
+def unpadded(blocks):
+    """The blocks of `_kernels.blocks`, each checked to end with `PAD` and
+    returned without it."""
+    blocks = list(blocks)
+    assert all(block.endswith(_kernels.PAD) for block in blocks)
+    return [block[:-len(_kernels.PAD)] for block in blocks]
+
+
 line_bytes = st.lists(st.sampled_from([b"a", b" ", b"\n", b"\r", b"\r\n"]), min_size=1,
                       max_size=30).map(b"".join)
 
@@ -301,11 +313,12 @@ def test_tokens_count_line_ends_as_text_mode_reads_them(block):
 @settings(max_examples=200, deadline=None)
 @given(line_bytes)
 def test_blocks_join_into_the_file_and_never_split_a_crlf(data):
-    """At every read length, the blocks join back into the file, and no
-    block ends with the "\\r" of a "\\r\\n" whose "\\n" starts the next."""
+    """At every read length, every block ends with `PAD`, the blocks
+    without it join back into the file, and no block ends with the "\\r"
+    of a "\\r\\n" whose "\\n" starts the next."""
     for chunk in CHUNKS:
         with chunk_length(chunk):
-            blocks = list(_kernels.blocks(io.BytesIO(data)))
+            blocks = unpadded(_kernels.blocks(io.BytesIO(data)))
         assert b"".join(blocks) == data, chunk
         assert not any(a.endswith(b"\r") and b.startswith(b"\n")
                        for a, b in zip(blocks, blocks[1:])), chunk
@@ -397,7 +410,8 @@ def test_corpus_read_from_a_pipe_matches_the_file(tmp_path, desk_corpus):
     from_file = read_corpus(path)
     assert pair_counts(from_pipe) == pair_counts(from_file)
     assert from_pipe.words == from_file.words and from_pipe.tags == from_file.tags
-    for (ids, offsets), (want_ids, want_offsets) in zip(from_pipe.chunks(), from_file.chunks(),
+    assert len(from_pipe.parts) == len(from_file.parts) == 1
+    for (ids, offsets), (want_ids, want_offsets) in zip(from_pipe.chunks(0), from_file.chunks(0),
                                                         strict=True):
         np.testing.assert_array_equal(ids, want_ids)
         np.testing.assert_array_equal(offsets, want_offsets)
@@ -415,14 +429,38 @@ def test_sentences_view_is_decoded_from_the_arrays(tmp_path):
     np.testing.assert_array_equal(corpus.word_of, [0, 1, 0])
     np.testing.assert_array_equal(corpus.tag_of, [1, 0, 0])
     np.testing.assert_array_equal(corpus.counts, [1, 1, 1])
-    ((ids, offsets),) = corpus.chunks()
+    ((ids, offsets),) = corpus.chunks(0)
+    assert ids.dtype == np.intp
     np.testing.assert_array_equal(ids, [0, 1, 2])
     np.testing.assert_array_equal(offsets, [0, 2, 3])
     assert corpus.sentences == ((("a", "N"), ("b", None)), (("a", None),))
     assert not corpus.counts.flags.writeable
     corpus.close()
     with pytest.raises(ValueError):
-        next(corpus.chunks())
+        next(corpus.chunks(0))
+
+
+@pytest.mark.parametrize("cut", [1, 8, 15, "body"])
+def test_a_truncated_spill_is_an_eio_error_naming_its_directory(tmp_path, monkeypatch, cut):
+    """A spill that ends inside a record, 1, 8 or 15 bytes into the second
+    record's 16-byte header or inside its body, reads back as an EIO error
+    that names the spill's directory, as every spill error does."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b c\nd e\n" * 4, encoding="utf-8")
+    with chunk_length(8):
+        corpus = read_corpus(path)
+    spill, _ = corpus.parts[0]
+    spill.seek(0)
+    k, m = np.frombuffer(spill.read(16), dtype=np.int64).tolist()
+    second = 16 + 8 * m + 4 * k
+    spill.truncate(second + (16 + 4 if cut == "body" else cut))
+    with pytest.raises(OSError) as info:
+        list(corpus.chunks(0))
+    assert info.value.errno == errno.EIO
+    assert str(info.value) == (f"[Errno {errno.EIO}] corpus spill in {tmp_path}: "
+                               "it ends inside a record")
+    corpus.close()
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -437,7 +475,7 @@ def test_long_sentences_and_line_ends_at_block_edges(tmp_path, chunk):
     path = tmp_path / "corpus.txt"
     path.write_bytes(text.encode())
     with chunk_length(chunk), open(path, "rb") as fh:
-        blocks = list(_kernels.blocks(fh))
+        blocks = unpadded(_kernels.blocks(fh))
     assert not any(a.endswith(b"\r") and b.startswith(b"\n") for a, b in zip(blocks, blocks[1:]))
     sentences = oracles.read_sentences(path)
     assert max(map(len, sentences)) > 7

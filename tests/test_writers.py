@@ -29,14 +29,14 @@ PROV = {"tool": "lingmat", "version": "0", "config_hash": "0" * 16, "seed": 0}
 class Faults:
     """Stands in for ``open`` in `matrix_core`: handles opened for writing
     count the bytes written through them, and the first write that would
-    pass ``budget`` bytes in total writes only up to it, then raises.
-    After that one fault every handle is the real one, so a FAILED marker
-    can still be written."""
+    pass ``budget`` bytes in total writes only up to it, then raises, and
+    ``fired`` names its file.  After that one fault every handle is the
+    real one, so a FAILED marker can still be written."""
 
     def __init__(self, budget=float("inf")):
         self.budget = budget
         self.written = 0
-        self.fired = False
+        self.fired = None
 
     def open(self, file, mode="r", **kwargs):
         fh = builtins.open(file, mode, **kwargs)
@@ -51,7 +51,7 @@ class _FaultyFile:
         f = self._faults
         view = data if isinstance(data, str) else memoryview(data).cast("B")
         if not f.fired and f.written + len(view) > f.budget:
-            f.fired = True
+            f.fired = self._fh.name
             self._fh.write(view[:f.budget - f.written])
             raise OSError("injected write fault")
         f.written += len(view)
@@ -71,22 +71,27 @@ class _FaultyFile:
         return getattr(self._fh, name)
 
 
-def inject(monkeypatch, fault, total):
+def inject(monkeypatch, fault, total, skip=0):
     """Install ``fault``: a write fault after k of ``total`` bytes for
-    k in {0, 1, half, all but one}, or an ``os.fsync`` that raises once."""
+    k in {0, 1, half, all but one}, or an ``os.fsync`` that raises once.
+    A nonzero ``skip`` is the bytes of a file written first, which the
+    fault passes over with its one fsync; k then counts the other bytes.
+    Returns the `Faults` of a write fault."""
     if fault == "fsync":
         real, calls = os.fsync, []
 
         def fsync(fd):
             calls.append(fd)
-            if len(calls) == 1:
+            if len(calls) == 1 + bool(skip):
                 raise OSError("injected fsync fault")
             real(fd)
 
         monkeypatch.setattr(os, "fsync", fsync)
-        return
-    budget = {"0": 0, "1": 1, "half": total // 2, "all but one": total - 1}[fault]
-    monkeypatch.setattr(matrix_core, "open", Faults(budget).open, raising=False)
+        return None
+    rest = total - skip
+    faults = Faults(skip + {"0": 0, "1": 1, "half": rest // 2, "all but one": rest - 1}[fault])
+    monkeypatch.setattr(matrix_core, "open", faults.open, raising=False)
+    return faults
 
 
 FAULTS = ["0", "1", "half", "all but one", "fsync"]
@@ -224,14 +229,16 @@ def test_atomic_open_streams_bytes_and_replaces_on_exit(tmp_path):
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
-    """A small pipeline's inputs, a clean run's tree and the bytes the run
-    writes through its file handles."""
+    """A small pipeline's inputs, a clean run's tree, the bytes the run
+    writes through its file handles and the bytes of its FAILED marker,
+    which it writes first."""
     root = tmp_path_factory.mktemp("pipeline")
     write_synth_corpus(6, root / "corpus.txt", root / "pairs.tsv", SynthConfig(n_sentences=1200))
+    (root / "empty.txt").write_text("")
 
-    def config(out):
+    def config(out, corpus="corpus.txt"):
         return PipelineConfig.from_json_dict({
-            "corpus": str(root / "corpus.txt"), "pairs": str(root / "pairs.tsv"),
+            "corpus": str(root / corpus), "pairs": str(root / "pairs.tsv"),
             "out_dir": str(out), "basis_sizes": [20, 40],
             "thresholds": {"min_target_freq": 10, "drop_top": 0,
                            "min_pair_count": 1, "min_args": 5},
@@ -239,17 +246,30 @@ def pipeline_run(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         total = counted_bytes(mp, lambda: run_pipeline(config(root / "ref")))
-    return config, files(root / "ref"), total
+        # an empty corpus fails the run right after its marker, and the
+        # failure rewrites the marker: the rest of the bytes are the first's
+        failed = counted_bytes(mp, lambda: pytest.raises(
+            PipelineError, run_pipeline, config(root / "empty", "empty.txt")))
+    marker = failed - len((root / "empty" / "FAILED").read_bytes())
+    return config, files(root / "ref"), total, marker
 
 
-@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("fault", FAULTS + ["marker"])
 def test_failed_pipeline_leaves_failed_and_only_complete_files(tmp_path, monkeypatch,
                                                                 pipeline_run, fault):
-    config, ref, total = pipeline_run
-    inject(monkeypatch, fault, total)
+    """Each fault of `FAULTS` lands in the stage files, after the FAILED
+    marker's first write and fsync, and "marker" fails that write at
+    byte 0."""
+    config, ref, total, marker = pipeline_run
+    if fault == "marker":
+        faults = inject(monkeypatch, "0", total)
+    else:
+        faults = inject(monkeypatch, fault, total, marker)
     with pytest.raises(PipelineError):
         run_pipeline(config(tmp_path / "out"))
     monkeypatch.undo()
+    if faults is not None:
+        assert (os.path.basename(faults.fired) == "FAILED.tmp") == (fault == "marker")
     after = files(tmp_path / "out")
     assert after.pop("FAILED").startswith(b"stage: ")
     assert not [name for name in after if name.endswith(".tmp")]
